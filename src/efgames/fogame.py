@@ -66,7 +66,13 @@ class FoGame:
 
     Structures are interned to small ints; a class is a tuple of ids
     sorted by a deterministic structural key, so equal classes always
-    produce equal memo keys.
+    produce equal memo keys.  Interning also evaluates every atom over the
+    structure's assignment domain once and keeps the truth values as an
+    int mask (bit i for the i-th entry of ``atom_candidates``), so the
+    atomic win check and the literal splits are bit operations over the
+    members' masks and need no memo of their own.  Each structure's
+    extensions x_j -> a are interned once per variable, so choice
+    functions pick among ids.
     """
 
     def __init__(
@@ -85,8 +91,11 @@ class FoGame:
         self._ids: dict[Structure, int] = {}
         self._by_id: list[Structure] = []
         self._keys: list[tuple] = []
+        self._masks: list[int] = []
+        self._atoms_of: list[list[FoFormula]] = []
+        self._atom_lists: dict[tuple, list[FoFormula]] = {}
+        self._ext: dict[tuple[int, int], tuple[int, ...]] = {}
         self._memo: dict[tuple, bool] = {}
-        self._atomic: dict[tuple, Optional[tuple[FoFormula, bool]]] = {}
         self._star: dict[tuple, tuple[int, ...]] = {}
 
     # -- interning ----------------------------------------------------------
@@ -98,6 +107,14 @@ class FoGame:
             self._ids[st] = sid
             self._by_id.append(st)
             self._keys.append(st.sort_key())
+            key = (st.model.vocabulary, tuple(j for j, _ in st.assignment.items))
+            atoms = self._atom_lists.get(key)
+            if atoms is None:
+                atoms = self._atom_lists[key] = atom_candidates(*key)
+            self._atoms_of.append(atoms)
+            self._masks.append(
+                sum(1 << i for i, atom in enumerate(atoms) if fo_eval(atom, st))
+            )
         return sid
 
     def _canon(self, members: Iterable[Structure]) -> tuple[int, ...]:
@@ -106,38 +123,40 @@ class FoGame:
 
     # -- win condition ------------------------------------------------------
 
+    def _folds(
+        self, ak: tuple[int, ...], bk: tuple[int, ...]
+    ) -> tuple[int, int, int, int]:
+        """Masks of the atoms true on every member of A, on some member of
+        A, on every member of B and on some member of B.  The position
+        needs a member to fix its atom list."""
+        masks = self._masks
+        every_a = every_b = (1 << len(self._atoms_of[(ak or bk)[0]])) - 1
+        some_a = some_b = 0
+        for sid in ak:
+            every_a &= masks[sid]
+            some_a |= masks[sid]
+        for sid in bk:
+            every_b &= masks[sid]
+            some_b |= masks[sid]
+        return every_a, some_a, every_b, some_b
+
     def _first_atomic(
         self, ak: tuple[int, ...], bk: tuple[int, ...], dom: tuple[int, ...]
     ) -> Optional[tuple[FoFormula, bool]]:
-        key = (ak, bk, dom)
-        if key in self._atomic:
-            return self._atomic[key]
-        vocab = None
-        for sid in ak or bk:
-            vocab = self._by_id[sid].model.vocabulary
-            break
-        found: Optional[tuple[FoFormula, bool]] = None
-        if vocab is None:
+        """The first atom in ``atom_candidates`` order that separates, tagged
+        True when the atom itself does and False when its negation does."""
+        if not ak and not bk:
             # both classes empty: any atom separates vacuously, so player I
             # wins exactly when the domain affords one
-            if dom:
-                found = (EqAtom(dom[0], dom[0]), True)
-        else:
-            a_members = [self._by_id[i] for i in ak]
-            b_members = [self._by_id[i] for i in bk]
-            for atom in atom_candidates(vocab, dom):
-                if all(fo_eval(atom, st) for st in a_members) and not any(
-                    fo_eval(atom, st) for st in b_members
-                ):
-                    found = (atom, True)
-                    break
-                if not any(fo_eval(atom, st) for st in a_members) and all(
-                    fo_eval(atom, st) for st in b_members
-                ):
-                    found = (atom, False)
-                    break
-        self._atomic[key] = found
-        return found
+            return (EqAtom(dom[0], dom[0]), True) if dom else None
+        every_a, some_a, every_b, some_b = self._folds(ak, bk)
+        positive = every_a & ~some_b
+        hits = positive | (every_b & ~some_a)
+        if not hits:
+            return None
+        first = hits & -hits
+        atom = self._atoms_of[(ak or bk)[0]][first.bit_length() - 1]
+        return atom, bool(positive & first)
 
     # -- move generation ----------------------------------------------------
 
@@ -150,16 +169,25 @@ class FoGame:
             return [fresh]
         return [fresh] + list(dom)
 
+    def _extensions(self, sid: int, j: int) -> tuple[int, ...]:
+        """Ids of the structure extended by x_j -> a, for every element a."""
+        key = (sid, j)
+        got = self._ext.get(key)
+        if got is None:
+            st = self._by_id[sid]
+            got = tuple(
+                self._intern(Structure(st.model, st.assignment.extend(j, a)))
+                for a in range(st.model.universe_size)
+            )
+            self._ext[key] = got
+        return got
+
     def _star_ids(self, ids: tuple[int, ...], j: int) -> tuple[int, ...]:
         key = (ids, j)
         got = self._star.get(key)
         if got is not None:
             return got
-        out = set()
-        for sid in ids:
-            st = self._by_id[sid]
-            for a in range(st.model.universe_size):
-                out.add(self._intern(Structure(st.model, st.assignment.extend(j, a))))
+        out = {ext for sid in ids for ext in self._extensions(sid, j)}
         if len(out) > self.cap_class_size:
             raise ResourceCapError(
                 f"a branching extension reaches {len(out)} members, over the cap "
@@ -170,19 +198,15 @@ class FoGame:
         return result
 
     def _choice_classes(self, ids: tuple[int, ...], j: int) -> Iterable[tuple[int, ...]]:
-        members = [self._by_id[sid] for sid in ids]
-        sizes = [st.model.universe_size for st in members]
-        total = math.prod(sizes)
+        total = math.prod(self._by_id[sid].model.universe_size for sid in ids)
         if total > self.cap_choice_functions:
             raise ResourceCapError(
                 f"{total} choice functions exceed the cap "
                 f"{self.cap_choice_functions} (--cap-choice-functions)"
             )
-        for picks in itertools.product(*(range(s) for s in sizes)):
-            yield self._canon(
-                Structure(st.model, st.assignment.extend(j, a))
-                for st, a in zip(members, picks)
-            )
+        order = self._keys.__getitem__
+        for picks in itertools.product(*(self._extensions(sid, j) for sid in ids)):
+            yield tuple(sorted(set(picks), key=order))
 
     # -- the game -----------------------------------------------------------
 
@@ -272,31 +296,37 @@ class FoGame:
     ) -> Optional[tuple]:
         """Splits whose first block is the full set of members one literal
         wins against the other side, paired with rank w - 1 on the rest."""
-        vocab = None
-        for sid in ak or bk:
-            vocab = self._by_id[sid].model.vocabulary
-            break
-        if vocab is None:
+        if not ak and not bk:
             return None
-        a_members = [self._by_id[i] for i in ak]
-        b_members = [self._by_id[i] for i in bk]
-        for atom in atom_candidates(vocab, dom):
-            on_a = [fo_eval(atom, st) for st in a_members]
-            on_b = [fo_eval(atom, st) for st in b_members]
-            for target in (True, False):  # the atom itself, then its negation
-                if len(ak) >= 2 and all(vb is not target for vb in on_b):
-                    c = tuple(i for i, va in zip(ak, on_a) if va is target)
-                    if c and len(c) < len(ak):
-                        d = tuple(i for i, va in zip(ak, on_a) if va is not target)
-                        if self._wins(mode, w - 1, d, bk, dom):
-                            return ("lsplit", 1, w - 1, c, d)
-                if len(bk) >= 2 and all(va is target for va in on_a):
-                    c = tuple(i for i, vb in zip(bk, on_b) if vb is not target)
-                    if c and len(c) < len(bk):
-                        d = tuple(i for i, vb in zip(bk, on_b) if vb is target)
-                        if self._wins(mode, w - 1, ak, d, dom):
-                            return ("rsplit", 1, w - 1, c, d)
+        every_a, some_a, every_b, some_b = self._folds(ak, bk)
+        split_a = some_a & ~every_a
+        split_b = some_b & ~every_b
+        # per literal polarity, the atoms whose literal holds on a proper
+        # part of one side and on all of A (right splits) or none of B
+        # (left splits)
+        lsplit_pos, rsplit_pos = split_a & ~some_b, every_a & split_b
+        lsplit_neg, rsplit_neg = split_a & every_b, split_b & ~some_a
+        cases = ((True, lsplit_pos, rsplit_pos), (False, lsplit_neg, rsplit_neg))
+        todo = lsplit_pos | rsplit_pos | lsplit_neg | rsplit_neg
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            for target, lsplit, rsplit in cases:  # the atom, then its negation
+                if lsplit & bit:
+                    c = self._where(ak, bit, target)
+                    d = self._where(ak, bit, not target)
+                    if self._wins(mode, w - 1, d, bk, dom):
+                        return ("lsplit", 1, w - 1, c, d)
+                if rsplit & bit:
+                    c = self._where(bk, bit, not target)
+                    d = self._where(bk, bit, target)
+                    if self._wins(mode, w - 1, ak, d, dom):
+                        return ("rsplit", 1, w - 1, c, d)
         return None
+
+    def _where(self, ids: tuple[int, ...], bit: int, value: bool) -> tuple[int, ...]:
+        """The members on which the atom at ``bit`` has the given value."""
+        return tuple(sid for sid in ids if bool(self._masks[sid] & bit) is value)
 
     # -- public API -----------------------------------------------------------
 

@@ -189,16 +189,6 @@ def size(f: PropFormula) -> int:
     raise InputError(f"not a formula node: {f!r}")
 
 
-def max_index(f: PropFormula) -> int:
-    if isinstance(f, Var):
-        return f.index
-    if isinstance(f, Not):
-        return max_index(f.child)
-    if isinstance(f, (And, Or)):
-        return max(max_index(f.left), max_index(f.right))
-    raise InputError(f"not a formula node: {f!r}")
-
-
 def evaluate(f: PropFormula, s: BitString) -> bool:
     if isinstance(f, Var):
         if f.index > s.width:

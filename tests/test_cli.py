@@ -1,9 +1,14 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import efgames
 from efgames import (
     Assignment,
     ContractError,
@@ -307,3 +312,17 @@ def test_repro_report_checks_its_own_bounds():
         ReproReport("parity", 1, 2, 4, 5, 0)
     report = ReproReport("parity", 1, 2, 4, None, 0)
     assert "not computed" in report.text()
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(efgames.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    done = subprocess.run(
+        [sys.executable, "-m", "efgames", "--json", "repro", "parity", "--n", "2"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["exact_minsize"] == 4

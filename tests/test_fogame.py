@@ -18,12 +18,14 @@ from efgames import (
     Structure,
     StructureClass,
     Vocabulary,
+    atomic_separators,
     fo_eval,
     fo_minsize,
     fo_separates,
     fo_size,
     fo_synthesize,
     fo_winner,
+    format_fo,
     is_existential,
     linear_order,
     linorder_instances,
@@ -210,3 +212,57 @@ def test_synthesize_respects_vacuous_separation():
     assert won_at is not None
     f = fo_synthesize(empty, full, won_at, FoMode.FULL)
     assert fo_separates(f, empty, full)
+
+
+# the chain sentence both modes synthesize for the n = 3 order, recorded
+# before atoms were decided by truth masks
+ORDER_3_SENTENCE = "exists x0 exists x1 ((x0 < x1) & exists x2 (x1 < x2))"
+
+
+@pytest.mark.parametrize(
+    "mode, positions", [(FoMode.EXISTENTIAL, 139), (FoMode.FULL, 82_799)]
+)
+def test_order_three_search_is_pinned(mode, positions):
+    # the full-mode count covers the deep rank-4 refutation; any change to
+    # the move order or the canonical class order moves it
+    a, b = linorder_instances(3)
+    game = FoGame()
+    assert game.minsize(a, b, mode, w_max=5) == 5
+    assert game.positions_visited == positions
+    assert format_fo(game.synthesize(a, b, 5, mode)) == ORDER_3_SENTENCE
+
+
+def test_atom_masks_pick_the_first_atomic_separator():
+    def check(game, a, b):
+        ak, bk, dom = game._enter(a, b)
+        seps = atomic_separators(a, b)
+        assert game._first_atomic(ak, bk, dom) == (seps[0] if seps else None)
+
+    game = FoGame()
+    for _, a, b in suites._linorder_positions(n_max=3):
+        check(game, a, b)
+        check(game, b, a)
+        empty = StructureClass.of((), vocabulary=a.vocabulary, domain=a.domain)
+        check(game, empty, b)
+        check(game, b, empty)
+    _, classes = suites.tiny_fo_universe()
+    game = FoGame()
+    for a in classes:
+        for b in classes:
+            check(game, a, b)
+
+
+def test_atoms_are_evaluated_only_while_interning(monkeypatch):
+    calls = 0
+
+    def counting_eval(f, st):
+        nonlocal calls
+        calls += 1
+        return fo_eval(f, st)
+
+    monkeypatch.setattr("efgames.fogame.fo_eval", counting_eval)
+    a, b = linorder_instances(3)
+    game = FoGame()
+    assert game.minsize(a, b, FoMode.FULL, w_max=4) is None
+    assert game.synthesize(a, b, 5, FoMode.EXISTENTIAL) is not None
+    assert calls == sum(len(atoms) for atoms in game._atoms_of)
