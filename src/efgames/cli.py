@@ -563,3 +563,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -54,6 +54,11 @@ class FoMode(enum.Enum):
     EXISTENTIAL = "existential"
 
 
+# the hot paths compare against this module constant: looking a member up
+# on the Enum class (``FoMode.FULL``) costs several times a global read
+_FULL = FoMode.FULL
+
+
 def _check_classes(left: StructureClass, right: StructureClass) -> None:
     if left.vocabulary != right.vocabulary:
         raise InputError("classes use different vocabularies")
@@ -218,7 +223,8 @@ class FoGame:
         bk: tuple[int, ...],
         dom: tuple[int, ...],
     ) -> bool:
-        key = (mode, w, ak, bk, dom)
+        # a plain bool hashes in C; an Enum member hashes through Python
+        key = (mode is _FULL, w, ak, bk, dom)
         got = self._memo.get(key)
         if got is not None:
             return got
@@ -279,7 +285,7 @@ class FoGame:
             for a2 in self._choice_classes(ak, j):
                 if self._wins(mode, w - 1, a2, b_star, dom2):
                     return ("lsupp", j, a2, b_star, dom2)
-            if mode is FoMode.FULL:
+            if mode is _FULL:
                 a_star = self._star_ids(ak, j)
                 for b2 in self._choice_classes(bk, j):
                     if self._wins(mode, w - 1, a_star, b2, dom2):

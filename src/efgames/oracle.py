@@ -10,11 +10,13 @@ for the same function never grows it, so the layers are exhaustive.
 The first-order oracle enumerates negation normal form formulas by
 size, interning each formula's satisfaction bitmap across all (model,
 assignment) pairs so only the first (hence smallest) formula per
-meaning survives.  Bitmaps compose pointwise, which keeps the pruning
-sound; the dedup key also carries the free-variable set, because a
-formula with a vacuous free variable is not interchangeable with a
-closed formula of the same bitmap once legality (free variables inside
-the class domain) matters.
+meaning survives.  A bitmap is one int with a fixed block of bits per
+model, so the connectives are int operations and quantifiers are
+shift-and-mask folds over precomputed masks.  Bitmaps compose
+pointwise, which keeps the pruning sound; the dedup key also carries
+the free-variable set, because a formula with a vacuous free variable
+is not interchangeable with a closed formula of the same bitmap once
+legality (free variables inside the class domain) matters.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, ResourceCapError
 from .fo import (
+    Assignment,
     EqAtom,
     Exists,
     FoAnd,
@@ -35,7 +38,10 @@ from .fo import (
     Forall,
     Model,
     RelAtom,
+    Structure,
     StructureClass,
+    fo_eval,
+    fo_free_vars,
 )
 from .fogame import FoMode
 from .props import StringProperty, var_mask
@@ -157,6 +163,14 @@ class FoEnumerator:
     bound; a formula's meaning is its satisfaction bitmap over every
     (model, total pool assignment) pair, so two formulas agreeing there
     agree on every structure the enumerator will ever be asked about.
+
+    The bitmap is one int.  Model i owns a block of n_i ** k bits (n_i
+    its universe size, k the pool size) starting at a fixed offset, one
+    bit per pool assignment in ``itertools.product`` order, so pool
+    position p moves in steps of n_i ** (k - 1 - p) inside the block.
+    Conjunction, disjunction and negation are single int operations;
+    quantifiers shift the block copies onto the assignments whose
+    coordinate is 0, fold them, and spread the result back.
     """
 
     def __init__(
@@ -201,49 +215,80 @@ class FoEnumerator:
                 pool.append(fresh)
             fresh += 1
         self.pool = pool
-        self._assignments = [
-            list(itertools.product(range(mo.universe_size), repeat=len(pool)))
-            for mo in models
-        ]
+        self._model_index = {mo: i for i, mo in enumerate(models)}
+        self._offsets = []
+        total = 0
+        for mo in models:
+            self._offsets.append(total)
+            total += mo.universe_size ** len(pool)
+        self._full = (1 << total) - 1
+        self._quantifier_masks = [self._masks_at(p) for p in range(len(pool))]
         self._layers = self._enumerate(w_max)
+        # separator candidates: the legal formulas in layer order, the
+        # first (hence smallest) per bitmap
+        legal: dict[int, FoFormula] = {}
+        outside = sum(1 << p for p, v in enumerate(pool) if v not in self.domain)
+        for layer in self._layers:
+            for f, fmap, ffree in layer:
+                if not ffree & outside and fmap not in legal:
+                    legal[fmap] = f
+        self._legal = list(legal.items())
 
-    # bitmaps: one int per model, one bit per total pool assignment
+    def _masks_at(self, p: int) -> list[tuple[int, tuple[int, ...]]]:
+        """Per universe size n: the assignments of every block of that size
+        whose pool coordinate p is 0, and the shifts a * stride that move
+        coordinate value a onto them."""
+        k = len(self.pool)
+        by_size: dict[int, tuple[int, tuple[int, ...]]] = {}
+        for mo, off in zip(self.models, self._offsets):
+            n = mo.universe_size
+            stride = n ** (k - 1 - p)
+            block = sum(1 << idx for idx in range(n**k) if idx // stride % n == 0)
+            sel0 = by_size.get(n, (0,))[0] | block << off
+            by_size[n] = (sel0, tuple(a * stride for a in range(1, n)))
+        return list(by_size.values())
 
-    def _atom_bitmap(self, atom: FoFormula) -> tuple[int, ...]:
-        maps = []
-        for mo, assigns in zip(self.models, self._assignments):
-            bits = 0
-            for idx, values in enumerate(assigns):
-                env = dict(zip(self.pool, values))
-                if _plain_eval(atom, mo, env):
-                    bits |= 1 << idx
-            maps.append(bits)
-        return tuple(maps)
+    def _exists(self, bits: int, p: int) -> int:
+        out = 0
+        for sel0, shifts in self._quantifier_masks[p]:
+            t = bits
+            for shift in shifts:
+                t |= bits >> shift
+            t &= sel0
+            out |= t
+            for shift in shifts:
+                out |= t << shift
+        return out
 
-    def _quantifier_bitmap(
-        self, child: tuple[int, ...], var: int, want_any: bool
-    ) -> tuple[int, ...]:
-        p = self.pool.index(var)
-        maps = []
-        for mo, assigns, bits in zip(self.models, self._assignments, child):
-            k = len(self.pool)
-            stride = mo.universe_size ** (k - 1 - p)
-            out = 0
-            for idx in range(len(assigns)):
-                base = idx - assigns[idx][p] * stride
-                votes = (
-                    bits >> (base + a * stride) & 1
-                    for a in range(mo.universe_size)
-                )
-                ok = any(votes) if want_any else all(votes)
-                if ok:
-                    out |= 1 << idx
-            maps.append(out)
-        return tuple(maps)
+    def _forall(self, bits: int, p: int) -> int:
+        out = 0
+        for sel0, shifts in self._quantifier_masks[p]:
+            t = sel0 & bits
+            for shift in shifts:
+                t &= bits >> shift
+            out |= t
+            for shift in shifts:
+                out |= t << shift
+        return out
 
-    def _enumerate(self, w_max: int) -> list[list[tuple[FoFormula, tuple[int, ...], frozenset[int]]]]:
-        seen: set[tuple] = set()
-        layers: list[list[tuple[FoFormula, tuple[int, ...], frozenset[int]]]] = []
+    def _atom_bitmaps(self, atoms: list[FoFormula]) -> list[int]:
+        points = [
+            (off + idx, Structure(mo, Assignment.make(zip(self.pool, values))))
+            for mo, off in zip(self.models, self._offsets)
+            for idx, values in enumerate(
+                itertools.product(range(mo.universe_size), repeat=len(self.pool))
+            )
+        ]
+        return [
+            sum(1 << bit for bit, st in points if fo_eval(atom, st)) for atom in atoms
+        ]
+
+    def _enumerate(self, w_max: int) -> list[list[tuple[FoFormula, int, int]]]:
+        # a formula's free variables are a mask over pool positions, packed
+        # with its bitmap into one dedup key
+        k = len(self.pool)
+        seen: set[int] = set()
+        layers: list[list[tuple[FoFormula, int, int]]] = []
         atoms: list[FoFormula] = []
         for name, arity in self.models[0].vocabulary.symbols:
             for args in itertools.product(self.pool, repeat=arity):
@@ -251,53 +296,64 @@ class FoEnumerator:
         for a, b in itertools.combinations_with_replacement(self.pool, 2):
             atoms.append(EqAtom(a, b))
         first = []
-        for atom in atoms:
-            bitmap = self._atom_bitmap(atom)
-            for f, fmap in ((atom, bitmap), (FoNot(atom), _complement(bitmap, self._assignments))):
-                free = _free(f)
-                if (fmap, free) not in seen:
-                    seen.add((fmap, free))
+        for atom, bitmap in zip(atoms, self._atom_bitmaps(atoms)):
+            free = sum(1 << self.pool.index(v) for v in fo_free_vars(atom))
+            for f, fmap in ((atom, bitmap), (FoNot(atom), bitmap ^ self._full)):
+                key = fmap << k | free
+                if key not in seen:
+                    seen.add(key)
                     first.append((f, fmap, free))
         layers.append(first)
+        full_mode = self.mode is FoMode.FULL
         for m in range(2, w_max + 1):
             layer = []
-            for u in range(1, m):
-                for f, fmap, ffree in layers[u - 1]:
-                    for g, gmap, gfree in layers[m - u - 1]:
+            # (g, f) gives the bitmaps and free set of (f, g), so only
+            # pairs with u <= m - u, and j >= i inside one layer, are new
+            for u in range(1, m // 2 + 1):
+                lefts, rights = layers[u - 1], layers[m - u - 1]
+                for i, (f, fmap, ffree) in enumerate(lefts):
+                    for g, gmap, gfree in rights[i:] if u == m - u else rights:
                         hfree = ffree | gfree
-                        for node, op in ((FoAnd, _and_maps), (FoOr, _or_maps)):
-                            hmap = op(fmap, gmap)
-                            if (hmap, hfree) not in seen:
-                                seen.add((hmap, hfree))
-                                layer.append((node(f, g), hmap, hfree))
+                        hmap = fmap & gmap
+                        key = hmap << k | hfree
+                        if key not in seen:
+                            seen.add(key)
+                            layer.append((FoAnd(f, g), hmap, hfree))
+                        hmap = fmap | gmap
+                        key = hmap << k | hfree
+                        if key not in seen:
+                            seen.add(key)
+                            layer.append((FoOr(f, g), hmap, hfree))
             for f, fmap, ffree in layers[m - 2]:
-                for var in self.pool:
-                    qfree = ffree - {var}
-                    emap = self._quantifier_bitmap(fmap, var, want_any=True)
-                    if (emap, qfree) not in seen:
-                        seen.add((emap, qfree))
+                for p, var in enumerate(self.pool):
+                    qfree = ffree & ~(1 << p)
+                    emap = self._exists(fmap, p)
+                    key = emap << k | qfree
+                    if key not in seen:
+                        seen.add(key)
                         layer.append((Exists(var, f), emap, qfree))
-                    if self.mode is FoMode.FULL:
-                        amap = self._quantifier_bitmap(fmap, var, want_any=False)
-                        if (amap, qfree) not in seen:
-                            seen.add((amap, qfree))
+                    if full_mode:
+                        amap = self._forall(fmap, p)
+                        key = amap << k | qfree
+                        if key not in seen:
+                            seen.add(key)
                             layer.append((Forall(var, f), amap, qfree))
             layers.append(layer)
         return layers
 
-    def _member_bit(self, st) -> tuple[int, int]:
-        """(model index, assignment index) of a structure."""
-        try:
-            mi = self.models.index(st.model)
-        except ValueError:
+    def _member_bit(self, st: Structure) -> int:
+        """Bitmap position of a structure."""
+        mi = self._model_index.get(st.model)
+        if mi is None:
             raise InputError("structure's model is outside the enumerator scope")
         # unassigned pool coordinates are padded with element 0; formulas
         # whose free variables sit inside the domain cannot see the padding
-        values = tuple(
-            st.assignment.get(v) if v in st.assignment.domain else 0
-            for v in self.pool
-        )
-        return mi, self._assignments[mi].index(values)
+        values = st.assignment.as_dict()
+        n = st.model.universe_size
+        idx = 0
+        for v in self.pool:
+            idx = idx * n + values.get(v, 0)
+        return self._offsets[mi] + idx
 
     def separator(
         self, left: StructureClass, right: StructureClass
@@ -314,49 +370,15 @@ class FoEnumerator:
                 f"the formula enumerator compares classes of at most "
                 f"{FO_MAX_MEMBERS} members"
             )
-        lbits = [self._member_bit(st) for st in left.members]
-        rbits = [self._member_bit(st) for st in right.members]
-        for layer in self._layers:
-            for f, fmap, ffree in layer:
-                if not ffree <= self.domain:
-                    continue
-                if all(fmap[mi] >> idx & 1 for mi, idx in lbits) and not any(
-                    fmap[mi] >> idx & 1 for mi, idx in rbits
-                ):
-                    return f
+        lmask = rmask = 0
+        for st in left.members:
+            lmask |= 1 << self._member_bit(st)
+        for st in right.members:
+            rmask |= 1 << self._member_bit(st)
+        for fmap, f in self._legal:
+            if fmap & lmask == lmask and not fmap & rmask:
+                return f
         return None
-
-
-def _free(f: FoFormula) -> frozenset[int]:
-    if isinstance(f, RelAtom):
-        return frozenset(f.args)
-    if isinstance(f, EqAtom):
-        return frozenset((f.left, f.right))
-    if isinstance(f, FoNot):
-        return _free(f.child)
-    raise InputError(f"unexpected node {f!r}")
-
-
-def _complement(maps: tuple[int, ...], assignments) -> tuple[int, ...]:
-    return tuple(
-        bits ^ ((1 << len(assigns)) - 1) for bits, assigns in zip(maps, assignments)
-    )
-
-
-def _and_maps(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x & y for x, y in zip(a, b))
-
-
-def _or_maps(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x | y for x, y in zip(a, b))
-
-
-def _plain_eval(f: FoFormula, model: Model, env: dict[int, int]) -> bool:
-    if isinstance(f, RelAtom):
-        return tuple(env[j] for j in f.args) in model.relation(f.symbol)
-    if isinstance(f, EqAtom):
-        return env[f.left] == env[f.right]
-    raise InputError(f"unexpected node {f!r}")
 
 
 def fo_enumerate_separator(

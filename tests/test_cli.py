@@ -314,15 +314,25 @@ def test_repro_report_checks_its_own_bounds():
     assert "not computed" in report.text()
 
 
-def test_python_dash_m_runs_the_command_line():
+def _run_module(module):
     src = str(Path(efgames.__file__).resolve().parent.parent)
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    done = subprocess.run(
-        [sys.executable, "-m", "efgames", "--json", "repro", "parity", "--n", "2"],
+    return subprocess.run(
+        [sys.executable, "-m", module, "--json", "repro", "parity", "--n", "2"],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
         timeout=120,
     )
+
+
+def test_python_dash_m_runs_the_command_line():
+    done = _run_module("efgames")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["exact_minsize"] == 4
+
+
+def test_python_dash_m_runs_the_cli_module():
+    done = _run_module("efgames.cli")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["exact_minsize"] == 4

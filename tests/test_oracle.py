@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from collections import Counter
 
@@ -20,6 +21,8 @@ from efgames import (
     Vocabulary,
     count_functions_up_to,
     fo_enumerate_separator,
+    fo_eval,
+    fo_free_vars,
     fo_separates,
     fo_size,
     is_existential,
@@ -264,3 +267,48 @@ def test_enumerate_separator_needs_a_model():
     empty = StructureClass.of((), vocabulary=vocab, domain=frozenset())
     with pytest.raises(InputError):
         fo_enumerate_separator(empty, empty, 2)
+
+
+def test_packed_bitmaps_match_evaluation():
+    # mixed universe sizes give every model block its own strides; each
+    # formula's bit for (model, pool assignment) must be its truth there
+    models = [linear_order(n) for n in (1, 2, 3)]
+    for mode in (FoMode.EXISTENTIAL, FoMode.FULL):
+        enum = FoEnumerator(models, (0,), 2, mode)
+        points = [
+            Structure(mo, Assignment.make(zip(enum.pool, values)))
+            for mo in models
+            for values in itertools.product(range(mo.universe_size), repeat=len(enum.pool))
+        ]
+        bits = [enum._member_bit(st) for st in points]
+        assert sorted(bits) == list(range(len(points)))
+        for layer in enum._layers:
+            for f, fmap, free in layer:
+                assert free == sum(1 << enum.pool.index(v) for v in fo_free_vars(f))
+                for st, bit in zip(points, bits):
+                    assert bool(fmap >> bit & 1) == fo_eval(f, st), (f, st)
+
+
+def _layers_digest(enum):
+    h = hashlib.sha256()
+    for layer in enum._layers:
+        for f, _, _ in layer:
+            h.update(f"{f!r}\t{sorted(fo_free_vars(f))}\n".encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_tiny_universe_layers_are_pinned():
+    # every formula and free set, in order: a change to the bitmap layout,
+    # the pair loops or the dedup key must not reorder, add or drop one
+    models, _ = suites.tiny_fo_universe()
+    pinned = [
+        (FoMode.EXISTENTIAL, 4, [28, 348, 3767, 35656],
+         "f90ef122e15e45ace233f464b9b2c90e4afe208236a1ed08f5ee88d6f12d3a44"),
+        (FoMode.FULL, 3, [18, 130, 684],
+         "14db79c624dd3909aa2048eb41c200da4944f4f4546887006f94bdd32ad29552"),
+    ]
+    for mode, w_max, sizes, digest in pinned:
+        enum = FoEnumerator(models, (), w_max, mode)
+        assert [len(layer) for layer in enum._layers] == sizes
+        assert _layers_digest(enum) == digest
