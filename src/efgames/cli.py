@@ -54,7 +54,7 @@ from .propgame import (
     PropGame,
     PropPosition,
 )
-from .props import StringProperty, format_formula, size
+from .props import StringProperty, format_formula, separates, size
 
 
 class _Parser(argparse.ArgumentParser):
@@ -222,6 +222,11 @@ def _cmd_prop_minsize(args) -> tuple[str, dict]:
     k = game.minsize(left, right)
     if k is None:
         return "inseparable", {"result": "inseparable"}
+    bound = density_lower_bound(left, right)
+    if bound > k:
+        raise ContractError(
+            f"minimal size {k} is below the density lower bound {bound}"
+        )
     return f"minimum separating size: {k}", {"result": "size", "size": k}
 
 
@@ -248,6 +253,14 @@ def _cmd_prop_synth(args) -> tuple[str, dict]:
         return (
             f"no separating formula of size <= {args.rank}",
             {"formula": None, "rank": args.rank},
+        )
+    if not separates(f, left, right):
+        raise ContractError(
+            f"synthesized formula {format_formula(f)} does not separate the pair"
+        )
+    if size(f) > args.rank:
+        raise ContractError(
+            f"synthesized formula has size {size(f)} > rank {args.rank}"
         )
     text = format_formula(f)
     return text, {"formula": text, "size": size(f)}

@@ -22,12 +22,36 @@ Two search modes share one solver:
 Reduced mode answers through a single memoized table of minimal
 separating sizes, so winner queries are threshold lookups and minsize
 and synthesis come from the same table.
+
+The table is filled one root (S, R) at a time over the sub-lattice of
+its masks.  The members of S and of R are numbered, so that a subset A
+of S is a compact index a in [0, 2**|S|) and likewise b for R.  Each
+index carries one int of literals: those true on every member of A, and
+those false on every member of B, so a literal separates (A, B) exactly
+when ``lit_s[a] & lit_r[b]`` is nonzero.  Cells are filled in increasing
+(b, a) order into a row per b and a column per a.  A cell's best left
+split is one fold over the halves of a that hold its lowest member,
+summing the row at each half and at its complement in a; the best right
+split folds the column the same way.  A proper subset's index is
+smaller, so every summand is already filled.
+
+The table keeps exactly the positions a top-down search from the root
+would visit: the root, every (A, B) with A a nonempty proper subset of
+S, B a nonempty subset of R and no literal separating (S, B), and every
+(A, B) with A a nonempty subset of S, B a nonempty proper subset of R
+and no literal separating (A, R).  A literal that separates a pair
+separates each of its sub-pairs, so every other cell has size 1 and is
+computed but not kept.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
+from operator import add
 from typing import Iterator, Optional, Union
 
 from .errors import ContractError, InputError, ResourceCapError
@@ -111,21 +135,37 @@ class RightSplit:
 PropMove = Union[WinClaim, LeftSplit, RightSplit]
 
 
+@lru_cache(maxsize=None)
+def _literal_masks(width: int) -> tuple[tuple[int, int], ...]:
+    """(ones, zeros) membership masks of p1..p_width: the strings where
+    the variable is 1 and where it is 0."""
+    full = _strings_mask(width)
+    return tuple(
+        (ones, full ^ ones)
+        for ones in (var_mask(width, i) for i in range(1, width + 1))
+    )
+
+
+def _first_literal(
+    literals: tuple[tuple[int, int], ...], smask: int, rmask: int
+) -> Optional[Literal]:
+    """The first literal true on all of smask and false on all of rmask,
+    scanning ``_literal_masks`` in order with the positive literal before
+    the negative one."""
+    for i, (ones, zeros) in enumerate(literals, 1):
+        if smask & zeros == 0 and rmask & ones == 0:
+            return Literal(i, True)
+        if smask & ones == 0 and rmask & zeros == 0:
+            return Literal(i, False)
+    return None
+
+
 def literal_win(left: StringProperty, right: StringProperty) -> Optional[Literal]:
     """The first literal separating (left, right), scanning variables in
     ascending order with the positive literal before the negative one."""
     if left.width != right.width:
         raise InputError(f"width mismatch: {left.width} vs {right.width}")
-    width = left.width
-    full = _strings_mask(width)
-    for i in range(1, width + 1):
-        ones = var_mask(width, i)
-        zeros = full ^ ones
-        if left.mask & zeros == 0 and right.mask & ones == 0:
-            return Literal(i, True)
-        if left.mask & ones == 0 and right.mask & zeros == 0:
-            return Literal(i, False)
-    return None
+    return _first_literal(_literal_masks(left.width), left.mask, right.mask)
 
 
 def successors(pos: PropPosition, move: PropMove) -> tuple[PropPosition, ...]:
@@ -179,6 +219,25 @@ def _submasks(m: int) -> Iterator[int]:
         x = (x - 1) & m
 
 
+def _halves(k: int) -> list[array]:
+    """Per compact index a < 2**k: the subsets of a that hold its lowest
+    member, a itself excluded.  With h the highest member of a and
+    c = a ^ h, the halves of a are those of c, c itself, and those of c
+    with h added."""
+    code = "H" if k <= 16 else "L"
+    halves = [array(code)]
+    for j in range(k):
+        h = 1 << j
+        halves.append(array(code))
+        for c in range(1, h):
+            below = halves[c]
+            part = array(code, below)
+            part.append(c)
+            part.extend(map(h.__or__, below))
+            halves.append(part)
+    return halves
+
+
 class PropGame:
     """Solver for one string width with shared memo tables."""
 
@@ -199,59 +258,103 @@ class PropGame:
         self._value: dict[tuple[int, int], int] = {}
         self._exact: dict[tuple[int, int, int], bool] = {}
         self._full = _strings_mask(width)
+        self._literals = _literal_masks(width)
 
-    # -- literals over raw masks ------------------------------------------
-
-    def _literal(self, smask: int, rmask: int) -> Optional[Literal]:
-        full = self._full
-        for i in range(1, self.width + 1):
-            ones = var_mask(self.width, i)
-            zeros = full ^ ones
-            if smask & zeros == 0 and rmask & ones == 0:
-                return Literal(i, True)
-            if smask & ones == 0 and rmask & zeros == 0:
-                return Literal(i, False)
-        return None
+    @property
+    def table_entries(self) -> int:
+        """Number of entries in the size table."""
+        return len(self._value)
 
     # -- minimal separating size over disjoint masks -----------------------
 
     def value(self, smask: int, rmask: int) -> int:
         """Minimal size of a formula true on all of smask, false on all of
-        rmask.  Requires disjoint masks; an empty side costs at most 2
-        (a contradiction or a tautology built from one variable)."""
+        rmask.  Requires disjoint masks of this width; an empty side costs
+        at most 2 (a contradiction or a tautology built from one variable)."""
         key = (smask, rmask)
         got = self._value.get(key)
         if got is not None:
             return got
+        if smask < 0 or rmask < 0 or (smask | rmask) > self._full:
+            raise InputError(
+                f"masks {smask:#x}/{rmask:#x} are not sets of "
+                f"width-{self.width} strings"
+            )
         if smask & rmask:
             raise ContractError("value() requires disjoint sides")
-        if self._literal(smask, rmask) is not None:
+        if _first_literal(self._literals, smask, rmask) is not None:
             best = 1
         elif smask == 0 or rmask == 0:
             best = 2
         else:
-            best = 1 << 60
-            # two nonempty disjoint blocks; pinning the lowest string into c
-            # makes each unordered partition appear exactly once
-            low = smask & -smask
-            rest = smask ^ low
-            for x in _submasks(rest):
-                if x == rest:
-                    continue  # d would be empty
-                c = low | x
-                cand = self.value(c, rmask) + self.value(smask ^ c, rmask)
-                if cand < best:
-                    best = cand
-            low = rmask & -rmask
-            rest = rmask ^ low
-            for x in _submasks(rest):
-                if x == rest:
-                    continue
-                c = low | x
-                cand = self.value(smask, c) + self.value(smask, rmask ^ c)
-                if cand < best:
-                    best = cand
+            return self._fill(smask, rmask)
         self._value[key] = best
+        return best
+
+    def _subsets(self, mask: int, flip: int) -> tuple[list[int], list[int]]:
+        """Per compact index over the members of mask (ascending, member j
+        is bit j): the subset's mask and the literals true on all of it,
+        each member's literal set XORed with flip first.  Variable p_i is
+        bit 2(i-1) as a positive literal and bit 2(i-1)+1 negated."""
+        masks, lits = [0], [(1 << 2 * self.width) - 1]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            e = low.bit_length() - 1
+            member = flip ^ sum(
+                1 << 2 * i if ones >> e & 1 else 2 << 2 * i
+                for i, (ones, _) in enumerate(self._literals)
+            )
+            masks += [low | x for x in masks]
+            lits += [member & x for x in lits]
+        return masks, lits
+
+    def _fill(self, smask: int, rmask: int) -> int:
+        """Fill the size table for a root with both sides nonempty and no
+        separating literal, and return the root's size."""
+        s_masks, s_lits = self._subsets(smask, 0)
+        # literals false on every member of the R-side subset
+        r_masks, r_lits = self._subsets(rmask, (1 << 2 * self.width) - 1)
+        na, nb = len(s_masks), len(r_masks)
+        s_halves = _halves(na.bit_length() - 1)
+        r_halves = s_halves if nb == na else _halves(nb.bit_length() - 1)
+        rows: list[list[int]] = []
+        cols: list[list[int]] = [[] for _ in range(na)]
+        for b in range(nb):
+            r_lit, ds, b_xor = r_lits[b], r_halves[b], b.__xor__
+            row: list[int] = []
+            left = row.__getitem__
+            for a, col in enumerate(cols):
+                if s_lits[a] & r_lit:
+                    best = 1
+                elif not (a and b):
+                    best = 2  # never read: split blocks are nonempty
+                else:
+                    cs = s_halves[a]
+                    best = min(
+                        map(add, map(left, cs), map(left, map(a.__xor__, cs))),
+                        default=1 << 60,
+                    )
+                    if ds:
+                        down = col.__getitem__
+                        cand = min(map(add, map(down, ds), map(down, map(b_xor, ds))))
+                        if cand < best:
+                            best = cand
+                row.append(best)
+                col.append(best)
+            rows.append(row)
+        # keep the positions a top-down search would reach (module docstring)
+        table = self._value
+        fa, fb = na - 1, nb - 1
+        inner_s, inner_r = s_masks[1:fa], r_masks[1:fb]
+        for b in range(1, nb):
+            if not s_lits[fa] & r_lits[b]:
+                table.update(zip(zip(inner_s, repeat(r_masks[b])), rows[b][1:fa]))
+        for a in range(1, na):
+            if not s_lits[a] & r_lits[fb]:
+                table.update(zip(zip(repeat(s_masks[a]), inner_r), cols[a][1:fb]))
+        best = rows[fb][fa]
+        table[smask, rmask] = best
         return best
 
     # -- public API ---------------------------------------------------------
@@ -311,7 +414,7 @@ class PropGame:
         return result
 
     def _exact_search(self, w: int, smask: int, rmask: int) -> bool:
-        if self._literal(smask, rmask) is not None:
+        if _first_literal(self._literals, smask, rmask) is not None:
             return True
         if w == 1:
             return False
@@ -355,7 +458,7 @@ class PropGame:
         return self._build(left.mask, right.mask)
 
     def _build(self, smask: int, rmask: int) -> PropFormula:
-        lit = self._literal(smask, rmask)
+        lit = _first_literal(self._literals, smask, rmask)
         if lit is not None:
             return lit.formula()
         if smask == 0:

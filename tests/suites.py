@@ -16,6 +16,7 @@ from efgames import (
     FoMode,
     Model,
     Player,
+    PropGame,
     StringProperty,
     Structure,
     StructureClass,
@@ -31,6 +32,7 @@ from efgames import (
     measure_M,
     measure_N,
 )
+from efgames.props import Literal, _strings_mask, var_mask
 
 # Cited by the linear-order suite runners when a violation appears: the
 # distance function is a reconstruction, so failures should point at it
@@ -63,6 +65,96 @@ def random_property_pair(
             bit <<= 1
         if rmask:
             return StringProperty(width, smask), StringProperty(width, rmask)
+
+
+def _submasks(m: int):
+    """All submasks of m including 0 and m, descending."""
+    x = m
+    while True:
+        yield x
+        if x == 0:
+            return
+        x = (x - 1) & m
+
+
+class ReferenceSizeTable:
+    """The top-down recursive size table that ``PropGame.value`` replaced,
+    kept verbatim as the reference for the per-root fill."""
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self._value: dict[tuple[int, int], int] = {}
+        self._full = _strings_mask(width)
+
+    def _literal(self, smask: int, rmask: int) -> Optional[Literal]:
+        full = self._full
+        for i in range(1, self.width + 1):
+            ones = var_mask(self.width, i)
+            zeros = full ^ ones
+            if smask & zeros == 0 and rmask & ones == 0:
+                return Literal(i, True)
+            if smask & ones == 0 and rmask & zeros == 0:
+                return Literal(i, False)
+        return None
+
+    def value(self, smask: int, rmask: int) -> int:
+        key = (smask, rmask)
+        got = self._value.get(key)
+        if got is not None:
+            return got
+        if self._literal(smask, rmask) is not None:
+            best = 1
+        elif smask == 0 or rmask == 0:
+            best = 2
+        else:
+            best = 1 << 60
+            # two nonempty disjoint blocks; pinning the lowest string into c
+            # makes each unordered partition appear exactly once
+            low = smask & -smask
+            rest = smask ^ low
+            for x in _submasks(rest):
+                if x == rest:
+                    continue  # d would be empty
+                c = low | x
+                cand = self.value(c, rmask) + self.value(smask ^ c, rmask)
+                if cand < best:
+                    best = cand
+            low = rmask & -rmask
+            rest = rmask ^ low
+            for x in _submasks(rest):
+                if x == rest:
+                    continue
+                c = low | x
+                cand = self.value(smask, c) + self.value(smask, rmask ^ c)
+                if cand < best:
+                    best = cand
+        self._value[key] = best
+        return best
+
+
+def size_table_mismatches(width: int, roots: list[tuple[int, int]]) -> list[str]:
+    """Answer the roots in order on one PropGame and on the reference; after
+    each root the two size tables must agree key for key and value for
+    value, and so must the returned sizes."""
+    game, ref = PropGame(width), ReferenceSizeTable(width)
+    violations = []
+    for smask, rmask in roots:
+        got, want = game.value(smask, rmask), ref.value(smask, rmask)
+        if got != want:
+            violations.append(
+                f"width {width} root {smask:#x}/{rmask:#x}: {got} != {want}"
+            )
+        if game._value != ref._value:
+            extra = game._value.keys() - ref._value.keys()
+            missing = ref._value.keys() - game._value.keys()
+            wrong = sum(
+                game._value[k] != v for k, v in ref._value.items() if k in game._value
+            )
+            violations.append(
+                f"width {width} after root {smask:#x}/{rmask:#x}: {len(extra)} extra, "
+                f"{len(missing)} missing, {wrong} wrong table entries"
+            )
+    return violations
 
 
 def lemma_literal_blindness(rng: random.Random, trials: int = 500) -> list[str]:

@@ -17,10 +17,12 @@ from efgames import (
     class_to_json,
     linear_order,
     linorder_instances,
+    parity_property,
     parse_formula,
     separates,
     size,
     StringProperty,
+    Var,
 )
 from efgames.cli import ReproReport, run
 
@@ -302,6 +304,30 @@ def test_contract_violations_exit_three(monkeypatch):
     monkeypatch.setattr("efgames.cli.repro_parity", boom)
     code, _, err = run_cli("repro", "parity", "--n", "2")
     assert code == 3
+    assert "contract violation:" in err
+
+
+def test_prop_synth_rechecks_the_formula(monkeypatch, parity_pair):
+    # p1 does not separate the parity pair; the second formula separates it
+    # but has size 5 > rank 4
+    padded = parse_formula("((!p1 & !p2) | ((p2 & p1) & p1))")
+    assert separates(padded, *parity_property(2)) and size(padded) == 5
+    for wrong in (Var(1), padded):
+        monkeypatch.setattr(
+            "efgames.cli.PropGame.synthesize", lambda self, left, right, budget: wrong
+        )
+        code, out, err = run_cli("prop", "synth", parity_pair, "--rank", "4")
+        assert code == 3
+        assert out == ""
+        assert "contract violation:" in err
+
+
+def test_prop_minsize_rechecks_the_density_bound(monkeypatch, parity_pair):
+    # the density bound of parity 2 is 4
+    monkeypatch.setattr("efgames.cli.PropGame.minsize", lambda self, left, right: 3)
+    code, out, err = run_cli("prop", "minsize", parity_pair)
+    assert code == 3
+    assert out == ""
     assert "contract violation:" in err
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import suites
 from efgames import (
     And,
     BitString,
@@ -21,9 +22,11 @@ from efgames import (
     StringProperty,
     Var,
     WinClaim,
+    format_formula,
     formula_strategy_move,
     literal_win,
     oracle_minsize,
+    parity_property,
     separates,
     size,
     successors,
@@ -95,6 +98,96 @@ def test_minsize_empty_sides():
     # no literal is false on every string, so a contradiction is needed
     full = StringProperty.from_strings(2, ["00", "01", "10", "11"])
     assert game.minsize(StringProperty(2, 0), full) == 2
+
+
+def test_value_rejects_masks_outside_the_width():
+    game = PropGame(2)
+    for smask, rmask in ((1 << 5, 1), (1, 1 << 4), (-1, 0), (0, -2)):
+        with pytest.raises(InputError):
+            game.value(smask, rmask)
+    with pytest.raises(ContractError):
+        game.value(0b0011, 0b0110)
+    assert game.table_entries == 0
+
+
+def _random_roots(rng, width, sizes):
+    """One disjoint (S, R) mask pair per (|S|, |R|) in sizes."""
+    roots = []
+    for ns, nr in sizes:
+        strings = rng.sample(range(1 << width), ns + nr)
+        roots.append(
+            (sum(1 << e for e in strings[:ns]), sum(1 << e for e in strings[ns:]))
+        )
+    return roots
+
+
+def test_size_table_matches_reference_on_every_pair_at_widths_one_and_two():
+    for width in (1, 2):
+        n = 1 << (1 << width)
+        for smask in range(n):
+            for rmask in range(n):
+                if not smask & rmask:
+                    assert suites.size_table_mismatches(width, [(smask, rmask)]) == []
+
+
+def test_size_table_matches_reference_on_random_pairs():
+    rng = random.Random(97)
+    sizes = {
+        3: [(1, 7), (7, 1), (4, 4), (3, 5), (2, 3)]
+        + [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(20)],
+        4: [(1, 13), (13, 1), (6, 6), (2, 11), (9, 4), (5, 3)],
+    }
+    for width, shapes in sizes.items():
+        for root in _random_roots(rng, width, shapes):
+            assert suites.size_table_mismatches(width, [root]) == []
+
+
+def test_size_table_matches_reference_with_empty_sides():
+    for width in (3, 4):
+        full = (1 << (1 << width)) - 1
+        for root in ((0, 0), (0, full), (full, 0), (0, 0b1011), (0b0110, 0)):
+            assert suites.size_table_mismatches(width, [root]) == []
+
+
+def test_shared_size_table_matches_reference_over_several_roots():
+    rng = random.Random(98)
+    for width, shapes in (
+        (3, [(2, 2), (4, 4), (3, 3), (1, 6), (5, 2)]),
+        (4, [(3, 3), (6, 5), (2, 2), (4, 8), (7, 1)]),
+    ):
+        roots = _random_roots(rng, width, shapes)
+        # a sub-position and a super-position of an earlier root
+        smask, rmask = roots[1]
+        roots.append((smask & (smask - 1), rmask))
+        roots.append((smask, rmask | roots[0][1] & ~smask))
+        assert suites.size_table_mismatches(width, roots) == []
+
+
+PARITY_SYNTHESIS = {
+    2: (4, 9, "((!p1 & !p2) | (p2 & p1))"),
+    3: (
+        10,
+        225,
+        "((!p3 & ((!p1 & !p2) | (p2 & p1))) | (p3 & ((p1 & !p2) | (p2 & !p1))))",
+    ),
+    4: (
+        16,
+        65025,
+        "(((p3 | p4) & ((p1 | p2) & ((!p2 | !p1) & (!p4 | !p3)))) | "
+        "((!p3 | p4) & ((!p4 | p3) & ((!p1 & !p2) | (p2 & p1)))))",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PARITY_SYNTHESIS))
+def test_parity_synthesis_and_table_size_are_pinned(n):
+    k, entries, text = PARITY_SYNTHESIS[n]
+    left, right = parity_property(n)
+    game = PropGame(n)
+    assert game.minsize(left, right) == k
+    assert game.table_entries == entries
+    assert format_formula(game.synthesize(left, right, k)) == text
+    assert game.table_entries == entries
 
 
 def test_synthesize_single_literal_tie_break():
