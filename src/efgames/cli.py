@@ -222,11 +222,13 @@ def _cmd_prop_minsize(args) -> tuple[str, dict]:
     k = game.minsize(left, right)
     if k is None:
         return "inseparable", {"result": "inseparable"}
-    bound = density_lower_bound(left, right)
-    if bound > k:
-        raise ContractError(
-            f"minimal size {k} is below the density lower bound {bound}"
-        )
+    # density is defined only when both sides are nonempty
+    if not (left.is_empty or right.is_empty):
+        bound = density_lower_bound(left, right)
+        if bound > k:
+            raise ContractError(
+                f"minimal size {k} is below the density lower bound {bound}"
+            )
     return f"minimum separating size: {k}", {"result": "size", "size": k}
 
 

@@ -33,7 +33,10 @@ when ``lit_s[a] & lit_r[b]`` is nonzero.  Cells are filled in increasing
 split is one fold over the halves of a that hold its lowest member,
 summing the row at each half and at its complement in a; the best right
 split folds the column the same way.  A proper subset's index is
-smaller, so every summand is already filled.
+smaller, so every summand is already filled.  The halves of every index
+are cached as 2-byte arrays for sides of at most 16 strings; a larger
+side builds each index's halves as it is filled, so memory stays in
+proportion to the 2**(|S|+|R|) cells.
 
 The table keeps exactly the positions a top-down search from the root
 would visit: the root, every (A, B) with A a nonempty proper subset of
@@ -219,23 +222,38 @@ def _submasks(m: int) -> Iterator[int]:
         x = (x - 1) & m
 
 
-def _halves(k: int) -> list[array]:
+# Largest side whose halves are cached: 3**k/2 two-byte entries, 43 MB at
+# k = 16.  Larger sides build each index's halves when it is filled.
+_HALVES_CACHE_MAX = 16
+
+
+def _halves(k: int) -> Union[list[array], _LazyHalves]:
     """Per compact index a < 2**k: the subsets of a that hold its lowest
     member, a itself excluded.  With h the highest member of a and
     c = a ^ h, the halves of a are those of c, c itself, and those of c
     with h added."""
-    code = "H" if k <= 16 else "L"
-    halves = [array(code)]
+    if k > _HALVES_CACHE_MAX:
+        return _LazyHalves()
+    halves = [array("H")]
     for j in range(k):
         h = 1 << j
-        halves.append(array(code))
+        halves.append(array("H"))
         for c in range(1, h):
             below = halves[c]
-            part = array(code, below)
+            part = array("H", below)
             part.append(c)
             part.extend(map(h.__or__, below))
             halves.append(part)
     return halves
+
+
+class _LazyHalves:
+    """The halves of _halves, built per index instead of held for all."""
+
+    def __getitem__(self, a: int) -> list[int]:
+        low = a & -a
+        # _submasks yields a ^ low first, whose half is a itself
+        return [low | c for c in _submasks(a ^ low)][1:]
 
 
 class PropGame:

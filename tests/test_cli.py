@@ -82,6 +82,18 @@ def test_prop_minsize_inseparable(tmp_path):
     assert json.loads(out) == {"result": "inseparable"}
 
 
+def test_prop_minsize_with_an_empty_side(tmp_path):
+    for name, sides, k in (
+        ("s_empty.json", {"S": [], "R": ["00"]}, 1),
+        ("r_empty.json", {"S": ["00", "01", "10", "11"], "R": []}, 2),
+        ("both_empty.json", {"S": [], "R": []}, 1),
+    ):
+        pair = write_json(tmp_path, name, {"width": 2, **sides})
+        code, out, _ = run_cli("prop", "minsize", pair)
+        assert code == 0
+        assert out.strip() == f"minimum separating size: {k}"
+
+
 def test_prop_winner_both_modes(parity_pair):
     for mode in ("reduced", "exact"):
         code, out, _ = run_cli(

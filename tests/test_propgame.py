@@ -4,6 +4,7 @@ import random
 import pytest
 
 import suites
+from efgames import propgame
 from efgames import (
     And,
     BitString,
@@ -140,6 +141,20 @@ def test_size_table_matches_reference_on_random_pairs():
     for width, shapes in sizes.items():
         for root in _random_roots(rng, width, shapes):
             assert suites.size_table_mismatches(width, [root]) == []
+
+
+def test_lazy_halves_match_the_cached_halves():
+    cached, lazy = propgame._halves(6), propgame._LazyHalves()
+    for a in range(1 << 6):
+        assert sorted(lazy[a]) == sorted(cached[a])
+
+
+def test_size_table_matches_reference_with_lazy_halves(monkeypatch):
+    monkeypatch.setattr(propgame, "_HALVES_CACHE_MAX", 2)
+    rng = random.Random(99)
+    shapes = [(1, 13), (13, 1), (6, 6), (2, 3)]
+    for root in _random_roots(rng, 4, shapes):
+        assert suites.size_table_mismatches(4, [root]) == []
 
 
 def test_size_table_matches_reference_with_empty_sides():
