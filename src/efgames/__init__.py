@@ -98,8 +98,6 @@ from .props import (
     format_formula,
     is_nnf,
     parse_formula,
-    property_from_json,
-    property_to_json,
     separates,
     size,
     to_nnf,

@@ -22,7 +22,16 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .errors import ContractError, InputError, ResourceCapError
-from .fo import StructureClass, class_from_json, format_fo, fo_size
+from .fo import (
+    FoFormula,
+    StructureClass,
+    class_from_json,
+    fo_free_vars,
+    fo_separates,
+    fo_size,
+    format_fo,
+    is_existential,
+)
 from .fobounds import (
     boolcomb_existential_sentence,
     boolcomb_instances,
@@ -341,25 +350,50 @@ def _cmd_fo_winner(args) -> tuple[str, dict]:
     )
 
 
+def _check_fo_formula(
+    f: Optional[FoFormula],
+    left: StructureClass,
+    right: StructureClass,
+    rank: int,
+    mode: FoMode,
+) -> None:
+    """Raise ContractError unless f separates the classes within the rank,
+    and, in existential mode, is existential."""
+    if f is None:
+        raise ContractError(f"no formula of size <= {rank} was synthesized")
+    if not (fo_free_vars(f) <= left.domain and fo_separates(f, left, right)):
+        raise ContractError(
+            f"synthesized formula {format_fo(f)} does not separate the classes"
+        )
+    if fo_size(f) > rank:
+        raise ContractError(f"synthesized formula has size {fo_size(f)} > rank {rank}")
+    if mode is FoMode.EXISTENTIAL and not is_existential(f):
+        raise ContractError(f"synthesized formula {format_fo(f)} is not existential")
+
+
 def _cmd_fo_minsize(args) -> tuple[str, dict]:
     left, right = _load_class(args.left), _load_class(args.right)
-    k = _fo_game(args).minsize(left, right, FoMode(args.mode), args.wmax)
+    game, mode = _fo_game(args), FoMode(args.mode)
+    k = game.minsize(left, right, mode, args.wmax)
     if k is None:
         return (
             f"no separating formula of size <= {args.wmax}",
             {"result": "unknown", "searched_up_to": args.wmax},
         )
+    _check_fo_formula(game.synthesize(left, right, k, mode), left, right, k, mode)
     return f"minimum separating size: {k}", {"result": "size", "size": k}
 
 
 def _cmd_fo_synth(args) -> tuple[str, dict]:
     left, right = _load_class(args.left), _load_class(args.right)
-    f = _fo_game(args).synthesize(left, right, args.rank, FoMode(args.mode))
+    mode = FoMode(args.mode)
+    f = _fo_game(args).synthesize(left, right, args.rank, mode)
     if f is None:
         return (
             f"no separating formula of size <= {args.rank}",
             {"formula": None, "rank": args.rank},
         )
+    _check_fo_formula(f, left, right, args.rank, mode)
     text = format_fo(f)
     return text, {"formula": text, "size": fo_size(f)}
 
@@ -553,8 +587,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use: building it costs far
+    more than a small query."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    return _PARSER
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     # accept --json anywhere on the line, including after a subcommand
     words = list(sys.argv[1:] if argv is None else argv)
     as_json = "--json" in words

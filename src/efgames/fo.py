@@ -412,13 +412,19 @@ def _eval(f: FoFormula, model: Model, env: dict[int, int]) -> bool:
     raise InputError(f"not a formula node: {f!r}")
 
 
-def fo_separates(f: FoFormula, left: StructureClass, right: StructureClass) -> bool:
-    """True iff f holds on every member of ``left`` and no member of
-    ``right``."""
+def check_comparable(left: StructureClass, right: StructureClass) -> None:
+    """Two classes can be separated only over one vocabulary and one
+    assignment domain; raises InputError otherwise."""
     if left.vocabulary != right.vocabulary:
         raise InputError("classes use different vocabularies")
     if left.domain != right.domain:
         raise InputError("classes use different assignment domains")
+
+
+def fo_separates(f: FoFormula, left: StructureClass, right: StructureClass) -> bool:
+    """True iff f holds on every member of ``left`` and no member of
+    ``right``."""
+    check_comparable(left, right)
     if not fo_free_vars(f) <= left.domain:
         raise InputError(
             f"free variables {sorted(fo_free_vars(f) - left.domain)} are outside "
@@ -500,10 +506,7 @@ def atomic_separators(
 ) -> list[tuple[FoFormula, bool]]:
     """Atoms separating the classes, each tagged True when the atom itself
     separates and False when its negation does."""
-    if left.vocabulary != right.vocabulary:
-        raise InputError("classes use different vocabularies")
-    if left.domain != right.domain:
-        raise InputError("classes use different assignment domains")
+    check_comparable(left, right)
     found = []
     for atom in atom_candidates(left.vocabulary, left.domain):
         on_left = [fo_eval(atom, st) for st in left.members]

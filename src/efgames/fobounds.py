@@ -52,6 +52,7 @@ from .fo import (
     Structure,
     StructureClass,
     Vocabulary,
+    check_comparable,
 )
 from .props import BitString
 
@@ -194,10 +195,7 @@ def classify_boolcomb(
 def measure_M(left: StructureClass, right: StructureClass) -> int:
     """(n + 1) * flawless members + good-enough members of the adversary
     class, classified against the single reference member."""
-    if left.vocabulary != right.vocabulary:
-        raise InputError("classes use different vocabularies")
-    if left.domain != right.domain:
-        raise InputError("classes use different assignment domains")
+    check_comparable(left, right)
     if len(left.members) != 1:
         raise InputError("the reference class must have exactly one member")
     ref = left.members[0]
@@ -355,10 +353,7 @@ def measure_N(left: StructureClass, right: StructureClass) -> int:
     that refutes each: 2 * delta on the lowest segment, 2 * delta + 1
     between two assigned elements or with nothing assigned, and
     2 * delta + 2 on the highest segment."""
-    if left.vocabulary != right.vocabulary:
-        raise InputError("classes use different vocabularies")
-    if left.domain != right.domain:
-        raise InputError("classes use different assignment domains")
+    check_comparable(left, right)
     if len(left.members) != 1:
         raise InputError("the reference class must have exactly one member")
     ref = left.members[0]

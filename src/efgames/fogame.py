@@ -40,6 +40,7 @@ from .fo import (
     Structure,
     StructureClass,
     atom_candidates,
+    check_comparable,
     fo_eval,
 )
 from .propgame import Player
@@ -57,13 +58,6 @@ class FoMode(enum.Enum):
 # the hot paths compare against this module constant: looking a member up
 # on the Enum class (``FoMode.FULL``) costs several times a global read
 _FULL = FoMode.FULL
-
-
-def _check_classes(left: StructureClass, right: StructureClass) -> None:
-    if left.vocabulary != right.vocabulary:
-        raise InputError("classes use different vocabularies")
-    if left.domain != right.domain:
-        raise InputError("classes use different assignment domains")
 
 
 class FoGame:
@@ -339,7 +333,7 @@ class FoGame:
     def _enter(
         self, left: StructureClass, right: StructureClass
     ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        _check_classes(left, right)
+        check_comparable(left, right)
         # the cap bounds a single query; solved positions answer from the
         # memo without counting
         self.positions_visited = 0

@@ -40,6 +40,7 @@ from .fo import (
     RelAtom,
     Structure,
     StructureClass,
+    check_comparable,
     fo_eval,
     fo_free_vars,
 )
@@ -359,10 +360,7 @@ class FoEnumerator:
         self, left: StructureClass, right: StructureClass
     ) -> Optional[FoFormula]:
         """The smallest enumerated formula separating the classes, or None."""
-        if left.vocabulary != right.vocabulary:
-            raise InputError("classes use different vocabularies")
-        if left.domain != right.domain:
-            raise InputError("classes use different assignment domains")
+        check_comparable(left, right)
         if left.domain != self.domain:
             raise InputError("class domain differs from the enumerator domain")
         if max(len(left.members), len(right.members)) > FO_MAX_MEMBERS:
@@ -389,10 +387,7 @@ def fo_enumerate_separator(
 ) -> Optional[FoFormula]:
     """Brute-force smallest separating formula of size <= w_max, for
     cross-checking the game solver at tiny scales."""
-    if left.vocabulary != right.vocabulary:
-        raise InputError("classes use different vocabularies")
-    if left.domain != right.domain:
-        raise InputError("classes use different assignment domains")
+    check_comparable(left, right)
     models = [st.model for st in left.members] + [st.model for st in right.members]
     if not models:
         raise InputError("cannot enumerate over two empty classes")

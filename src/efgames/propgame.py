@@ -28,15 +28,34 @@ its masks.  The members of S and of R are numbered, so that a subset A
 of S is a compact index a in [0, 2**|S|) and likewise b for R.  Each
 index carries one int of literals: those true on every member of A, and
 those false on every member of B, so a literal separates (A, B) exactly
-when ``lit_s[a] & lit_r[b]`` is nonzero.  Cells are filled in increasing
-(b, a) order into a row per b and a column per a.  A cell's best left
-split is one fold over the halves of a that hold its lowest member,
-summing the row at each half and at its complement in a; the best right
-split folds the column the same way.  A proper subset's index is
-smaller, so every summand is already filled.  The halves of every index
-are cached as 2-byte arrays for sides of at most 16 strings; a larger
-side builds each index's halves as it is filled, so memory stays in
-proportion to the 2**(|S|+|R|) cells.
+when ``lit_s[a] & lit_r[b]`` is nonzero.
+
+One side is the outer one, and cells are filled one line of fixed outer
+index at a time, in increasing order; a proper subset's index is
+smaller, so every summand is already filled.  Each finished line is
+packed into one int, with one lane per inner index, so the best outer
+split of every cell of a line is a single lane-wise (SWAR) min over the
+outer halves: the subsets h of the outer index o that hold its lowest
+member, each adding the packed lines of h and o ^ h.  A lane is 8 bits
+where it fits and 16 bits otherwise, sized from the bound width *
+min(|S|, |R|) on every size (a DNF or CNF of full-length terms), so that
+the sum of two sizes stays below the lane's guard bit; a larger bound
+raises ResourceCapError.  The outer side is the one with the lower
+estimated cost: a lane-wise min per outer half, whose cost grows with
+the inner side's 2**k lanes, against a per-cell fold over the inner
+halves.  Lopsided roots run along their small side, balanced ones along
+the larger.
+
+The inner splits are folded per cell over flat arrays of each inner
+index's halves and their complements, built by doubling for sides of
+at most 15 strings and per index above that.  Sizes only grow with the
+sides, so no split of a cell sums below its one-member-smaller cells:
+the packed lines give the largest of those along the outer side at
+once, and the cell's own line gives the cells without its lowest and
+its highest inner member.  A cell is settled without the fold when the
+best split found so far (the outer one, or one cutting off the lowest
+or the highest inner member) meets that bound; when it is one above the
+bound, the fold stops at the first split that meets it.
 
 The table keeps exactly the positions a top-down search from the root
 would visit: the root, every (A, B) with A a nonempty proper subset of
@@ -50,12 +69,13 @@ computed but not kept.
 from __future__ import annotations
 
 import enum
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import add
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import ContractError, InputError, ResourceCapError
 from .props import (
@@ -222,38 +242,181 @@ def _submasks(m: int) -> Iterator[int]:
         x = (x - 1) & m
 
 
-# Largest side whose halves are cached: 3**k/2 two-byte entries, 43 MB at
-# k = 16.  Larger sides build each index's halves when it is filled.
-_HALVES_CACHE_MAX = 16
+_ORDER = sys.byteorder  # lines are packed into ints and back in native order
 
 
-def _halves(k: int) -> Union[list[array], _LazyHalves]:
+def _lane_code(ub: int) -> tuple[str, int]:
+    """The array typecode of the narrowest 8- or 16-bit lane that holds the
+    sum of two sizes up to ub below its top (guard) bit, and that bit."""
+    bits = (2 * ub).bit_length() + 1
+    if bits > 16:
+        raise ResourceCapError(
+            f"sizes up to {ub} do not fit the fill's 16-bit lanes"
+        )
+    return ("B", 1 << 7) if bits <= 8 else ("H", 1 << 15)
+
+
+def _lanes(code: str, value: int, n: int) -> int:
+    """n lanes of the typecode's width packed into one int, each holding value."""
+    return int.from_bytes(array(code, [value]).tobytes() * n, _ORDER)
+
+
+def _outer_first(n1: int, n2: int) -> bool:
+    """Whether _fill_lines should run its lines along the side of n1 indices
+    rather than along the side of n2.  Its estimated time, in inner-fold
+    summands: one per cell and inner half, and per outer half a lane-wise
+    min that costs about 3 + n_in / 70 of them (measured on CPython 3.11)."""
+
+    def cost(n_out: int, n_in: int) -> float:
+        k_out, k_in = n_out.bit_length() - 1, n_in.bit_length() - 1
+        return 3**k_out * (3 + n_in / 70) + n_out * 3**k_in
+
+    return cost(n1, n2) <= cost(n2, n1)
+
+
+def _fill_lines(out_lits: list[int], in_lits: list[int], ub: int) -> array:
+    """The size of every cell (o, i) of a root's sub-lattice, at
+    o * len(in_lits) + i of one flat array, filled one line of fixed outer
+    index o at a time.  A literal separates the cell when out_lits[o] &
+    in_lits[i] is nonzero, and ub bounds every size.
+
+    Each finished line is also packed into one int with a lane per inner
+    index, so the best outer split of a whole line is a lane-wise min, over
+    the outer halves h of o, of packed[h] + packed[o ^ h].  The inner splits
+    are folded per cell, and only where no bound settles the cell: sizes
+    only grow with the sides, so no split sums below the largest of the
+    one-member-smaller cells, and a split that reaches it is minimal."""
+    n_in = len(in_lits)
+    code, top = _lane_code(ub)
+    lane_bytes = array(code).itemsize * n_in
+    guards, shift = _lanes(code, top, n_in), top.bit_length() - 1
+    no_split = _lanes(code, top - 1, n_in)
+    halves, comps, offsets = _halves(n_in.bit_length() - 1)
+    # i minus its highest member
+    tops = array("L", [i ^ 1 << i.bit_length() - 1 if i else 0 for i in range(n_in)])
+    cells = array(code, [1 if lit & out_lits[0] else 2 for lit in in_lits])
+    packed = [int.from_bytes(cells.tobytes(), _ORDER)]
+    for o in range(1, len(out_lits)):
+        # lane-wise min over the outer halves: a lane's guard bit survives
+        # acc - s exactly when acc >= s
+        acc, low = no_split, o & -o
+        rest = y = o ^ low
+        while y:
+            y = (y - 1) & rest
+            s = packed[low | y] + packed[rest ^ y]
+            g = ((acc | guards) - s) & guards
+            acc ^= (acc ^ s) & (g - (g >> shift))
+        outer = array(code, acc.to_bytes(lane_bytes, _ORDER))
+        # lane-wise max over the lines of o minus one member
+        acc, y = 0, o
+        while y:
+            s = packed[o ^ (y & -y)]
+            y &= y - 1
+            g = ((acc | guards) - s) & guards ^ guards
+            acc ^= (acc ^ s) & (g - (g >> shift))
+        floor = array(code, acc.to_bytes(lane_bytes, _ORDER))
+        o_lit = out_lits[o]
+        line = [1 if in_lits[0] & o_lit else 2]
+        get = line.__getitem__
+        for i in range(1, n_in):
+            if in_lits[i] & o_lit:
+                best = 1
+            else:
+                best = outer[i]
+                # i minus its lowest and its highest member; j = 0 when i
+                # has one member and so no inner split
+                j, k = i & i - 1, tops[i]
+                if j:
+                    least, below_j, below_k = floor[i], line[j], line[k]
+                    cand = below_j + line[i ^ j]
+                    if cand < best:
+                        best = cand
+                    cand = below_k + line[i ^ k]
+                    if cand < best:
+                        best = cand
+                    if below_j > least:
+                        least = below_j
+                    if below_k > least:
+                        least = below_k
+                    if best > least:
+                        lo, hi = offsets[i], offsets[i + 1]
+                        sums = map(add, map(get, halves[lo:hi]), map(get, comps[lo:hi]))
+                        if best == least + 1:
+                            if least in sums:  # stops at the first hit
+                                best = least
+                        else:
+                            cand = min(sums)
+                            if cand < best:
+                                best = cand
+            line.append(best)
+        done = array(code, line)
+        cells += done
+        packed.append(int.from_bytes(done.tobytes(), _ORDER))
+    return cells
+
+
+# Largest side whose halves are held for the whole fill: about 3**k two-byte
+# entries for the halves and their complements, 29 MB at k = 15.  Larger
+# sides, which the default --cap-strings excludes, build each index's halves
+# when it is filled.
+_HALVES_CACHE_MAX = 15
+
+
+def _halves(k: int) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
     """Per compact index a < 2**k: the subsets of a that hold its lowest
-    member, a itself excluded.  With h the highest member of a and
-    c = a ^ h, the halves of a are those of c, c itself, and those of c
-    with h added."""
+    member, a itself excluded (its halves), and their complements in a, as
+    two flat sequences in which a's entries span offsets[a]:offsets[a + 1].
+
+    With h the highest member of a and c = a ^ h, the halves of a are those
+    of c, c itself, and those of c with h added; their complements are those
+    of c with h added, h itself, and those of c."""
     if k > _HALVES_CACHE_MAX:
-        return _LazyHalves()
-    halves = [array("H")]
+        return _LazyHalves(False), _LazyHalves(True), range((1 << k) + 1)
+    # allocated once at full size: growing them would leave a trail of freed
+    # blocks behind, which raises the peak resident memory of the process
+    total = 2 * ((3**k + 1) // 2 - (1 << k))  # bytes
+    halves, comps = array("H", bytes(total)), array("H", bytes(total))
+    hb, cb = memoryview(halves).cast("B"), memoryview(comps).cast("B")
+    offsets, end = array("L", [0, 0]), 0
     for j in range(k):
         h = 1 << j
-        halves.append(array("H"))
+        # h in every two-byte lane of the entries so far; adding it to
+        # entries below h ORs it in
+        lanes_h, filled = _lanes("H", h, end // 2), end
+        offsets.append(end // 2)
         for c in range(1, h):
-            below = halves[c]
-            part = array("H", below)
-            part.append(c)
-            part.extend(map(h.__or__, below))
-            halves.append(part)
-    return halves
+            lo, hi = 2 * offsets[c], 2 * offsets[c + 1]
+            below, above, n = hb[lo:hi], cb[lo:hi], hi - lo
+            plus_h = lanes_h >> 8 * (filled - n)
+            below_h = int.from_bytes(below, _ORDER) + plus_h
+            above_h = int.from_bytes(above, _ORDER) + plus_h
+            mid = end + n
+            hb[end:mid] = below
+            hb[mid : mid + 2] = c.to_bytes(2, _ORDER)
+            hb[mid + 2 : mid + 2 + n] = below_h.to_bytes(n, _ORDER)
+            cb[end:mid] = above_h.to_bytes(n, _ORDER)
+            cb[mid : mid + 2] = h.to_bytes(2, _ORDER)
+            cb[mid + 2 : mid + 2 + n] = above
+            end = mid + 2 + n
+            offsets.append(end // 2)
+    return memoryview(halves), memoryview(comps), offsets
 
 
 class _LazyHalves:
-    """The halves of _halves, built per index instead of held for all."""
+    """The halves (or, with ``comps``, their complements) of _halves for a
+    side too large to hold them all.  Its offsets are the indices
+    themselves, so the span a:a + 1 builds the list of index a, and the
+    fill reads both kinds the same way."""
 
-    def __getitem__(self, a: int) -> list[int]:
+    def __init__(self, comps: bool) -> None:
+        self.comps = comps
+
+    def __getitem__(self, span: slice) -> list[int]:
+        a = span.start
         low = a & -a
         # _submasks yields a ^ low first, whose half is a itself
-        return [low | c for c in _submasks(a ^ low)][1:]
+        halves = [low | c for c in _submasks(a ^ low)][1:]
+        return [a ^ x for x in halves] if self.comps else halves
 
 
 class PropGame:
@@ -334,44 +497,35 @@ class PropGame:
         # literals false on every member of the R-side subset
         r_masks, r_lits = self._subsets(rmask, (1 << 2 * self.width) - 1)
         na, nb = len(s_masks), len(r_masks)
-        s_halves = _halves(na.bit_length() - 1)
-        r_halves = s_halves if nb == na else _halves(nb.bit_length() - 1)
-        rows: list[list[int]] = []
-        cols: list[list[int]] = [[] for _ in range(na)]
-        for b in range(nb):
-            r_lit, ds, b_xor = r_lits[b], r_halves[b], b.__xor__
-            row: list[int] = []
-            left = row.__getitem__
-            for a, col in enumerate(cols):
-                if s_lits[a] & r_lit:
-                    best = 1
-                elif not (a and b):
-                    best = 2  # never read: split blocks are nonempty
-                else:
-                    cs = s_halves[a]
-                    best = min(
-                        map(add, map(left, cs), map(left, map(a.__xor__, cs))),
-                        default=1 << 60,
-                    )
-                    if ds:
-                        down = col.__getitem__
-                        cand = min(map(add, map(down, ds), map(down, map(b_xor, ds))))
-                        if cand < best:
-                            best = cand
-                row.append(best)
-                col.append(best)
-            rows.append(row)
-        # keep the positions a top-down search would reach (module docstring)
+        # a DNF or CNF of full-length terms bounds every size in the sub-lattice
+        ub = self.width * min(smask.bit_count(), rmask.bit_count())
+        if _outer_first(na, nb):
+            cells, sa, sb = _fill_lines(s_lits, r_lits, ub), nb, 1
+        else:
+            cells, sa, sb = _fill_lines(r_lits, s_lits, ub), 1, na
+        # keep the positions a top-down search would reach (module docstring),
+        # each written once; cell (a, b) sits at a * sa + b * sb.  First (A, B)
+        # for A a proper subset of S, row by row, where no literal separates
+        # (S, B).
         table = self._value
         fa, fb = na - 1, nb - 1
-        inner_s, inner_r = s_masks[1:fa], r_masks[1:fb]
+        inner_s = s_masks[1:fa]
         for b in range(1, nb):
             if not s_lits[fa] & r_lits[b]:
-                table.update(zip(zip(inner_s, repeat(r_masks[b])), rows[b][1:fa]))
-        for a in range(1, na):
+                row = cells[sa + b * sb : fa * sa + b * sb : sa]
+                table.update(zip(zip(inner_s, repeat(r_masks[b])), row))
+        # Then (A, B) for B a proper subset of R, where no literal separates
+        # (A, R): all of column S, and in the other columns the B whose
+        # rows were skipped.
+        col = cells[fa * sa + sb : fa * sa + fb * sb : sb]
+        table.update(zip(zip(repeat(smask), r_masks[1:fb]), col))
+        skipped = [b for b in range(1, fb) if s_lits[fa] & r_lits[b]]
+        skipped_masks, skipped_at = [r_masks[b] for b in skipped], [b * sb for b in skipped]
+        for a in range(1, fa):
             if not s_lits[a] & r_lits[fb]:
-                table.update(zip(zip(repeat(s_masks[a]), inner_r), cols[a][1:fb]))
-        best = rows[fb][fa]
+                at = map(cells.__getitem__, map((a * sa).__add__, skipped_at))
+                table.update(zip(zip(repeat(s_masks[a]), skipped_masks), at))
+        best = cells[fa * sa + fb * sb]
         table[smask, rmask] = best
         return best
 

@@ -326,23 +326,3 @@ def parse_formula(text: str) -> PropFormula:
     if tokens:
         raise InputError(f"trailing input after formula: {tokens[-1]!r}")
     return f
-
-
-# ---------------------------------------------------------------------------
-# JSON shape for properties: {"width": int, "strings": ["010", ...]}
-
-
-def property_to_json(prop: StringProperty) -> dict:
-    return {"width": prop.width, "strings": [str(s) for s in prop.strings()]}
-
-
-def property_from_json(obj: object) -> StringProperty:
-    if not isinstance(obj, dict):
-        raise InputError("property must be a JSON object")
-    width = obj.get("width")
-    strings = obj.get("strings")
-    if not isinstance(width, int) or isinstance(width, bool):
-        raise InputError("property 'width' must be an integer")
-    if not isinstance(strings, list) or not all(isinstance(s, str) for s in strings):
-        raise InputError("property 'strings' must be a list of binary strings")
-    return StringProperty.from_strings(width, strings)

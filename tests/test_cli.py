@@ -12,6 +12,12 @@ import efgames
 from efgames import (
     Assignment,
     ContractError,
+    EqAtom,
+    Exists,
+    FoAnd,
+    FoNot,
+    Forall,
+    RelAtom,
     Structure,
     StructureClass,
     class_to_json,
@@ -24,6 +30,7 @@ from efgames import (
     StringProperty,
     Var,
 )
+from efgames import cli
 from efgames.cli import ReproReport, run
 
 
@@ -341,6 +348,79 @@ def test_prop_minsize_rechecks_the_density_bound(monkeypatch, parity_pair):
     assert code == 3
     assert out == ""
     assert "contract violation:" in err
+
+
+# the linear orders of 2 against 1 elements: exists x0 exists x1 (x0 < x1)
+# is the size-3 existential separator
+ORDER_SEPARATOR = Exists(0, Exists(1, RelAtom("<", (0, 1))))
+WRONG_FO_ANSWERS = (
+    Exists(0, EqAtom(0, 0)),  # true on both sides
+    RelAtom("<", (0, 1)),  # its free variables are outside the empty domain
+    FoAnd(ORDER_SEPARATOR, ORDER_SEPARATOR),  # separates, but size 6 > 3
+    # separates within size 3, but is universal
+    Forall(0, Exists(1, FoNot(EqAtom(0, 1)))),
+)
+
+
+def test_fo_synth_rechecks_the_formula(monkeypatch, order_classes):
+    left, right = order_classes
+    for wrong in WRONG_FO_ANSWERS:
+        monkeypatch.setattr(
+            "efgames.cli.FoGame.synthesize", lambda self, l, r, rank, mode: wrong
+        )
+        code, out, err = run_cli(
+            "fo", "synth", left, right, "--rank", "3", "--mode", "existential"
+        )
+        assert code == 3
+        assert out == ""
+        assert "contract violation:" in err
+    # the universal form is a valid answer in full mode
+    code, out, _ = run_cli("fo", "synth", left, right, "--rank", "3")
+    assert code == 0
+
+
+def test_fo_minsize_rechecks_a_formula_of_that_size(monkeypatch, order_classes):
+    left, right = order_classes
+    synthesize = cli.FoGame.synthesize
+    for wrong in WRONG_FO_ANSWERS:
+        monkeypatch.setattr(
+            "efgames.cli.FoGame.synthesize", lambda self, l, r, rank, mode: wrong
+        )
+        code, out, err = run_cli("fo", "minsize", left, right, "--mode", "existential")
+        assert code == 3
+        assert out == ""
+        assert "contract violation:" in err
+    # a size below the true minimum 3 has no formula to show for it
+    monkeypatch.setattr("efgames.cli.FoGame.synthesize", synthesize)
+    monkeypatch.setattr(
+        "efgames.cli.FoGame.minsize", lambda self, l, r, mode, w_max: 2
+    )
+    code, out, err = run_cli("fo", "minsize", left, right, "--mode", "existential")
+    assert code == 3
+    assert "contract violation:" in err
+
+
+def test_the_parser_is_built_once(monkeypatch):
+    build, calls = cli._build_parser, []
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_parser", lambda: calls.append(1) or build())
+    for _ in range(2):
+        assert run_cli("repro", "parity", "--n", "2")[0] == 0
+    assert len(calls) == 1
+
+
+def test_options_do_not_carry_over_between_runs(order_classes):
+    code, out, _ = run_cli("--json", "repro", "parity", "--n", "2", "--cap-strings", "2")
+    assert code == 0
+    assert json.loads(out)["exact_minsize"] is None
+    code, out, _ = run_cli("repro", "parity", "--n", "2")
+    assert code == 0
+    assert "exact minimal size: 4" in out
+    left, right = order_classes
+    assert run_cli("fo", "minsize", left, right, "--cap-positions", "5")[0] == 2
+    code, out, _ = run_cli("--json", "fo", "minsize", left, right)
+    assert code == 0
+    assert json.loads(out) == {"result": "size", "size": 3}
 
 
 def test_repro_report_checks_its_own_bounds():

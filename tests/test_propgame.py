@@ -143,10 +143,29 @@ def test_size_table_matches_reference_on_random_pairs():
             assert suites.size_table_mismatches(width, [root]) == []
 
 
-def test_lazy_halves_match_the_cached_halves():
-    cached, lazy = propgame._halves(6), propgame._LazyHalves()
-    for a in range(1 << 6):
-        assert sorted(lazy[a]) == sorted(cached[a])
+def _half_pairs(k):
+    """Per index below 2**k: its (half, complement) pairs from _halves."""
+    halves, comps, offsets = propgame._halves(k)
+    return [
+        list(zip(halves[offsets[a] : offsets[a + 1]], comps[offsets[a] : offsets[a + 1]]))
+        for a in range(1 << k)
+    ]
+
+
+def test_lazy_halves_match_the_cached_halves(monkeypatch):
+    cached = _half_pairs(6)
+    monkeypatch.setattr(propgame, "_HALVES_CACHE_MAX", 5)
+    lazy = _half_pairs(6)
+    assert [sorted(pairs) for pairs in lazy] == [sorted(pairs) for pairs in cached]
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_halves_pair_each_half_with_its_complement(k):
+    for a, pairs in enumerate(_half_pairs(k)):
+        low = a & -a
+        want = sorted(x for x in range(1, a) if x & a == x and x & low)
+        assert sorted(h for h, _ in pairs) == want
+        assert all(c == a ^ h for h, c in pairs)
 
 
 def test_size_table_matches_reference_with_lazy_halves(monkeypatch):
@@ -155,6 +174,46 @@ def test_size_table_matches_reference_with_lazy_halves(monkeypatch):
     shapes = [(1, 13), (13, 1), (6, 6), (2, 3)]
     for root in _random_roots(rng, 4, shapes):
         assert suites.size_table_mismatches(4, [root]) == []
+
+
+@pytest.mark.parametrize("s_outer", [True, False])
+def test_size_table_matches_reference_along_either_side(monkeypatch, s_outer):
+    monkeypatch.setattr(propgame, "_outer_first", lambda n1, n2: s_outer)
+    rng = random.Random(96)
+    shapes = [(1, 13), (13, 1), (2, 11), (5, 7), (6, 6), (7, 7)]
+    for root in _random_roots(rng, 4, shapes):
+        assert suites.size_table_mismatches(4, [root]) == []
+
+
+def test_lines_run_along_the_side_that_costs_less():
+    # 1 vs 13 strings: one fold per cell over the 13-string side's halves
+    # beats 3**13 / 2 lane-wise mins; balanced pairs run along the larger side
+    assert propgame._outer_first(1 << 1, 1 << 13)
+    assert not propgame._outer_first(1 << 13, 1 << 1)
+    assert not propgame._outer_first(1 << 6, 1 << 7)
+    assert propgame._outer_first(1 << 7, 1 << 6)
+
+
+def test_lanes_are_sized_from_the_size_bound():
+    # two sizes up to ub must sum below the lane's guard bit
+    assert propgame._lane_code(63) == ("B", 1 << 7)
+    assert propgame._lane_code(64) == ("H", 1 << 15)
+    assert propgame._lane_code(16383) == ("H", 1 << 15)
+    with pytest.raises(ResourceCapError):
+        propgame._lane_code(16384)
+
+
+def test_size_table_matches_reference_with_sixteen_bit_lanes(monkeypatch):
+    # width 16 times 5 strings bounds every size by 80, past 8-bit lanes
+    codes = []
+    lane_code = propgame._lane_code
+    monkeypatch.setattr(
+        propgame, "_lane_code", lambda ub: codes.append(lane_code(ub)) or codes[-1]
+    )
+    rng = random.Random(95)
+    roots = _random_roots(rng, 16, [(5, 5), (4, 6)])
+    assert suites.size_table_mismatches(16, roots) == []
+    assert codes == [("H", 1 << 15), ("H", 1 << 15)]
 
 
 def test_size_table_matches_reference_with_empty_sides():

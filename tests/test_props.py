@@ -16,8 +16,6 @@ from efgames import (
     format_formula,
     is_nnf,
     parse_formula,
-    property_from_json,
-    property_to_json,
     separates,
     size,
     to_nnf,
@@ -175,17 +173,6 @@ def test_parse_rejects_malformed_text():
     for bad in ("", "p0", "p1 &", "(p1 & p2", "q3", "(p1 && p2)"):
         with pytest.raises(InputError):
             parse_formula(bad)
-
-
-def test_property_json_round_trip():
-    p = StringProperty.from_strings(3, ["010", "111"])
-    obj = property_to_json(p)
-    assert obj == {"width": 3, "strings": ["010", "111"]}
-    assert property_from_json(obj) == p
-    with pytest.raises(InputError):
-        property_from_json({"width": 2})
-    with pytest.raises(InputError):
-        property_from_json({"width": 2, "strings": ["0"]})
 
 
 def test_every_width_one_function_of_two_strings():
