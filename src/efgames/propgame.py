@@ -374,20 +374,20 @@ def _halves(k: int) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
         return _LazyHalves(False), _LazyHalves(True), range((1 << k) + 1)
     # allocated once at full size: growing them would leave a trail of freed
     # blocks behind, which raises the peak resident memory of the process
-    total = 2 * ((3**k + 1) // 2 - (1 << k))  # bytes
-    halves, comps = array("H", bytes(total)), array("H", bytes(total))
+    total = (3**k + 1) // 2 - (1 << k)
+    halves, comps = array("H", [0]) * total, array("H", [0]) * total
     hb, cb = memoryview(halves).cast("B"), memoryview(comps).cast("B")
     offsets, end = array("L", [0, 0]), 0
     for j in range(k):
         h = 1 << j
-        # h in every two-byte lane of the entries so far; adding it to
-        # entries below h ORs it in
-        lanes_h, filled = _lanes("H", h, end // 2), end
+        # h in h / 2 two-byte lanes, more than any index below h has
+        # halves; adding it to entries below h ORs it in
+        lanes_h = _lanes("H", h, h // 2)
         offsets.append(end // 2)
         for c in range(1, h):
             lo, hi = 2 * offsets[c], 2 * offsets[c + 1]
             below, above, n = hb[lo:hi], cb[lo:hi], hi - lo
-            plus_h = lanes_h >> 8 * (filled - n)
+            plus_h = lanes_h >> 8 * (h - n)
             below_h = int.from_bytes(below, _ORDER) + plus_h
             above_h = int.from_bytes(above, _ORDER) + plus_h
             mid = end + n
