@@ -170,6 +170,23 @@ def repro_parity(
     return ReproReport("parity", n, certificate, construction, exact, elapsed)
 
 
+def _construction_size(
+    sentence: FoFormula, left: StructureClass, right: StructureClass
+) -> int:
+    """The size of a family's construction sentence, after checking that
+    it is an existential sentence separating the instances."""
+    if not (fo_free_vars(sentence) <= left.domain and fo_separates(sentence, left, right)):
+        raise ContractError(
+            f"construction sentence {format_fo(sentence)} does not separate "
+            f"the instances"
+        )
+    if not is_existential(sentence):
+        raise ContractError(
+            f"construction sentence {format_fo(sentence)} is not existential"
+        )
+    return fo_size(sentence)
+
+
 def repro_boolcomb(
     n: int,
     *,
@@ -183,7 +200,7 @@ def repro_boolcomb(
     start = time.perf_counter()
     left, right = boolcomb_instances(n)
     certificate = measure_M(left, right)
-    construction = fo_size(boolcomb_existential_sentence(n))
+    construction = _construction_size(boolcomb_existential_sentence(n), left, right)
     exact = None
     if n == 1:
         game = FoGame(
@@ -208,7 +225,7 @@ def repro_linorder(
     start = time.perf_counter()
     left, right = linorder_instances(n)
     certificate = measure_N(left, right)
-    construction = fo_size(linorder_existential_sentence(n))
+    construction = _construction_size(linorder_existential_sentence(n), left, right)
     exact = None
     if n <= 3:
         game = FoGame(

@@ -24,7 +24,6 @@ variables is equivalent and can be enabled for cross-checks.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from typing import Iterable, Optional
 
@@ -63,15 +62,26 @@ _FULL = FoMode.FULL
 class FoGame:
     """Solver with memo tables shared across queries.
 
-    Structures are interned to small ints; a class is a tuple of ids
-    sorted by a deterministic structural key, so equal classes always
-    produce equal memo keys.  Interning also evaluates every atom over the
-    structure's assignment domain once and keeps the truth values as an
-    int mask (bit i for the i-th entry of ``atom_candidates``), so the
-    atomic win check and the literal splits are bit operations over the
-    members' masks and need no memo of their own.  Each structure's
-    extensions x_j -> a are interned once per variable, so choice
-    functions pick among ids.
+    Structures are interned to small ints, and each id keeps ``1 << id``,
+    so a class is also an int bitset over ids.  Memo keys hold the two
+    bitsets: equal classes give equal keys without sorting, and the keys
+    stay small.  Interning also evaluates every atom over the structure's
+    assignment domain once and keeps the truth values as an int mask (bit
+    i for the i-th entry of ``atom_candidates``), so the atomic win check
+    and the literal splits are AND/OR folds of the members' masks.  Each
+    structure's extensions x_j -> a are interned once per variable.
+
+    Member order still decides which moves are tried first, and so which
+    positions the search visits and which formula it extracts.  A class
+    that is expanded therefore travels as a tuple of ids sorted by the
+    structural ``sort_key`` beside its bitset; splits and choice functions
+    are enumerated in that order.  A supplementing move scans the choice
+    functions in ``itertools.product`` order over two pre-combined halves
+    of the chooser side, each half-combination carrying its bitset and
+    the AND and OR of its atom masks.  A rank-1 child is decided from
+    those folds against the other side's folds (it is still looked up,
+    counted and recorded like any position); a child of higher rank gets
+    its ordered tuple only when the memo does not already hold it.
     """
 
     def __init__(
@@ -90,12 +100,13 @@ class FoGame:
         self._ids: dict[Structure, int] = {}
         self._by_id: list[Structure] = []
         self._keys: list[tuple] = []
+        self._bits: list[int] = []
         self._masks: list[int] = []
         self._atoms_of: list[list[FoFormula]] = []
         self._atom_lists: dict[tuple, list[FoFormula]] = {}
         self._ext: dict[tuple[int, int], tuple[int, ...]] = {}
         self._memo: dict[tuple, bool] = {}
-        self._star: dict[tuple, tuple[int, ...]] = {}
+        self._star: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
 
     # -- interning ----------------------------------------------------------
 
@@ -106,6 +117,7 @@ class FoGame:
             self._ids[st] = sid
             self._by_id.append(st)
             self._keys.append(st.sort_key())
+            self._bits.append(1 << sid)
             key = (st.model.vocabulary, tuple(j for j, _ in st.assignment.items))
             atoms = self._atom_lists.get(key)
             if atoms is None:
@@ -119,6 +131,16 @@ class FoGame:
     def _canon(self, members: Iterable[Structure]) -> tuple[int, ...]:
         ids = {self._intern(st) for st in members}
         return tuple(sorted(ids, key=self._keys.__getitem__))
+
+    def _bitset(self, ids: Iterable[int]) -> int:
+        return sum(map(self._bits.__getitem__, ids))
+
+    def _capped(self, what: str, w: int) -> ResourceCapError:
+        """A cap error that also says how far the query got."""
+        return ResourceCapError(
+            f"{what}; stopped at a rank-{w} position, visited positions in "
+            f"this query: {self.positions_visited}"
+        )
 
     # -- win condition ------------------------------------------------------
 
@@ -181,31 +203,112 @@ class FoGame:
             self._ext[key] = got
         return got
 
-    def _star_ids(self, ids: tuple[int, ...], j: int) -> tuple[int, ...]:
-        key = (ids, j)
+    def _star_ids(
+        self, ids: tuple[int, ...], m: int, j: int
+    ) -> tuple[tuple[int, ...], int]:
+        """Every extension x_j -> a of every member, as ordered ids and a
+        bitset.  Uncapped: the choice scan orders its classes by it."""
+        key = (m, j)
         got = self._star.get(key)
-        if got is not None:
-            return got
-        out = {ext for sid in ids for ext in self._extensions(sid, j)}
-        if len(out) > self.cap_class_size:
-            raise ResourceCapError(
-                f"a branching extension reaches {len(out)} members, over the cap "
-                f"{self.cap_class_size} (--cap-class-size)"
-            )
-        result = tuple(sorted(out, key=self._keys.__getitem__))
-        self._star[key] = result
-        return result
+        if got is None:
+            out = {ext for sid in ids for ext in self._extensions(sid, j)}
+            star = tuple(sorted(out, key=self._keys.__getitem__))
+            got = self._star[key] = (star, self._bitset(star))
+        return got
 
-    def _choice_classes(self, ids: tuple[int, ...], j: int) -> Iterable[tuple[int, ...]]:
+    def _branching(
+        self, w: int, ids: tuple[int, ...], m: int, j: int
+    ) -> tuple[tuple[int, ...], int]:
+        """The star of a side that player II branches over, within the cap."""
+        got = self._star_ids(ids, m, j)
+        if len(got[0]) > self.cap_class_size:
+            raise self._capped(
+                f"a branching extension reaches {len(got[0])} members, over the "
+                f"cap {self.cap_class_size} (--cap-class-size)",
+                w,
+            )
+        return got
+
+    def _choice_scan(
+        self,
+        mode: FoMode,
+        w: int,
+        left: bool,
+        ids: tuple[int, ...],
+        m: int,
+        fixed: tuple[int, ...],
+        fm: int,
+        dom2: tuple[int, ...],
+        j: int,
+    ) -> Optional[tuple[tuple[int, ...], int]]:
+        """The first choice function x_j -> a on the chooser side ``ids``
+        (the left side when ``left``) whose class wins at rank w - 1
+        against ``fixed``, as ordered ids and a bitset; None when none
+        does.  Choice functions come in ``itertools.product`` order over
+        the members in order, and each is its class's bitset with the AND
+        and OR of its atom masks, combined from two precomputed halves."""
         total = math.prod(self._by_id[sid].model.universe_size for sid in ids)
         if total > self.cap_choice_functions:
-            raise ResourceCapError(
+            raise self._capped(
                 f"{total} choice functions exceed the cap "
-                f"{self.cap_choice_functions} (--cap-choice-functions)"
+                f"{self.cap_choice_functions} (--cap-choice-functions)",
+                w,
             )
-        order = self._keys.__getitem__
-        for picks in itertools.product(*(self._extensions(sid, j) for sid in ids)):
-            yield tuple(sorted(set(picks), key=order))
+        bits, masks = self._bits, self._masks
+        halves = []
+        for part in (ids[: len(ids) // 2], ids[len(ids) // 2 :]):
+            combos = [(0, -1, 0)]
+            for sid in part:
+                ext = self._extensions(sid, j)
+                combos = [
+                    (cb | bits[e], every & masks[e], some | masks[e])
+                    for cb, every, some in combos
+                    for e in ext
+                ]
+            halves.append(combos)
+        head, tail = halves
+        star = self._star_ids(ids, m, j)[0]
+        # a rank-1 child wins iff some atom is true on all of it and on none
+        # of the fixed side, or the reverse.  x_j = x_j is an atom true on
+        # every member, so every fold holds its bit: a side with no members
+        # (AND fold -1) wins, as in _first_atomic, and the folds need no
+        # mask to the atom list
+        every_f, some_f = -1, 0
+        for sid in fixed:
+            every_f &= masks[sid]
+            some_f |= masks[sid]
+        none_f = ~some_f
+        get, memo = self._memo.get, self._memo
+        full = mode is _FULL
+        v = w - 1
+        for hb, h_every, h_some in head:
+            for tb, t_every, t_some in tail:
+                cb = hb | tb
+                key = (full, v, cb, fm, dom2) if left else (full, v, fm, cb, dom2)
+                got = get(key)
+                if got is None:
+                    if v == 1:
+                        # a rank-1 child: decided by its folds in place
+                        self.positions_visited += 1
+                        if self.positions_visited > self.cap_positions:
+                            raise self._capped(
+                                f"visited positions exceed the cap "
+                                f"{self.cap_positions} (--cap-positions)",
+                                v,
+                            )
+                        got = memo[key] = (
+                            h_every & t_every & none_f
+                            | every_f & ~(h_some | t_some)
+                        ) != 0
+                    else:
+                        ck = tuple(sid for sid in star if bits[sid] & cb)
+                        if left:
+                            got = self._wins(mode, v, ck, cb, fixed, fm, dom2)
+                        else:
+                            got = self._wins(mode, v, fixed, fm, ck, cb, dom2)
+                if got:
+                    return tuple(sid for sid in star if bits[sid] & cb), cb
+        return None
 
     # -- the game -----------------------------------------------------------
 
@@ -214,21 +317,26 @@ class FoGame:
         mode: FoMode,
         w: int,
         ak: tuple[int, ...],
+        am: int,
         bk: tuple[int, ...],
+        bm: int,
         dom: tuple[int, ...],
     ) -> bool:
+        """Whether player I wins at rank w on A against B, each given as
+        ordered ids and the same class's bitset."""
         # a plain bool hashes in C; an Enum member hashes through Python
-        key = (mode is _FULL, w, ak, bk, dom)
+        key = (mode is _FULL, w, am, bm, dom)
         got = self._memo.get(key)
         if got is not None:
             return got
         self.positions_visited += 1
         if self.positions_visited > self.cap_positions:
-            raise ResourceCapError(
+            raise self._capped(
                 f"visited positions exceed the cap {self.cap_positions} "
-                f"(--cap-positions)"
+                f"(--cap-positions)",
+                w,
             )
-        result = self._winning_move(mode, w, ak, bk, dom) is not None
+        result = self._winning_move(mode, w, ak, am, bk, bm, dom) is not None
         self._memo[key] = result
         return result
 
@@ -237,10 +345,18 @@ class FoGame:
         mode: FoMode,
         w: int,
         ak: tuple[int, ...],
+        am: int,
         bk: tuple[int, ...],
+        bm: int,
         dom: tuple[int, ...],
     ) -> Optional[tuple]:
-        if self._first_atomic(ak, bk, dom) is not None:
+        if ak or bk:
+            folds = self._folds(ak, bk)
+            every_a, some_a, every_b, some_b = folds
+            if every_a & ~some_b | every_b & ~some_a:
+                return ("win",)
+        elif dom:
+            # both classes empty: any atom separates vacuously
             return ("win",)
         if w < 2:
             return None
@@ -250,40 +366,43 @@ class FoGame:
         # side, hence a winning partition with a smaller literal-won block
         # stays winning after the swap.  This covers all u = 1 / v = 1
         # splits without enumerating partitions.
-        move = self._literal_splits(mode, w, ak, bk, dom)
-        if move is not None:
-            return move
+        if ak or bk:
+            move = self._literal_splits(mode, w, ak, am, bk, bm, dom, folds)
+            if move is not None:
+                return move
         # remaining splits give both blocks rank >= 2, so they only exist
         # at w >= 4; classes are still small there in practice
         for u in range(2, w - 1):
-            for side, ids in (("lsplit", ak), ("rsplit", bk)):
+            for side, ids, m in (("lsplit", ak, am), ("rsplit", bk, bm)):
                 k = len(ids)
                 for sel in range((1 << (k - 1)) - 1 if k >= 2 else 0):
                     sel2 = sel << 1 | 1
                     c = tuple(ids[i] for i in range(k) if sel2 >> i & 1)
                     d = tuple(ids[i] for i in range(k) if not sel2 >> i & 1)
+                    cm = self._bitset(c)
+                    dm = m ^ cm
                     if side == "lsplit":
-                        if self._wins(mode, u, c, bk, dom) and self._wins(
-                            mode, w - u, d, bk, dom
+                        if self._wins(mode, u, c, cm, bk, bm, dom) and self._wins(
+                            mode, w - u, d, dm, bk, bm, dom
                         ):
-                            return ("lsplit", u, w - u, c, d)
+                            return ("lsplit", u, w - u, c, cm, d, dm)
                     else:
-                        if self._wins(mode, u, ak, c, dom) and self._wins(
-                            mode, w - u, ak, d, dom
+                        if self._wins(mode, u, ak, am, c, cm, dom) and self._wins(
+                            mode, w - u, ak, am, d, dm, dom
                         ):
-                            return ("rsplit", u, w - u, c, d)
+                            return ("rsplit", u, w - u, c, cm, d, dm)
         # supplementing moves bind a variable and cost one rank
         for j in self._supp_vars(dom):
             dom2 = tuple(sorted(set(dom) | {j}))
-            b_star = self._star_ids(bk, j)
-            for a2 in self._choice_classes(ak, j):
-                if self._wins(mode, w - 1, a2, b_star, dom2):
-                    return ("lsupp", j, a2, b_star, dom2)
+            b_star, bsm = self._branching(w, bk, bm, j)
+            got = self._choice_scan(mode, w, True, ak, am, b_star, bsm, dom2, j)
+            if got is not None:
+                return ("lsupp", j, *got, b_star, bsm, dom2)
             if mode is _FULL:
-                a_star = self._star_ids(ak, j)
-                for b2 in self._choice_classes(bk, j):
-                    if self._wins(mode, w - 1, a_star, b2, dom2):
-                        return ("rsupp", j, a_star, b2, dom2)
+                a_star, asm = self._branching(w, ak, am, j)
+                got = self._choice_scan(mode, w, False, bk, bm, a_star, asm, dom2, j)
+                if got is not None:
+                    return ("rsupp", j, a_star, asm, *got, dom2)
         return None
 
     def _literal_splits(
@@ -291,14 +410,16 @@ class FoGame:
         mode: FoMode,
         w: int,
         ak: tuple[int, ...],
+        am: int,
         bk: tuple[int, ...],
+        bm: int,
         dom: tuple[int, ...],
+        folds: tuple[int, int, int, int],
     ) -> Optional[tuple]:
         """Splits whose first block is the full set of members one literal
-        wins against the other side, paired with rank w - 1 on the rest."""
-        if not ak and not bk:
-            return None
-        every_a, some_a, every_b, some_b = self._folds(ak, bk)
+        wins against the other side, paired with rank w - 1 on the rest;
+        ``folds`` are the position's atom folds."""
+        every_a, some_a, every_b, some_b = folds
         split_a = some_a & ~every_a
         split_b = some_b & ~every_b
         # per literal polarity, the atoms whose literal holds on a proper
@@ -313,15 +434,17 @@ class FoGame:
             todo ^= bit
             for target, lsplit, rsplit in cases:  # the atom, then its negation
                 if lsplit & bit:
-                    c = self._where(ak, bit, target)
                     d = self._where(ak, bit, not target)
-                    if self._wins(mode, w - 1, d, bk, dom):
-                        return ("lsplit", 1, w - 1, c, d)
+                    dm = self._bitset(d)
+                    if self._wins(mode, w - 1, d, dm, bk, bm, dom):
+                        c = self._where(ak, bit, target)
+                        return ("lsplit", 1, w - 1, c, am ^ dm, d, dm)
                 if rsplit & bit:
-                    c = self._where(bk, bit, not target)
                     d = self._where(bk, bit, target)
-                    if self._wins(mode, w - 1, ak, d, dom):
-                        return ("rsplit", 1, w - 1, c, d)
+                    dm = self._bitset(d)
+                    if self._wins(mode, w - 1, ak, am, d, dm, dom):
+                        c = self._where(bk, bit, not target)
+                        return ("rsplit", 1, w - 1, c, bm ^ dm, d, dm)
         return None
 
     def _where(self, ids: tuple[int, ...], bit: int, value: bool) -> tuple[int, ...]:
@@ -340,7 +463,7 @@ class FoGame:
         if max(len(left.members), len(right.members)) > self.cap_class_size:
             raise ResourceCapError(
                 f"class size exceeds the cap {self.cap_class_size} "
-                f"(--cap-class-size)"
+                f"(--cap-class-size); stopped before the first position"
             )
         ak = self._canon(left.members)
         bk = self._canon(right.members)
@@ -357,7 +480,8 @@ class FoGame:
         if rank < 1:
             raise InputError(f"rank must be >= 1, got {rank}")
         ak, bk, dom = self._enter(left, right)
-        return Player.I if self._wins(mode, rank, ak, bk, dom) else Player.II
+        won = self._wins(mode, rank, ak, self._bitset(ak), bk, self._bitset(bk), dom)
+        return Player.I if won else Player.II
 
     def minsize(
         self,
@@ -371,8 +495,9 @@ class FoGame:
         if w_max < 1:
             raise InputError(f"w_max must be >= 1, got {w_max}")
         ak, bk, dom = self._enter(left, right)
+        am, bm = self._bitset(ak), self._bitset(bk)
         for w in range(1, w_max + 1):
-            if self._wins(mode, w, ak, bk, dom):
+            if self._wins(mode, w, ak, am, bk, bm, dom):
                 return w
         return None
 
@@ -389,42 +514,43 @@ class FoGame:
         if rank < 1:
             raise InputError(f"rank must be >= 1, got {rank}")
         ak, bk, dom = self._enter(left, right)
-        if not self._wins(mode, rank, ak, bk, dom):
+        am, bm = self._bitset(ak), self._bitset(bk)
+        if not self._wins(mode, rank, ak, am, bk, bm, dom):
             return None
-        return self._extract(mode, rank, ak, bk, dom)
+        return self._extract(mode, rank, ak, am, bk, bm, dom)
 
     def _extract(
         self,
         mode: FoMode,
         w: int,
         ak: tuple[int, ...],
+        am: int,
         bk: tuple[int, ...],
+        bm: int,
         dom: tuple[int, ...],
     ) -> FoFormula:
         sep = self._first_atomic(ak, bk, dom)
         if sep is not None:
             atom, positive = sep
             return atom if positive else FoNot(atom)
-        move = self._winning_move(mode, w, ak, bk, dom)
+        move = self._winning_move(mode, w, ak, am, bk, bm, dom)
         assert move is not None, "extraction reached a losing position"
         kind = move[0]
         if kind == "lsplit":
-            _, u, v, c, d = move
+            _, u, v, c, cm, d, dm = move
             return FoOr(
-                self._extract(mode, u, c, bk, dom),
-                self._extract(mode, v, d, bk, dom),
+                self._extract(mode, u, c, cm, bk, bm, dom),
+                self._extract(mode, v, d, dm, bk, bm, dom),
             )
         if kind == "rsplit":
-            _, u, v, c, d = move
+            _, u, v, c, cm, d, dm = move
             return FoAnd(
-                self._extract(mode, u, ak, c, dom),
-                self._extract(mode, v, ak, d, dom),
+                self._extract(mode, u, ak, am, c, cm, dom),
+                self._extract(mode, v, ak, am, d, dm, dom),
             )
-        if kind == "lsupp":
-            _, j, a2, b2, dom2 = move
-            return Exists(j, self._extract(mode, w - 1, a2, b2, dom2))
-        _, j, a2, b2, dom2 = move
-        return Forall(j, self._extract(mode, w - 1, a2, b2, dom2))
+        _, j, a2, am2, b2, bm2, dom2 = move
+        body = self._extract(mode, w - 1, a2, am2, b2, bm2, dom2)
+        return Exists(j, body) if kind == "lsupp" else Forall(j, body)
 
 
 # -- module-level conveniences with default caps ------------------------------

@@ -5,21 +5,30 @@ callers can assert emptiness with their own framing."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from efgames import (
     EMPTY_ASSIGNMENT,
+    Exists,
+    FoAnd,
     FoEnumerator,
+    FoFormula,
     FoGame,
     FoMode,
+    FoNot,
+    FoOr,
+    Forall,
+    InputError,
     Model,
     Player,
     PropGame,
     StringProperty,
     Structure,
     StructureClass,
+    ResourceCapError,
     Vocabulary,
     atomic_separators,
     boolcomb_instances,
@@ -27,11 +36,13 @@ from efgames import (
     extend_choice,
     extend_star,
     fo_size,
+    format_fo,
     linorder_instances,
     literal_win,
     measure_M,
     measure_N,
 )
+from efgames.fogame import _FULL
 from efgames.props import Literal, _strings_mask, var_mask
 
 # Cited by the linear-order suite runners when a violation appears: the
@@ -130,6 +141,274 @@ class ReferenceSizeTable:
                     best = cand
         self._value[key] = best
         return best
+
+
+class ReferenceFoGame(FoGame):
+    """The tuple-keyed search that ``FoGame`` replaced, kept verbatim as
+    the reference for the bitset memo keys and the choice scan: a class is
+    a tuple of ids sorted by ``sort_key``, and every choice function is
+    sorted into such a tuple and solved through ``_wins``.  Interning, the
+    atom folds and the atomic check are inherited."""
+
+    def _star_ids(self, ids: tuple[int, ...], j: int) -> tuple[int, ...]:
+        key = (ids, j)
+        got = self._star.get(key)
+        if got is not None:
+            return got
+        out = {ext for sid in ids for ext in self._extensions(sid, j)}
+        if len(out) > self.cap_class_size:
+            raise ResourceCapError(
+                f"a branching extension reaches {len(out)} members, over the cap "
+                f"{self.cap_class_size} (--cap-class-size)"
+            )
+        result = tuple(sorted(out, key=self._keys.__getitem__))
+        self._star[key] = result
+        return result
+
+    def _choice_classes(self, ids: tuple[int, ...], j: int) -> Iterable[tuple[int, ...]]:
+        total = math.prod(self._by_id[sid].model.universe_size for sid in ids)
+        if total > self.cap_choice_functions:
+            raise ResourceCapError(
+                f"{total} choice functions exceed the cap "
+                f"{self.cap_choice_functions} (--cap-choice-functions)"
+            )
+        order = self._keys.__getitem__
+        for picks in itertools.product(*(self._extensions(sid, j) for sid in ids)):
+            yield tuple(sorted(set(picks), key=order))
+
+    def _wins(
+        self,
+        mode: FoMode,
+        w: int,
+        ak: tuple[int, ...],
+        bk: tuple[int, ...],
+        dom: tuple[int, ...],
+    ) -> bool:
+        # a plain bool hashes in C; an Enum member hashes through Python
+        key = (mode is _FULL, w, ak, bk, dom)
+        got = self._memo.get(key)
+        if got is not None:
+            return got
+        self.positions_visited += 1
+        if self.positions_visited > self.cap_positions:
+            raise ResourceCapError(
+                f"visited positions exceed the cap {self.cap_positions} "
+                f"(--cap-positions)"
+            )
+        result = self._winning_move(mode, w, ak, bk, dom) is not None
+        self._memo[key] = result
+        return result
+
+    def _winning_move(
+        self,
+        mode: FoMode,
+        w: int,
+        ak: tuple[int, ...],
+        bk: tuple[int, ...],
+        dom: tuple[int, ...],
+    ) -> Optional[tuple]:
+        if self._first_atomic(ak, bk, dom) is not None:
+            return ("win",)
+        if w < 2:
+            return None
+        # Splits granting rank 1 to a block force that block to be won by a
+        # single literal, so the block can be taken as the full set of
+        # members that literal handles: separation survives shrinking a
+        # side, hence a winning partition with a smaller literal-won block
+        # stays winning after the swap.  This covers all u = 1 / v = 1
+        # splits without enumerating partitions.
+        move = self._literal_splits(mode, w, ak, bk, dom)
+        if move is not None:
+            return move
+        # remaining splits give both blocks rank >= 2, so they only exist
+        # at w >= 4; classes are still small there in practice
+        for u in range(2, w - 1):
+            for side, ids in (("lsplit", ak), ("rsplit", bk)):
+                k = len(ids)
+                for sel in range((1 << (k - 1)) - 1 if k >= 2 else 0):
+                    sel2 = sel << 1 | 1
+                    c = tuple(ids[i] for i in range(k) if sel2 >> i & 1)
+                    d = tuple(ids[i] for i in range(k) if not sel2 >> i & 1)
+                    if side == "lsplit":
+                        if self._wins(mode, u, c, bk, dom) and self._wins(
+                            mode, w - u, d, bk, dom
+                        ):
+                            return ("lsplit", u, w - u, c, d)
+                    else:
+                        if self._wins(mode, u, ak, c, dom) and self._wins(
+                            mode, w - u, ak, d, dom
+                        ):
+                            return ("rsplit", u, w - u, c, d)
+        # supplementing moves bind a variable and cost one rank
+        for j in self._supp_vars(dom):
+            dom2 = tuple(sorted(set(dom) | {j}))
+            b_star = self._star_ids(bk, j)
+            for a2 in self._choice_classes(ak, j):
+                if self._wins(mode, w - 1, a2, b_star, dom2):
+                    return ("lsupp", j, a2, b_star, dom2)
+            if mode is _FULL:
+                a_star = self._star_ids(ak, j)
+                for b2 in self._choice_classes(bk, j):
+                    if self._wins(mode, w - 1, a_star, b2, dom2):
+                        return ("rsupp", j, a_star, b2, dom2)
+        return None
+
+    def _literal_splits(
+        self,
+        mode: FoMode,
+        w: int,
+        ak: tuple[int, ...],
+        bk: tuple[int, ...],
+        dom: tuple[int, ...],
+    ) -> Optional[tuple]:
+        """Splits whose first block is the full set of members one literal
+        wins against the other side, paired with rank w - 1 on the rest."""
+        if not ak and not bk:
+            return None
+        every_a, some_a, every_b, some_b = self._folds(ak, bk)
+        split_a = some_a & ~every_a
+        split_b = some_b & ~every_b
+        # per literal polarity, the atoms whose literal holds on a proper
+        # part of one side and on all of A (right splits) or none of B
+        # (left splits)
+        lsplit_pos, rsplit_pos = split_a & ~some_b, every_a & split_b
+        lsplit_neg, rsplit_neg = split_a & every_b, split_b & ~some_a
+        cases = ((True, lsplit_pos, rsplit_pos), (False, lsplit_neg, rsplit_neg))
+        todo = lsplit_pos | rsplit_pos | lsplit_neg | rsplit_neg
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            for target, lsplit, rsplit in cases:  # the atom, then its negation
+                if lsplit & bit:
+                    c = self._where(ak, bit, target)
+                    d = self._where(ak, bit, not target)
+                    if self._wins(mode, w - 1, d, bk, dom):
+                        return ("lsplit", 1, w - 1, c, d)
+                if rsplit & bit:
+                    c = self._where(bk, bit, not target)
+                    d = self._where(bk, bit, target)
+                    if self._wins(mode, w - 1, ak, d, dom):
+                        return ("rsplit", 1, w - 1, c, d)
+        return None
+
+    def _where(self, ids: tuple[int, ...], bit: int, value: bool) -> tuple[int, ...]:
+        """The members on which the atom at ``bit`` has the given value."""
+        return tuple(sid for sid in ids if bool(self._masks[sid] & bit) is value)
+
+    def winner(
+        self,
+        rank: int,
+        left: StructureClass,
+        right: StructureClass,
+        mode: FoMode = FoMode.FULL,
+    ) -> Player:
+        if rank < 1:
+            raise InputError(f"rank must be >= 1, got {rank}")
+        ak, bk, dom = self._enter(left, right)
+        return Player.I if self._wins(mode, rank, ak, bk, dom) else Player.II
+
+    def minsize(
+        self,
+        left: StructureClass,
+        right: StructureClass,
+        mode: FoMode = FoMode.FULL,
+        w_max: int = 8,
+    ) -> Optional[int]:
+        """Smallest rank player I wins at, which equals the minimal size of
+        a separating formula; None when there is none of size <= w_max."""
+        if w_max < 1:
+            raise InputError(f"w_max must be >= 1, got {w_max}")
+        ak, bk, dom = self._enter(left, right)
+        for w in range(1, w_max + 1):
+            if self._wins(mode, w, ak, bk, dom):
+                return w
+        return None
+
+    def synthesize(
+        self,
+        left: StructureClass,
+        right: StructureClass,
+        rank: int,
+        mode: FoMode = FoMode.FULL,
+    ) -> Optional[FoFormula]:
+        """A separating formula of size <= rank read off a winning
+        strategy, or None when player II wins at that rank.  Existential
+        mode never emits a universal quantifier."""
+        if rank < 1:
+            raise InputError(f"rank must be >= 1, got {rank}")
+        ak, bk, dom = self._enter(left, right)
+        if not self._wins(mode, rank, ak, bk, dom):
+            return None
+        return self._extract(mode, rank, ak, bk, dom)
+
+    def _extract(
+        self,
+        mode: FoMode,
+        w: int,
+        ak: tuple[int, ...],
+        bk: tuple[int, ...],
+        dom: tuple[int, ...],
+    ) -> FoFormula:
+        sep = self._first_atomic(ak, bk, dom)
+        if sep is not None:
+            atom, positive = sep
+            return atom if positive else FoNot(atom)
+        move = self._winning_move(mode, w, ak, bk, dom)
+        assert move is not None, "extraction reached a losing position"
+        kind = move[0]
+        if kind == "lsplit":
+            _, u, v, c, d = move
+            return FoOr(
+                self._extract(mode, u, c, bk, dom),
+                self._extract(mode, v, d, bk, dom),
+            )
+        if kind == "rsplit":
+            _, u, v, c, d = move
+            return FoAnd(
+                self._extract(mode, u, ak, c, dom),
+                self._extract(mode, v, ak, d, dom),
+            )
+        if kind == "lsupp":
+            _, j, a2, b2, dom2 = move
+            return Exists(j, self._extract(mode, w - 1, a2, b2, dom2))
+        _, j, a2, b2, dom2 = move
+        return Forall(j, self._extract(mode, w - 1, a2, b2, dom2))
+
+
+def fo_search_mismatches(
+    queries: list[tuple[StructureClass, StructureClass, int]],
+    mode: FoMode,
+    fresh_only: bool = True,
+) -> list[str]:
+    """Ask each (left, right, rank) in order of one ``FoGame`` and one
+    ``ReferenceFoGame``, so both memos fill alike.  Per query the winners,
+    ``positions_visited`` and, where player I wins, the text of the
+    synthesized formula and the positions synthesis visits must agree.  A
+    query that hits a cap must hit the same one after as many positions."""
+    game = FoGame(fresh_only=fresh_only)
+    ref = ReferenceFoGame(fresh_only=fresh_only)
+    violations = []
+    for i, (left, right, w) in enumerate(queries):
+        answers = []
+        for solver in (game, ref):
+            try:
+                won = solver.winner(w, left, right, mode)
+            except ResourceCapError as exc:
+                flag = str(exc).partition("(--")[2].partition(")")[0]
+                answers.append(("cap", flag, solver.positions_visited))
+                continue
+            visited = solver.positions_visited
+            text = None
+            if won is Player.I:
+                text = format_fo(solver.synthesize(left, right, w, mode))
+            answers.append((won, visited, text, solver.positions_visited))
+        if answers[0] != answers[1]:
+            violations.append(
+                f"{mode.value} query {i} at rank {w}: (winner, positions, formula, "
+                f"synthesis positions) {answers[0]} against the reference's "
+                f"{answers[1]}"
+            )
+    return violations
 
 
 def size_table_mismatches(width: int, roots: list[tuple[int, int]]) -> list[str]:

@@ -400,6 +400,33 @@ def test_fo_minsize_rechecks_a_formula_of_that_size(monkeypatch, order_classes):
     assert "contract violation:" in err
 
 
+@pytest.mark.parametrize(
+    "family, builder",
+    [
+        ("linorder", "linorder_existential_sentence"),
+        ("boolcomb", "boolcomb_existential_sentence"),
+    ],
+)
+def test_repro_rechecks_the_construction_sentence(monkeypatch, family, builder):
+    # true on both sides, and free variables outside the empty domain
+    for wrong in (Exists(0, EqAtom(0, 0)), RelAtom("<", (0, 1))):
+        monkeypatch.setattr(f"efgames.cli.{builder}", lambda n: wrong)
+        code, out, err = run_cli("repro", family, "--n", "2")
+        assert code == 3
+        assert out == ""
+        assert "does not separate the instances" in err
+
+
+def test_repro_rejects_a_universal_construction(monkeypatch):
+    # separates the 2-order from the 1-order, but is not existential
+    universal = Forall(0, Exists(1, FoNot(EqAtom(0, 1))))
+    monkeypatch.setattr("efgames.cli.linorder_existential_sentence", lambda n: universal)
+    code, out, err = run_cli("repro", "linorder", "--n", "2")
+    assert code == 3
+    assert "contract violation: construction sentence" in err
+    assert "is not existential" in err
+
+
 def test_the_parser_is_built_once(monkeypatch):
     build, calls = cli._build_parser, []
     monkeypatch.setattr(cli, "_PARSER", None)

@@ -144,6 +144,55 @@ def test_position_cap_bounds_one_query():
     assert big.positions_visited == 0  # answered from the memo
 
 
+def test_choice_function_cap_stops_a_scan_before_its_leaves():
+    three, two = linorder_instances(3)
+    # choosing on the 3-order: the root is the only position counted
+    game = FoGame(cap_choice_functions=2)
+    with pytest.raises(ResourceCapError) as err:
+        game.winner(2, three, two, FoMode.FULL)
+    assert "3 choice functions exceed the cap 2 (--cap-choice-functions)" in str(err.value)
+    assert game.positions_visited == 1
+    # the 2-order's two choice functions pass and lose; the branching side
+    # then chooses on the 3-order, and none of that scan's leaves is counted
+    game = FoGame(cap_choice_functions=2)
+    with pytest.raises(ResourceCapError) as err:
+        game.winner(2, two, three, FoMode.FULL)
+    assert "(--cap-choice-functions)" in str(err.value)
+    assert game.positions_visited == 3
+
+
+def test_position_cap_stops_a_rank_two_scan_midway():
+    # no atom exists over the empty domain, so the root goes straight to
+    # its 2 * 3 * 4 = 24 rank-1 choice classes, all of them lost
+    orders = StructureClass.of(
+        frozenset(Structure(linear_order(k), EMPTY_ASSIGNMENT) for k in (2, 3, 4))
+    )
+    five = order_class(5)
+    assert FoGame().winner(2, orders, five, FoMode.FULL) is Player.II
+    game = FoGame(cap_positions=10)
+    with pytest.raises(ResourceCapError) as err:
+        game.winner(2, orders, five, FoMode.FULL)
+    assert "visited positions exceed the cap 10 (--cap-positions)" in str(err.value)
+    assert "rank-1 position" in str(err.value)
+    assert game.positions_visited == 11
+
+
+def test_cap_errors_say_how_far_the_search_got():
+    a, b = linorder_instances(3)
+    game = FoGame(cap_positions=50)
+    with pytest.raises(ResourceCapError) as err:
+        game.minsize(a, b, FoMode.FULL, w_max=5)
+    assert str(err.value).endswith("visited positions in this query: 51")
+    # the root and the three leaves of choosing on the 3-order come before
+    # player II branches over the 3-order's three extensions
+    game = FoGame(cap_class_size=2)
+    with pytest.raises(ResourceCapError) as err:
+        game.winner(2, a, b, FoMode.FULL)
+    message = str(err.value)
+    assert "reaches 3 members, over the cap 2 (--cap-class-size)" in message
+    assert message.endswith("rank-2 position, visited positions in this query: 4")
+
+
 def test_winner_agrees_with_enumeration_everywhere(tiny_fo_suite):
     for mode, (game, records) in tiny_fo_suite.items():
         for rec in records:
@@ -266,3 +315,52 @@ def test_atoms_are_evaluated_only_while_interning(monkeypatch):
     assert game.minsize(a, b, FoMode.FULL, w_max=4) is None
     assert game.synthesize(a, b, 5, FoMode.EXISTENTIAL) is not None
     assert calls == sum(len(atoms) for atoms in game._atoms_of)
+
+
+# -- the bitset search against the tuple-keyed reference ----------------------
+
+
+@pytest.mark.parametrize("mode, w_max", [(FoMode.EXISTENTIAL, 4), (FoMode.FULL, 3)])
+def test_search_matches_the_reference_on_the_tiny_universe(mode, w_max):
+    _, classes = suites.tiny_fo_universe()
+    queries = [(a, b, w) for a in classes for b in classes for w in range(1, w_max + 1)]
+    assert suites.fo_search_mismatches(queries, mode) == []
+
+
+def test_search_matches_the_reference_on_the_order_lemma_positions():
+    positions = list(suites._linorder_positions(n_max=3))
+    assert len(positions) == 20
+    existential = [(a, b, w) for n, a, b in positions for w in range(1, 2 * n)]
+    assert suites.fo_search_mismatches(existential, FoMode.EXISTENTIAL) == []
+    # rank 4 with variables bound takes seconds on the reference, so full
+    # mode goes to rank 4 only at the roots, which holds the deep refutation
+    full = [
+        (a, b, w)
+        for n, a, b in positions
+        for w in range(1, min(2 * n - 1, 3 if a.domain else 5))
+    ]
+    assert suites.fo_search_mismatches(full, FoMode.FULL) == []
+
+
+def test_search_matches_the_reference_when_variables_are_reused():
+    # asked at rank 5, the 2-order against the 3-order reaches an 81-member
+    # star, so the two searches must also stop at the same cap
+    a, b = linorder_instances(3)
+    for mode, w_max in ((FoMode.EXISTENTIAL, 5), (FoMode.FULL, 3)):
+        queries = [(a, b, w) for w in range(1, w_max + 1)]
+        queries += [(b, a, w) for w in range(1, w_max + 1)]
+        assert suites.fo_search_mismatches(queries, mode, fresh_only=False) == []
+
+
+def test_search_matches_the_reference_with_an_empty_side():
+    _, classes = suites.tiny_fo_universe()
+    picked = [classes[0], classes[-1]]
+    for _, a, b in suites._linorder_positions(n_max=2):
+        picked += [a, b]
+    queries = []
+    for cls in picked:
+        empty = StructureClass.of((), vocabulary=cls.vocabulary, domain=cls.domain)
+        for w in (1, 2, 3):
+            queries += [(empty, cls, w), (cls, empty, w), (empty, empty, w)]
+    for mode in (FoMode.EXISTENTIAL, FoMode.FULL):
+        assert suites.fo_search_mismatches(queries, mode) == []
