@@ -14,7 +14,7 @@ negation is free, binary connectives add, and each quantifier adds 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ContractError, InputError
@@ -157,6 +157,9 @@ EMPTY_ASSIGNMENT = Assignment()
 class Structure:
     model: Model
     assignment: Assignment = EMPTY_ASSIGNMENT
+    # the hash of (model, assignment), kept on first use: structures key
+    # the solvers' dicts, and hashing the nested model costs microseconds
+    _hash: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for j, a in self.assignment.items:
@@ -165,6 +168,13 @@ class Structure:
                     f"assignment x{j} -> {a} leaves a universe of size "
                     f"{self.model.universe_size}"
                 )
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.model, self.assignment))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def sort_key(self) -> tuple:
         return (self.model.sort_key(), self.assignment.items)

@@ -57,6 +57,21 @@ best split found so far (the outer one, or one cutting off the lowest
 or the highest inner member) meets that bound; when it is one above the
 bound, the fold stops at the first split that meets it.
 
+Sizes count literal occurrences, so renaming or flipping variables
+leaves every size unchanged, and a hypercube map g (a permutation of the
+variables plus flips) that maps S onto S and R onto R gives value(gA,
+gB) = value(A, B) throughout the root's sub-lattice.  Where the search
+is cheaper than the fill (_symmetry_pays), the fill finds that
+stabilizer by backtracking over the variables, trying for each only the
+targets whose signature (|S & p_i|, |R & p_i|) matches, flipped to (|S| -
+a, |R| - b) where the map flips.  Each map becomes a permutation of the
+members of S and one of R, and so of the subset indices of each side.
+Only the least outer index of each orbit is then walked cell by cell;
+every other line o = g(r) comes later than r and is one gather of r's
+finished line through g's inverse on the inner indices.  Parity 4, with
+192 maps, walks 15 of its 255 lines after the first and derives 240
+(PropGame.derived_lines); the cells are the same as without the maps.
+
 The table keeps exactly the positions a top-down search from the root
 would visit: the root, every (A, B) with A a nonempty proper subset of
 S, B a nonempty subset of R and no literal separating (S, B), and every
@@ -74,7 +89,8 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import add
+from math import factorial
+from operator import add, itemgetter
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import ContractError, InputError, ResourceCapError
@@ -261,6 +277,74 @@ def _lanes(code: str, value: int, n: int) -> int:
     return int.from_bytes(array(code, [value]).tobytes() * n, _ORDER)
 
 
+def _stabilizer(width: int, smask: int, rmask: int) -> list[list[int]]:
+    """The hypercube maps other than the identity that map the strings of
+    smask onto themselves and those of rmask onto themselves, each as the
+    list of the images of the 2**width strings.
+
+    A map sends variable i to variable perm[i], flipped or not.  The search
+    assigns the variables in turn and only tries targets with the same
+    signature (|S & p_i|, |R & p_i|), which a flip turns into (|S| - a,
+    |R| - b); a full assignment is kept when it fixes both sides."""
+    ns, nr = smask.bit_count(), rmask.bit_count()
+    sigs = [
+        ((smask & ones).bit_count(), (rmask & ones).bit_count())
+        for ones, _ in _literal_masks(width)
+    ]
+    options = [
+        [
+            (j, flip)
+            for j, sig in enumerate(sigs)
+            for flip in (0, 1)
+            if sig == ((ns - a, nr - b) if flip else (a, b))
+        ]
+        for a, b in sigs
+    ]
+    identity = list(range(1 << width))
+    s_members = [e for e in identity if smask >> e & 1]
+    r_members = [e for e in identity if rmask >> e & 1]
+    maps: list[list[int]] = []
+    perm: list[int] = []
+
+    def extend(flips: int) -> None:
+        i = len(perm)
+        if i == width:
+            images = [flips]
+            for t in perm:
+                bit = 1 << t
+                images += [x ^ bit for x in images]
+            if (
+                sum(1 << images[e] for e in s_members) == smask
+                and sum(1 << images[e] for e in r_members) == rmask
+                and images != identity
+            ):
+                maps.append(images)
+            return
+        for j, flip in options[i]:
+            if j not in perm:
+                perm.append(j)
+                extend(flips | flip << j)
+                perm.pop()
+
+    extend(0)
+    return maps
+
+
+def _symmetry_pays(width: int, n_strings: int) -> bool:
+    """Whether _fill should search a root of n_strings strings for its
+    stabilizer: the search's worst case, a check of every string under
+    each of the 2**width * width! hypercube maps, must not exceed the
+    2**n_strings cells of the fill."""
+    return (1 << width) * factorial(width) * n_strings <= 1 << n_strings
+
+
+def _member_perm(mask: int, images: list[int]) -> list[int]:
+    """A map of strings that fixes mask as a permutation of its members,
+    numbered in ascending order: member j goes to member perm[j]."""
+    members = [e for e in range(len(images)) if mask >> e & 1]
+    return [(mask & (1 << images[e]) - 1).bit_count() for e in members]
+
+
 def _outer_first(n1: int, n2: int) -> bool:
     """Whether _fill_lines should run its lines along the side of n1 indices
     rather than along the side of n2.  Its estimated time, in inner-fold
@@ -274,18 +358,29 @@ def _outer_first(n1: int, n2: int) -> bool:
     return cost(n1, n2) <= cost(n2, n1)
 
 
-def _fill_lines(out_lits: list[int], in_lits: list[int], ub: int) -> array:
+def _fill_lines(
+    out_lits: list[int],
+    in_lits: list[int],
+    ub: int,
+    maps: Sequence[tuple[list[int], list[int]]] = (),
+) -> tuple[array, int]:
     """The size of every cell (o, i) of a root's sub-lattice, at
     o * len(in_lits) + i of one flat array, filled one line of fixed outer
-    index o at a time.  A literal separates the cell when out_lits[o] &
-    in_lits[i] is nonzero, and ub bounds every size.
+    index o at a time, and the number of lines derived rather than walked.
+    A literal separates the cell when out_lits[o] & in_lits[i] is nonzero,
+    and ub bounds every size.
 
     Each finished line is also packed into one int with a lane per inner
     index, so the best outer split of a whole line is a lane-wise min, over
     the outer halves h of o, of packed[h] + packed[o ^ h].  The inner splits
     are folded per cell, and only where no bound settles the cell: sizes
     only grow with the sides, so no split sums below the largest of the
-    one-member-smaller cells, and a split that reaches it is minimal."""
+    one-member-smaller cells, and a split that reaches it is minimal.
+
+    Each of maps is a symmetry of the root as a pair of member permutations,
+    outer then inner (member j goes to member perm[j]); a line that one of
+    them reaches from an earlier line is gathered from that line instead
+    of walked (_derived_lines)."""
     n_in = len(in_lits)
     code, top = _lane_code(ub)
     lane_bytes = array(code).itemsize * n_in
@@ -296,7 +391,14 @@ def _fill_lines(out_lits: list[int], in_lits: list[int], ub: int) -> array:
     tops = array("L", [i ^ 1 << i.bit_length() - 1 if i else 0 for i in range(n_in)])
     cells = array(code, [1 if lit & out_lits[0] else 2 for lit in in_lits])
     packed = [int.from_bytes(cells.tobytes(), _ORDER)]
+    derived = _derived_lines(len(out_lits), maps)
     for o in range(1, len(out_lits)):
+        if o in derived:
+            r, gather = derived[o]
+            done = array(code, gather(cells[r * n_in : (r + 1) * n_in]))
+            cells += done
+            packed.append(int.from_bytes(done.tobytes(), _ORDER))
+            continue
         # lane-wise min over the outer halves: a lane's guard bit survives
         # acc - s exactly when acc >= s
         acc, low = no_split, o & -o
@@ -352,7 +454,53 @@ def _fill_lines(out_lits: list[int], in_lits: list[int], ub: int) -> array:
         done = array(code, line)
         cells += done
         packed.append(int.from_bytes(done.tobytes(), _ORDER))
-    return cells
+    return cells, len(derived)
+
+
+def _index_perm(perm: list[int]) -> list[int]:
+    """The permutation of compact subset indices that a member permutation
+    induces: bit j of an index goes to bit perm[j]."""
+    table = [0]
+    for t in perm:
+        bit = 1 << t
+        table += [x | bit for x in table]
+    return table
+
+
+def _derived_lines(
+    n_out: int, maps: Sequence[tuple[list[int], list[int]]]
+) -> dict[int, tuple[int, itemgetter]]:
+    """The outer lines that maps reach from a smaller line: o -> (r, gather)
+    where some map g takes outer index r to o, and gather picks, for each
+    inner index i, the cell of line r at g's inverse image of i.  Sizes do
+    not change under a symmetry, so cell (o, i) = cell(g r, i) equals cell
+    (r, g^-1 i).  Lines are scanned in increasing order and each line not
+    yet reached is mapped by every map, so with the whole stabilizer only
+    the least line of each orbit is left out."""
+    derived: dict[int, tuple[int, itemgetter]] = {}
+    if not maps:
+        return derived
+    # an outer index maps as its low and its high members, each half
+    # through a table of about 2**(k / 2) entries
+    half = (n_out.bit_length() - 1) // 2
+    low = (1 << half) - 1
+    out_tables = [(_index_perm(p[:half]), _index_perm(p[half:])) for p, _ in maps]
+    gathers: dict[int, itemgetter] = {}
+    for r in range(1, n_out):
+        if r in derived:
+            continue
+        r_low, r_high = r & low, r >> half
+        for m, (lows, highs) in enumerate(out_tables):
+            o = lows[r_low] | highs[r_high]
+            if o > r and o not in derived:
+                gather = gathers.get(m)
+                if gather is None:
+                    inverse = [0] * len(maps[m][1])
+                    for j, t in enumerate(maps[m][1]):
+                        inverse[t] = j
+                    gather = gathers[m] = itemgetter(*_index_perm(inverse))
+                derived[o] = r, gather
+    return derived
 
 
 # Largest side whose halves are held for the whole fill: about 3**k two-byte
@@ -438,6 +586,9 @@ class PropGame:
         self.cap_width = cap_width
         self._value: dict[tuple[int, int], int] = {}
         self._exact: dict[tuple[int, int, int], bool] = {}
+        # outer lines of the size table copied from a symmetric line
+        # rather than walked cell by cell
+        self.derived_lines = 0
         self._full = _strings_mask(width)
         self._literals = _literal_masks(width)
 
@@ -499,10 +650,18 @@ class PropGame:
         na, nb = len(s_masks), len(r_masks)
         # a DNF or CNF of full-length terms bounds every size in the sub-lattice
         ub = self.width * min(smask.bit_count(), rmask.bit_count())
+        maps = []  # the root's symmetries as (S, R) member permutations
+        if _symmetry_pays(self.width, (smask | rmask).bit_count()):
+            maps = [
+                (_member_perm(smask, images), _member_perm(rmask, images))
+                for images in _stabilizer(self.width, smask, rmask)
+            ]
         if _outer_first(na, nb):
-            cells, sa, sb = _fill_lines(s_lits, r_lits, ub), nb, 1
+            (cells, derived), sa, sb = _fill_lines(s_lits, r_lits, ub, maps), nb, 1
         else:
-            cells, sa, sb = _fill_lines(r_lits, s_lits, ub), 1, na
+            swapped = [(r_perm, s_perm) for s_perm, r_perm in maps]
+            (cells, derived), sa, sb = _fill_lines(r_lits, s_lits, ub, swapped), 1, na
+        self.derived_lines += derived
         # keep the positions a top-down search would reach (module docstring),
         # each written once; cell (a, b) sits at a * sa + b * sb.  First (A, B)
         # for A a proper subset of S, row by row, where no literal separates

@@ -248,6 +248,18 @@ def test_structure_json_round_trip():
     assert class_from_json(class_to_json(cls)) == cls
 
 
+def test_equal_structures_hash_equal_and_find_each_other():
+    a, b = order_struct(3, {0: 2, 1: 0}), order_struct(3, {1: 0, 0: 2})
+    assert a is not b and a == b
+    assert hash(a) == hash(b) == hash((a.model, a.assignment))
+    assert {a: "found"}[b] == "found"
+    # the kept hash takes no part in equality or repr
+    fresh = order_struct(3, {0: 2, 1: 0})
+    assert a == fresh and repr(a) == repr(fresh)
+    assert "_hash" not in repr(a)
+    assert order_struct(3, {0: 1}) != a
+
+
 def test_structure_json_validation():
     with pytest.raises(InputError):
         structure_from_json({"universe": 2})

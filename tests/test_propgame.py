@@ -237,6 +237,132 @@ def test_shared_size_table_matches_reference_over_several_roots():
         assert suites.size_table_mismatches(width, roots) == []
 
 
+# roots fixed by hypercube maps other than the identity, whose fills gather
+# lines from symmetric ones
+SYMMETRIC_ROOTS = [
+    *(parity_property(n) for n in (2, 3, 4)),
+    (prop(4, ["0000", "1111"]), prop(4, ["1100", "1010", "1001", "0110", "0101", "0011"])),
+    # fixed only by flipping p4
+    (
+        prop(4, ["0100", "0110", "0111", "1001", "0101", "1000"]),
+        prop(4, ["0001", "1111", "1010", "0000", "1011", "1110"]),
+    ),
+    # fixed only by swapping p3 and p4
+    (
+        prop(4, ["1001", "1010", "0101", "1000", "0000", "0110"]),
+        prop(4, ["1011", "0100", "0011", "1101", "0111", "1110"]),
+    ),
+]
+
+
+def _hypercube_maps(width):
+    """Every permutation of the variables with every set of flips, as the
+    images of the 2**width strings."""
+    for perm in itertools.permutations(range(width)):
+        for flips in range(1 << width):
+            yield [
+                flips ^ sum((e >> i & 1) << t for i, t in enumerate(perm))
+                for e in range(1 << width)
+            ]
+
+
+def _image(mask, images):
+    return sum(1 << x for e, x in enumerate(images) if mask >> e & 1)
+
+
+def _brute_stabilizer(width, smask, rmask):
+    identity = list(range(1 << width))
+    return [
+        images
+        for images in _hypercube_maps(width)
+        if images != identity
+        and _image(smask, images) == smask
+        and _image(rmask, images) == rmask
+    ]
+
+
+def test_stabilizer_holds_every_map_that_fixes_both_sides():
+    for left, right in SYMMETRIC_ROOTS:
+        maps = propgame._stabilizer(left.width, left.mask, right.mask)
+        assert maps
+        for images in maps:
+            assert _image(left.mask, images) == left.mask
+            assert _image(right.mask, images) == right.mask
+            assert images != list(range(1 << left.width))
+        assert sorted(maps) == sorted(_brute_stabilizer(left.width, left.mask, right.mask))
+    even, odd = parity_property(4)
+    assert len(propgame._stabilizer(4, even.mask, odd.mask)) == 191
+    flip_root, swap_root = SYMMETRIC_ROOTS[-2:]
+    assert [images[0] for images in propgame._stabilizer(4, *(p.mask for p in flip_root))] == [8]
+    assert [images[0] for images in propgame._stabilizer(4, *(p.mask for p in swap_root))] == [0]
+
+
+def test_stabilizer_matches_every_hypercube_map_on_random_roots():
+    # random pairs are often symmetric at these widths, so the search is
+    # held to the brute force rather than to an empty answer
+    rng = random.Random(94)
+    empty = 0
+    for width in (2, 3, 4):
+        for _ in range(30):
+            left, right = suites.random_property_pair(rng, width)
+            maps = propgame._stabilizer(width, left.mask, right.mask)
+            assert sorted(maps) == sorted(_brute_stabilizer(width, left.mask, right.mask))
+            empty += not maps
+    assert empty >= 30
+
+
+@pytest.mark.parametrize(
+    "s_outer, halves_max",
+    [(True, propgame._HALVES_CACHE_MAX), (False, propgame._HALVES_CACHE_MAX), (None, 2)],
+)
+def test_size_table_matches_reference_on_symmetric_roots(monkeypatch, s_outer, halves_max):
+    # the search would not pay below 13 strings; run it on every root
+    monkeypatch.setattr(propgame, "_symmetry_pays", lambda width, n_strings: True)
+    if s_outer is not None:
+        monkeypatch.setattr(propgame, "_outer_first", lambda n1, n2: s_outer)
+    monkeypatch.setattr(propgame, "_HALVES_CACHE_MAX", halves_max)
+    for left, right in SYMMETRIC_ROOTS:
+        assert suites.size_table_mismatches(left.width, [(left.mask, right.mask)]) == []
+
+
+def test_derived_lines_equal_walked_lines():
+    for left, right in SYMMETRIC_ROOTS:
+        game = PropGame(left.width)
+        _, s_lits = game._subsets(left.mask, 0)
+        _, r_lits = game._subsets(right.mask, (1 << 2 * left.width) - 1)
+        ub = left.width * min(len(left), len(right))
+        maps = [
+            (propgame._member_perm(left.mask, g), propgame._member_perm(right.mask, g))
+            for g in propgame._stabilizer(left.width, left.mask, right.mask)
+        ]
+        swapped = [(r, s) for s, r in maps]
+        for out_lits, in_lits, side_maps in ((s_lits, r_lits, maps), (r_lits, s_lits, swapped)):
+            walked, none = propgame._fill_lines(out_lits, in_lits, ub)
+            cells, derived = propgame._fill_lines(out_lits, in_lits, ub, side_maps)
+            assert none == 0
+            assert derived > 0
+            assert cells == walked
+
+
+def test_derived_lines_are_counted():
+    even, odd = parity_property(4)
+    game = PropGame(4)
+    game.minsize(even, odd)
+    # 16 orbits of the 256 subsets of a side; the empty one is line 0
+    assert game.derived_lines == 240
+    game.minsize(even, odd)  # answered from the table
+    assert game.derived_lines == 240
+    # 13 strings, so the search pays, but no map fixes the root
+    left = prop(4, ["0000", "1000", "0100", "1110", "0001", "1011"])
+    right = prop(4, ["1100", "0010", "1010", "0110", "1001", "0101", "1111"])
+    assert propgame._symmetry_pays(4, 13)
+    assert propgame._stabilizer(4, left.mask, right.mask) == []
+    game = PropGame(4)
+    game.minsize(left, right)
+    assert game.table_entries > 0
+    assert game.derived_lines == 0
+
+
 PARITY_SYNTHESIS = {
     2: (4, 9, "((!p1 & !p2) | (p2 & p1))"),
     3: (
