@@ -293,8 +293,10 @@ def test_stabilizer_holds_every_map_that_fixes_both_sides():
     even, odd = parity_property(4)
     assert len(propgame._stabilizer(4, even.mask, odd.mask)) == 191
     flip_root, swap_root = SYMMETRIC_ROOTS[-2:]
-    assert [images[0] for images in propgame._stabilizer(4, *(p.mask for p in flip_root))] == [8]
-    assert [images[0] for images in propgame._stabilizer(4, *(p.mask for p in swap_root))] == [0]
+    flip_p4 = [e ^ 8 for e in range(16)]
+    swap_p3_p4 = [e & 3 | (e >> 1 & 4) | (e << 1 & 8) for e in range(16)]
+    assert propgame._stabilizer(4, flip_root[0].mask, flip_root[1].mask) == [flip_p4]
+    assert propgame._stabilizer(4, swap_root[0].mask, swap_root[1].mask) == [swap_p3_p4]
 
 
 def test_stabilizer_matches_every_hypercube_map_on_random_roots():
