@@ -58,7 +58,6 @@ from .propbounds import (
 from .propgame import (
     DEFAULT_CAP_EXACT_STRINGS,
     DEFAULT_CAP_STRINGS,
-    DEFAULT_CAP_WIDTH,
     GameMode,
     PropGame,
     PropPosition,
@@ -150,92 +149,82 @@ class ReproReport:
         )
 
 
-def repro_parity(
-    n: int,
-    *,
-    cap_strings: int = DEFAULT_CAP_STRINGS,
-    cap_width: int = DEFAULT_CAP_WIDTH,
-) -> ReproReport:
+def repro_parity(n: int, *, cap_strings: int = DEFAULT_CAP_STRINGS) -> ReproReport:
     """Certificate vs. construction vs. (when within caps) exact minimal
     size for even-parity against odd-parity of width n."""
     start = time.perf_counter()
     left, right = parity_property(n)
     certificate = density_lower_bound(left, right)
-    construction = min(size(parity_dnf(n)), size(parity_balanced(n)))
-    exact = None
-    if n <= cap_width and (1 << n) <= cap_strings:
-        game = PropGame(n, cap_strings=cap_strings, cap_width=cap_width)
-        exact = game.minsize(left, right)
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return ReproReport("parity", n, certificate, construction, exact, elapsed)
-
-
-def _construction_size(
-    sentence: FoFormula, left: StructureClass, right: StructureClass
-) -> int:
-    """The size of a family's construction sentence, after checking that
-    it is an existential sentence separating the instances."""
-    if not (fo_free_vars(sentence) <= left.domain and fo_separates(sentence, left, right)):
+    construction = min(parity_dnf(n), parity_balanced(n), key=size)
+    if not separates(construction, left, right):
         raise ContractError(
-            f"construction sentence {format_fo(sentence)} does not separate "
+            f"parity construction of size {size(construction)} does not separate "
             f"the instances"
         )
-    if not is_existential(sentence):
-        raise ContractError(
-            f"construction sentence {format_fo(sentence)} is not existential"
-        )
-    return fo_size(sentence)
+    try:
+        exact = PropGame(n, cap_strings=cap_strings).minsize(left, right)
+    except ResourceCapError:
+        exact = None
+    elapsed = int((time.perf_counter() - start) * 1000)
+    return ReproReport("parity", n, certificate, size(construction), exact, elapsed)
 
 
-def repro_boolcomb(
+def _check_fo(
+    f: Optional[FoFormula],
+    left: StructureClass,
+    right: StructureClass,
+    what: str,
+    mode: FoMode = FoMode.EXISTENTIAL,
+    rank: Optional[int] = None,
+) -> None:
+    """Raise ContractError unless f, the answer named by what, separates the
+    classes, fits the rank when one is given, and, in existential mode, is
+    existential."""
+    if f is None:
+        raise ContractError(f"no formula of size <= {rank} was synthesized")
+    if not (fo_free_vars(f) <= left.domain and fo_separates(f, left, right)):
+        raise ContractError(f"{what} {format_fo(f)} does not separate the instances")
+    if rank is not None and fo_size(f) > rank:
+        raise ContractError(f"{what} has size {fo_size(f)} > rank {rank}")
+    if mode is FoMode.EXISTENTIAL and not is_existential(f):
+        raise ContractError(f"{what} {format_fo(f)} is not existential")
+
+
+def repro_fo(
+    experiment: str,
     n: int,
     *,
     cap_positions: int = DEFAULT_CAP_POSITIONS,
     cap_choice_functions: int = DEFAULT_CAP_CHOICE_FUNCTIONS,
     cap_class_size: int = DEFAULT_CAP_CLASS_SIZE,
 ) -> ReproReport:
-    """Combination family: measure certificate vs. the explicit sentence;
-    the exact minimal size is searched only at n = 1, where the
-    existential game is small."""
+    """A first-order family, boolcomb or linorder: its measure certificate
+    (M or N) vs. its existential construction sentence vs. (when within
+    caps) the exact existential minimal size."""
     start = time.perf_counter()
-    left, right = boolcomb_instances(n)
-    certificate = measure_M(left, right)
-    construction = _construction_size(boolcomb_existential_sentence(n), left, right)
+    if experiment == "boolcomb":
+        left, right = boolcomb_instances(n)
+        certificate, sentence = measure_M(left, right), boolcomb_existential_sentence(n)
+    else:
+        left, right = linorder_instances(n)
+        certificate, sentence = measure_N(left, right), linorder_existential_sentence(n)
+    _check_fo(sentence, left, right, "construction sentence")
+    construction = fo_size(sentence)
     exact = None
-    if n == 1:
+    # boolcomb searches n = 1 only: at n = 2 the search runs 6 to 9 ms before
+    # the class-size cap stops it, where a linear-order query takes about 1 ms
+    if experiment == "linorder" or n == 1:
         game = FoGame(
             cap_positions=cap_positions,
             cap_choice_functions=cap_choice_functions,
             cap_class_size=cap_class_size,
         )
-        exact = game.minsize(left, right, FoMode.EXISTENTIAL, w_max=construction)
+        try:
+            exact = game.minsize(left, right, FoMode.EXISTENTIAL, w_max=construction)
+        except ResourceCapError:
+            pass
     elapsed = int((time.perf_counter() - start) * 1000)
-    return ReproReport("boolcomb", n, certificate, construction, exact, elapsed)
-
-
-def repro_linorder(
-    n: int,
-    *,
-    cap_positions: int = DEFAULT_CAP_POSITIONS,
-    cap_choice_functions: int = DEFAULT_CAP_CHOICE_FUNCTIONS,
-    cap_class_size: int = DEFAULT_CAP_CLASS_SIZE,
-) -> ReproReport:
-    """Linear-order family: measure certificate vs. the chain sentence;
-    the exact minimal size is searched for n <= 3."""
-    start = time.perf_counter()
-    left, right = linorder_instances(n)
-    certificate = measure_N(left, right)
-    construction = _construction_size(linorder_existential_sentence(n), left, right)
-    exact = None
-    if n <= 3:
-        game = FoGame(
-            cap_positions=cap_positions,
-            cap_choice_functions=cap_choice_functions,
-            cap_class_size=cap_class_size,
-        )
-        exact = game.minsize(left, right, FoMode.EXISTENTIAL, w_max=construction)
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return ReproReport("linorder", n, certificate, construction, exact, elapsed)
+    return ReproReport(experiment, n, certificate, construction, exact, elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +233,7 @@ def repro_linorder(
 
 def _cmd_prop_minsize(args) -> tuple[str, dict]:
     left, right = _load_pair(args.pair)
-    game = PropGame(left.width, cap_strings=args.cap_strings, cap_width=args.cap_width)
+    game = PropGame(left.width, cap_strings=args.cap_strings)
     k = game.minsize(left, right)
     if k is None:
         return "inseparable", {"result": "inseparable"}
@@ -264,7 +253,6 @@ def _cmd_prop_winner(args) -> tuple[str, dict]:
         left.width,
         cap_exact_strings=args.cap_exact_strings,
         cap_strings=args.cap_strings,
-        cap_width=args.cap_width,
     )
     who = game.winner(PropPosition(args.rank, left, right), GameMode(args.mode))
     return (
@@ -275,7 +263,7 @@ def _cmd_prop_winner(args) -> tuple[str, dict]:
 
 def _cmd_prop_synth(args) -> tuple[str, dict]:
     left, right = _load_pair(args.pair)
-    game = PropGame(left.width, cap_strings=args.cap_strings, cap_width=args.cap_width)
+    game = PropGame(left.width, cap_strings=args.cap_strings)
     f = game.synthesize(left, right, args.rank)
     if f is None:
         return (
@@ -367,27 +355,6 @@ def _cmd_fo_winner(args) -> tuple[str, dict]:
     )
 
 
-def _check_fo_formula(
-    f: Optional[FoFormula],
-    left: StructureClass,
-    right: StructureClass,
-    rank: int,
-    mode: FoMode,
-) -> None:
-    """Raise ContractError unless f separates the classes within the rank,
-    and, in existential mode, is existential."""
-    if f is None:
-        raise ContractError(f"no formula of size <= {rank} was synthesized")
-    if not (fo_free_vars(f) <= left.domain and fo_separates(f, left, right)):
-        raise ContractError(
-            f"synthesized formula {format_fo(f)} does not separate the classes"
-        )
-    if fo_size(f) > rank:
-        raise ContractError(f"synthesized formula has size {fo_size(f)} > rank {rank}")
-    if mode is FoMode.EXISTENTIAL and not is_existential(f):
-        raise ContractError(f"synthesized formula {format_fo(f)} is not existential")
-
-
 def _cmd_fo_minsize(args) -> tuple[str, dict]:
     left, right = _load_class(args.left), _load_class(args.right)
     game, mode = _fo_game(args), FoMode(args.mode)
@@ -397,7 +364,8 @@ def _cmd_fo_minsize(args) -> tuple[str, dict]:
             f"no separating formula of size <= {args.wmax}",
             {"result": "unknown", "searched_up_to": args.wmax},
         )
-    _check_fo_formula(game.synthesize(left, right, k, mode), left, right, k, mode)
+    f = game.synthesize(left, right, k, mode)
+    _check_fo(f, left, right, "synthesized formula", mode, k)
     return f"minimum separating size: {k}", {"result": "size", "size": k}
 
 
@@ -410,7 +378,7 @@ def _cmd_fo_synth(args) -> tuple[str, dict]:
             f"no separating formula of size <= {args.rank}",
             {"formula": None, "rank": args.rank},
         )
-    _check_fo_formula(f, left, right, args.rank, mode)
+    _check_fo(f, left, right, "synthesized formula", mode, args.rank)
     text = format_fo(f)
     return text, {"formula": text, "size": fo_size(f)}
 
@@ -434,12 +402,10 @@ def _cmd_fo_measure(args) -> tuple[str, dict]:
 
 def _cmd_repro(args) -> tuple[str, dict]:
     if args.experiment == "parity":
-        report = repro_parity(
-            args.n, cap_strings=args.cap_strings, cap_width=args.cap_width
-        )
+        report = repro_parity(args.n, cap_strings=args.cap_strings)
     else:
-        runner = repro_boolcomb if args.experiment == "boolcomb" else repro_linorder
-        report = runner(
+        report = repro_fo(
+            args.experiment,
             args.n,
             cap_positions=args.cap_positions,
             cap_choice_functions=args.cap_choice_functions,
@@ -458,12 +424,6 @@ def _add_prop_caps(p: argparse.ArgumentParser, *, exact: bool = False) -> None:
         type=int,
         default=DEFAULT_CAP_STRINGS,
         help="largest |S| + |R| the size table accepts (default %(default)s)",
-    )
-    p.add_argument(
-        "--cap-width",
-        type=int,
-        default=DEFAULT_CAP_WIDTH,
-        help="largest width the size table accepts (default %(default)s)",
     )
     if exact:
         p.add_argument(

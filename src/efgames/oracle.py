@@ -45,7 +45,7 @@ from .fo import (
     fo_free_vars,
 )
 from .fogame import FoMode
-from .props import StringProperty, var_mask
+from .props import StringProperty, check_same_width, var_mask
 
 ORACLE_MAX_WIDTH = 3
 
@@ -118,8 +118,7 @@ def min_size_table(n: int) -> dict[TruthTable, int]:
 def oracle_minsize(left: StringProperty, right: StringProperty) -> Optional[int]:
     """Minimal size over all functions that are true on ``left`` and false
     on ``right`` (don't-cares free); None when the sides overlap."""
-    if left.width != right.width:
-        raise InputError(f"width mismatch: {left.width} vs {right.width}")
+    check_same_width(left, right)
     _check_oracle_width(left.width)
     if left.mask & right.mask:
         return None

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import InputError
-from .props import And, Not, Or, PropFormula, StringProperty, Var
+from .props import And, Not, Or, PropFormula, StringProperty, Var, check_same_width
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,8 +30,7 @@ class DensityPair:
 
 def density(left: StringProperty, right: StringProperty) -> DensityPair:
     """Exact boundary densities; requires disjoint nonempty sides."""
-    if left.width != right.width:
-        raise InputError(f"width mismatch: {left.width} vs {right.width}")
+    check_same_width(left, right)
     if left.mask & right.mask:
         raise InputError("density requires disjoint properties")
     if left.is_empty or right.is_empty:

@@ -104,6 +104,7 @@ from .props import (
     StringProperty,
     Var,
     _strings_mask,
+    check_same_width,
     is_nnf,
     separates,
     size,
@@ -113,7 +114,6 @@ from .props import (
 
 DEFAULT_CAP_EXACT_STRINGS = 8
 DEFAULT_CAP_STRINGS = 16
-DEFAULT_CAP_WIDTH = 4
 
 
 class Player(enum.Enum):
@@ -135,10 +135,7 @@ class PropPosition:
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise InputError(f"rank must be >= 1, got {self.rank}")
-        if self.left.width != self.right.width:
-            raise InputError(
-                f"width mismatch: {self.left.width} vs {self.right.width}"
-            )
+        check_same_width(self.left, self.right)
 
     @property
     def width(self) -> int:
@@ -203,8 +200,7 @@ def _first_literal(
 def literal_win(left: StringProperty, right: StringProperty) -> Optional[Literal]:
     """The first literal separating (left, right), scanning variables in
     ascending order with the positive literal before the negative one."""
-    if left.width != right.width:
-        raise InputError(f"width mismatch: {left.width} vs {right.width}")
+    check_same_width(left, right)
     return _first_literal(_literal_masks(left.width), left.mask, right.mask)
 
 
@@ -278,10 +274,13 @@ def _lanes(code: str, value: int, n: int) -> int:
     return int.from_bytes(array(code, [value]).tobytes() * n, _ORDER)
 
 
-def _stabilizer(width: int, smask: int, rmask: int) -> list[list[int]]:
+def _stabilizer(
+    width: int, smask: int, rmask: int
+) -> list[tuple[list[int], list[int]]]:
     """The hypercube maps other than the identity that map the strings of
-    smask onto themselves and those of rmask onto themselves, each as the
-    list of the images of the 2**width strings.
+    smask onto themselves and those of rmask onto themselves, each as a
+    pair of member permutations, S then R: with the members of a side
+    numbered in ascending order, member j goes to member perm[j].
 
     A map sends variable i to variable perm[i], flipped or not.  The search
     assigns the variables in turn and only tries targets with the same
@@ -304,7 +303,12 @@ def _stabilizer(width: int, smask: int, rmask: int) -> list[list[int]]:
     identity = list(range(1 << width))
     s_members = [e for e in identity if smask >> e & 1]
     r_members = [e for e in identity if rmask >> e & 1]
-    maps: list[list[int]] = []
+    # each string's number among the members of its side
+    number = [0] * (1 << width)
+    for members in (s_members, r_members):
+        for j, e in enumerate(members):
+            number[e] = j
+    maps: list[tuple[list[int], list[int]]] = []
     perm: list[int] = []
 
     def extend(flips: int) -> None:
@@ -319,7 +323,12 @@ def _stabilizer(width: int, smask: int, rmask: int) -> list[list[int]]:
                 and sum(1 << images[e] for e in r_members) == rmask
                 and images != identity
             ):
-                maps.append(images)
+                maps.append(
+                    (
+                        [number[images[e]] for e in s_members],
+                        [number[images[e]] for e in r_members],
+                    )
+                )
             return
         for j, flip in options[i]:
             if j not in perm:
@@ -337,13 +346,6 @@ def _symmetry_pays(width: int, n_strings: int) -> bool:
     each of the 2**width * width! hypercube maps, must not exceed the
     2**n_strings cells of the fill."""
     return (1 << width) * factorial(width) * n_strings <= 1 << n_strings
-
-
-def _member_perm(mask: int, images: list[int]) -> list[int]:
-    """A map of strings that fixes mask as a permutation of its members,
-    numbered in ascending order: member j goes to member perm[j]."""
-    members = [e for e in range(len(images)) if mask >> e & 1]
-    return [(mask & (1 << images[e]) - 1).bit_count() for e in members]
 
 
 def _outer_first(n1: int, n2: int) -> bool:
@@ -576,14 +578,12 @@ class PropGame:
         *,
         cap_exact_strings: int = DEFAULT_CAP_EXACT_STRINGS,
         cap_strings: int = DEFAULT_CAP_STRINGS,
-        cap_width: int = DEFAULT_CAP_WIDTH,
     ) -> None:
         if not 1 <= width <= 16:
             raise InputError(f"width must be 1..16, got {width}")
         self.width = width
         self.cap_exact_strings = cap_exact_strings
         self.cap_strings = cap_strings
-        self.cap_width = cap_width
         self._value: dict[tuple[int, int], int] = {}
         self._exact: dict[tuple[int, int, int], bool] = {}
         # outer lines of the size table copied from a symmetric line
@@ -652,10 +652,7 @@ class PropGame:
         ub = self.width * min(smask.bit_count(), rmask.bit_count())
         maps = []  # the root's symmetries as (S, R) member permutations
         if _symmetry_pays(self.width, (smask | rmask).bit_count()):
-            maps = [
-                (_member_perm(smask, images), _member_perm(rmask, images))
-                for images in _stabilizer(self.width, smask, rmask)
-            ]
+            maps = _stabilizer(self.width, smask, rmask)
         if _outer_first(na, nb):
             (cells, derived), sa, sb = _fill_lines(s_lits, r_lits, ub, maps), nb, 1
         else:
@@ -697,11 +694,6 @@ class PropGame:
             )
 
     def _check_reduced_caps(self, left: StringProperty, right: StringProperty) -> None:
-        if self.width > self.cap_width:
-            raise ResourceCapError(
-                f"width {self.width} exceeds the size-table cap {self.cap_width} "
-                f"(--cap-width)"
-            )
         count = len(left) + len(right)
         if count > self.cap_strings:
             raise ResourceCapError(

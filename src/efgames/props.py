@@ -260,10 +260,16 @@ def truth_table(f: PropFormula, width: int) -> int:
     raise InputError(f"not a formula node: {f!r}")
 
 
-def separates(f: PropFormula, left: StringProperty, right: StringProperty) -> bool:
-    """True iff f holds on every string of ``left`` and none of ``right``."""
+def check_same_width(left: StringProperty, right: StringProperty) -> None:
+    """Two properties can be compared only at one width; raises InputError
+    otherwise."""
     if left.width != right.width:
         raise InputError(f"width mismatch: {left.width} vs {right.width}")
+
+
+def separates(f: PropFormula, left: StringProperty, right: StringProperty) -> bool:
+    """True iff f holds on every string of ``left`` and none of ``right``."""
+    check_same_width(left, right)
     tt = truth_table(f, left.width)
     return tt & left.mask == left.mask and tt & right.mask == 0
 

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +101,23 @@ def test_prop_minsize_with_an_empty_side(tmp_path):
         code, out, _ = run_cli("prop", "minsize", pair)
         assert code == 0
         assert out.strip() == f"minimum separating size: {k}"
+
+
+def test_prop_answers_past_width_four(tmp_path):
+    # p4 xor p5 on width 5: no literal separates it, so the size table is
+    # filled, and the density bound 4 proves the size minimal
+    pair = write_json(
+        tmp_path, "xor.json", {"width": 5, "S": ["00000", "00011"], "R": ["00010", "00001"]}
+    )
+    code, out, _ = run_cli("--json", "prop", "minsize", pair)
+    assert code == 0
+    assert json.loads(out) == {"result": "size", "size": 4}
+    code, out, _ = run_cli("--json", "prop", "synth", pair, "--rank", "4")
+    assert code == 0
+    f = parse_formula(json.loads(out)["formula"])
+    s = StringProperty.from_strings(5, ["00000", "00011"])
+    r = StringProperty.from_strings(5, ["00010", "00001"])
+    assert separates(f, s, r) and size(f) == 4
 
 
 def test_prop_winner_both_modes(parity_pair):
@@ -272,6 +291,42 @@ def test_repro_linorder_text_without_exact():
     assert "certificate bound: 9" in out
     assert "construction size: 9" in out
     assert "exact minimal size: not computed" in out
+
+
+def test_repro_reports_a_cap_hit_as_not_computed():
+    for argv in (
+        ("repro", "linorder", "--n", "3", "--cap-positions", "5"),
+        ("repro", "linorder", "--n", "4"),  # a star extension reaches 81 > 64
+        ("repro", "parity", "--n", "5"),  # 32 strings > 16
+    ):
+        code, out, err = run_cli(*argv)
+        assert code == 0, err
+        assert "exact minimal size: not computed" in out
+
+
+def test_repro_rechecks_the_parity_construction(monkeypatch):
+    # p1 is smaller than either parity formula, so it is the one reported
+    monkeypatch.setattr("efgames.cli.parity_balanced", lambda n: Var(1))
+    code, out, err = run_cli("repro", "parity", "--n", "3")
+    assert code == 3
+    assert out == ""
+    assert "does not separate the instances" in err
+
+
+def test_the_caps_table_lists_every_cap_flag():
+    def flags(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from flags(sub)
+            else:
+                yield from (o for o in action.option_strings if o.startswith("--cap-"))
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Resource caps", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(--[a-z-]+)` \|", section, re.MULTILINE)
+    assert len(rows) == len(set(rows))
+    assert set(rows) == set(flags(cli._parser()))
 
 
 def test_missing_file_exits_one(tmp_path):

@@ -270,10 +270,24 @@ def _image(mask, images):
     return sum(1 << x for e, x in enumerate(images) if mask >> e & 1)
 
 
+def _member_perms(smask, rmask, images):
+    """A map of strings that fixes both sides as the permutations of their
+    members, S then R, each side numbered in ascending order: member j goes
+    to member perm[j]."""
+    return tuple(
+        [
+            (mask & (1 << images[e]) - 1).bit_count()
+            for e in range(len(images))
+            if mask >> e & 1
+        ]
+        for mask in (smask, rmask)
+    )
+
+
 def _brute_stabilizer(width, smask, rmask):
     identity = list(range(1 << width))
     return [
-        images
+        _member_perms(smask, rmask, images)
         for images in _hypercube_maps(width)
         if images != identity
         and _image(smask, images) == smask
@@ -285,18 +299,18 @@ def test_stabilizer_holds_every_map_that_fixes_both_sides():
     for left, right in SYMMETRIC_ROOTS:
         maps = propgame._stabilizer(left.width, left.mask, right.mask)
         assert maps
-        for images in maps:
-            assert _image(left.mask, images) == left.mask
-            assert _image(right.mask, images) == right.mask
-            assert images != list(range(1 << left.width))
+        for s_perm, r_perm in maps:
+            assert sorted(s_perm) == list(range(len(left)))
+            assert sorted(r_perm) == list(range(len(right)))
         assert sorted(maps) == sorted(_brute_stabilizer(left.width, left.mask, right.mask))
     even, odd = parity_property(4)
     assert len(propgame._stabilizer(4, even.mask, odd.mask)) == 191
     flip_root, swap_root = SYMMETRIC_ROOTS[-2:]
     flip_p4 = [e ^ 8 for e in range(16)]
     swap_p3_p4 = [e & 3 | (e >> 1 & 4) | (e << 1 & 8) for e in range(16)]
-    assert propgame._stabilizer(4, flip_root[0].mask, flip_root[1].mask) == [flip_p4]
-    assert propgame._stabilizer(4, swap_root[0].mask, swap_root[1].mask) == [swap_p3_p4]
+    for (left, right), images in ((flip_root, flip_p4), (swap_root, swap_p3_p4)):
+        maps = propgame._stabilizer(4, left.mask, right.mask)
+        assert maps == [_member_perms(left.mask, right.mask, images)]
 
 
 def test_stabilizer_matches_every_hypercube_map_on_random_roots():
@@ -333,10 +347,7 @@ def test_derived_lines_equal_walked_lines():
         _, s_lits = game._subsets(left.mask, 0)
         _, r_lits = game._subsets(right.mask, (1 << 2 * left.width) - 1)
         ub = left.width * min(len(left), len(right))
-        maps = [
-            (propgame._member_perm(left.mask, g), propgame._member_perm(right.mask, g))
-            for g in propgame._stabilizer(left.width, left.mask, right.mask)
-        ]
+        maps = propgame._stabilizer(left.width, left.mask, right.mask)
         swapped = [(r, s) for s, r in maps]
         for out_lits, in_lits, side_maps in ((s_lits, r_lits, maps), (r_lits, s_lits, swapped)):
             walked, none = propgame._fill_lines(out_lits, in_lits, ub)
