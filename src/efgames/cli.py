@@ -122,6 +122,7 @@ class ReproReport:
     construction_size: int
     exact_minsize: Optional[int]
     runtime_ms: int
+    cap_hit: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.certificate_bound > self.construction_size:
@@ -138,7 +139,9 @@ class ReproReport:
             )
 
     def text(self) -> str:
-        exact = "not computed" if self.exact_minsize is None else str(self.exact_minsize)
+        exact = str(self.exact_minsize)
+        if self.exact_minsize is None:
+            exact = "not computed" + (f" ({self.cap_hit})" if self.cap_hit else "")
         return (
             f"experiment: {self.experiment}\n"
             f"n: {self.n}\n"
@@ -149,9 +152,9 @@ class ReproReport:
         )
 
 
-def repro_parity(n: int, *, cap_strings: int = DEFAULT_CAP_STRINGS) -> ReproReport:
-    """Certificate vs. construction vs. (when within caps) exact minimal
-    size for even-parity against odd-parity of width n."""
+def repro_parity(n: int, **caps: int) -> ReproReport:
+    """Certificate vs. construction vs. (when within the PropGame caps)
+    exact minimal size for even-parity against odd-parity of width n."""
     start = time.perf_counter()
     left, right = parity_property(n)
     certificate = density_lower_bound(left, right)
@@ -161,12 +164,15 @@ def repro_parity(n: int, *, cap_strings: int = DEFAULT_CAP_STRINGS) -> ReproRepo
             f"parity construction of size {size(construction)} does not separate "
             f"the instances"
         )
+    exact = cap_hit = None
     try:
-        exact = PropGame(n, cap_strings=cap_strings).minsize(left, right)
-    except ResourceCapError:
-        exact = None
+        exact = PropGame(n, **caps).minsize(left, right)
+    except ResourceCapError as exc:
+        cap_hit = str(exc)
     elapsed = int((time.perf_counter() - start) * 1000)
-    return ReproReport("parity", n, certificate, size(construction), exact, elapsed)
+    return ReproReport(
+        "parity", n, certificate, size(construction), exact, elapsed, cap_hit
+    )
 
 
 def _check_fo(
@@ -190,17 +196,10 @@ def _check_fo(
         raise ContractError(f"{what} {format_fo(f)} is not existential")
 
 
-def repro_fo(
-    experiment: str,
-    n: int,
-    *,
-    cap_positions: int = DEFAULT_CAP_POSITIONS,
-    cap_choice_functions: int = DEFAULT_CAP_CHOICE_FUNCTIONS,
-    cap_class_size: int = DEFAULT_CAP_CLASS_SIZE,
-) -> ReproReport:
+def repro_fo(experiment: str, n: int, **caps: int) -> ReproReport:
     """A first-order family, boolcomb or linorder: its measure certificate
     (M or N) vs. its existential construction sentence vs. (when within
-    caps) the exact existential minimal size."""
+    the FoGame caps) the exact existential minimal size."""
     start = time.perf_counter()
     if experiment == "boolcomb":
         left, right = boolcomb_instances(n)
@@ -210,21 +209,23 @@ def repro_fo(
         certificate, sentence = measure_N(left, right), linorder_existential_sentence(n)
     _check_fo(sentence, left, right, "construction sentence")
     construction = fo_size(sentence)
-    exact = None
+    exact = cap_hit = None
     # boolcomb searches n = 1 only: at n = 2 the search runs 6 to 9 ms before
     # the class-size cap stops it, where a linear-order query takes about 1 ms
     if experiment == "linorder" or n == 1:
-        game = FoGame(
-            cap_positions=cap_positions,
-            cap_choice_functions=cap_choice_functions,
-            cap_class_size=cap_class_size,
-        )
+        # the checked sentence bounds the minimal size by its own size, so
+        # only the smaller ranks need refuting
         try:
-            exact = game.minsize(left, right, FoMode.EXISTENTIAL, w_max=construction)
-        except ResourceCapError:
-            pass
+            smaller = FoGame(**caps).minsize(
+                left, right, FoMode.EXISTENTIAL, w_max=construction - 1
+            )
+            exact = construction if smaller is None else smaller
+        except ResourceCapError as exc:
+            cap_hit = str(exc)
     elapsed = int((time.perf_counter() - start) * 1000)
-    return ReproReport(experiment, n, certificate, construction, exact, elapsed)
+    return ReproReport(
+        experiment, n, certificate, construction, exact, elapsed, cap_hit
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +234,7 @@ def repro_fo(
 
 def _cmd_prop_minsize(args) -> tuple[str, dict]:
     left, right = _load_pair(args.pair)
-    game = PropGame(left.width, cap_strings=args.cap_strings)
-    k = game.minsize(left, right)
+    k = PropGame(left.width, **_caps(args)).minsize(left, right)
     if k is None:
         return "inseparable", {"result": "inseparable"}
     # density is defined only when both sides are nonempty
@@ -249,11 +249,7 @@ def _cmd_prop_minsize(args) -> tuple[str, dict]:
 
 def _cmd_prop_winner(args) -> tuple[str, dict]:
     left, right = _load_pair(args.pair)
-    game = PropGame(
-        left.width,
-        cap_exact_strings=args.cap_exact_strings,
-        cap_strings=args.cap_strings,
-    )
+    game = PropGame(left.width, **_caps(args))
     who = game.winner(PropPosition(args.rank, left, right), GameMode(args.mode))
     return (
         f"player {who.value} wins at rank {args.rank} ({args.mode} mode)",
@@ -263,8 +259,7 @@ def _cmd_prop_winner(args) -> tuple[str, dict]:
 
 def _cmd_prop_synth(args) -> tuple[str, dict]:
     left, right = _load_pair(args.pair)
-    game = PropGame(left.width, cap_strings=args.cap_strings)
-    f = game.synthesize(left, right, args.rank)
+    f = PropGame(left.width, **_caps(args)).synthesize(left, right, args.rank)
     if f is None:
         return (
             f"no separating formula of size <= {args.rank}",
@@ -338,17 +333,9 @@ def _cmd_oracle_count(args) -> tuple[str, dict]:
     )
 
 
-def _fo_game(args) -> FoGame:
-    return FoGame(
-        cap_positions=args.cap_positions,
-        cap_choice_functions=args.cap_choice_functions,
-        cap_class_size=args.cap_class_size,
-    )
-
-
 def _cmd_fo_winner(args) -> tuple[str, dict]:
     left, right = _load_class(args.left), _load_class(args.right)
-    who = _fo_game(args).winner(args.rank, left, right, FoMode(args.mode))
+    who = FoGame(**_caps(args)).winner(args.rank, left, right, FoMode(args.mode))
     return (
         f"player {who.value} wins at rank {args.rank} ({args.mode} mode)",
         {"winner": who.value, "rank": args.rank, "mode": args.mode},
@@ -357,7 +344,7 @@ def _cmd_fo_winner(args) -> tuple[str, dict]:
 
 def _cmd_fo_minsize(args) -> tuple[str, dict]:
     left, right = _load_class(args.left), _load_class(args.right)
-    game, mode = _fo_game(args), FoMode(args.mode)
+    game, mode = FoGame(**_caps(args)), FoMode(args.mode)
     k = game.minsize(left, right, mode, args.wmax)
     if k is None:
         return (
@@ -372,7 +359,7 @@ def _cmd_fo_minsize(args) -> tuple[str, dict]:
 def _cmd_fo_synth(args) -> tuple[str, dict]:
     left, right = _load_class(args.left), _load_class(args.right)
     mode = FoMode(args.mode)
-    f = _fo_game(args).synthesize(left, right, args.rank, mode)
+    f = FoGame(**_caps(args)).synthesize(left, right, args.rank, mode)
     if f is None:
         return (
             f"no separating formula of size <= {args.rank}",
@@ -402,15 +389,9 @@ def _cmd_fo_measure(args) -> tuple[str, dict]:
 
 def _cmd_repro(args) -> tuple[str, dict]:
     if args.experiment == "parity":
-        report = repro_parity(args.n, cap_strings=args.cap_strings)
+        report = repro_parity(args.n, **_caps(args))
     else:
-        report = repro_fo(
-            args.experiment,
-            args.n,
-            cap_positions=args.cap_positions,
-            cap_choice_functions=args.cap_choice_functions,
-            cap_class_size=args.cap_class_size,
-        )
+        report = repro_fo(args.experiment, args.n, **_caps(args))
     return report.text(), asdict(report)
 
 
@@ -418,41 +399,37 @@ def _cmd_repro(args) -> tuple[str, dict]:
 # parser
 
 
-def _add_prop_caps(p: argparse.ArgumentParser, *, exact: bool = False) -> None:
-    p.add_argument(
-        "--cap-strings",
-        type=int,
-        default=DEFAULT_CAP_STRINGS,
-        help="largest |S| + |R| the size table accepts (default %(default)s)",
-    )
-    if exact:
+# Each solver's caps as (flag, default, help).  A flag's dest is the keyword
+# the solver takes, so _caps(args) hands the parsed values straight over.
+_PROP_CAPS = (
+    ("--cap-strings", DEFAULT_CAP_STRINGS,
+     "largest |S| + |R| the size table accepts"),
+)
+# only exact mode reads --cap-exact-strings
+_PROP_EXACT_CAPS = _PROP_CAPS + (
+    ("--cap-exact-strings", DEFAULT_CAP_EXACT_STRINGS,
+     "largest |S| + |R| exact mode accepts"),
+)
+_FO_CAPS = (
+    ("--cap-positions", DEFAULT_CAP_POSITIONS,
+     "largest number of game positions to visit"),
+    ("--cap-choice-functions", DEFAULT_CAP_CHOICE_FUNCTIONS,
+     "largest choice-function family to enumerate"),
+    ("--cap-class-size", DEFAULT_CAP_CLASS_SIZE,
+     "largest class a branching extension may reach"),
+)
+
+
+def _add_caps(p: argparse.ArgumentParser, caps: tuple) -> None:
+    for flag, default, what in caps:
         p.add_argument(
-            "--cap-exact-strings",
-            type=int,
-            default=DEFAULT_CAP_EXACT_STRINGS,
-            help="largest |S| + |R| exact mode accepts (default %(default)s)",
+            flag, type=int, default=default, help=f"{what} (default %(default)s)"
         )
 
 
-def _add_fo_caps(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--cap-positions",
-        type=int,
-        default=DEFAULT_CAP_POSITIONS,
-        help="largest number of game positions to visit (default %(default)s)",
-    )
-    p.add_argument(
-        "--cap-choice-functions",
-        type=int,
-        default=DEFAULT_CAP_CHOICE_FUNCTIONS,
-        help="largest choice-function family to enumerate (default %(default)s)",
-    )
-    p.add_argument(
-        "--cap-class-size",
-        type=int,
-        default=DEFAULT_CAP_CLASS_SIZE,
-        help="largest class a branching extension may reach (default %(default)s)",
-    )
+def _caps(args: argparse.Namespace) -> dict[str, int]:
+    """The parsed cap flags, keyed by the solver keyword each one sets."""
+    return {k: v for k, v in vars(args).items() if k.startswith("cap_")}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -468,20 +445,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = psub.add_parser("minsize", help="minimal separating formula size")
     p.add_argument("pair", help="pair file {width, S, R}")
-    _add_prop_caps(p)
+    _add_caps(p, _PROP_CAPS)
     p.set_defaults(handler=_cmd_prop_minsize)
 
     p = psub.add_parser("winner", help="who wins the separation game")
     p.add_argument("pair")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--mode", choices=["exact", "reduced"], default="reduced")
-    _add_prop_caps(p, exact=True)
+    _add_caps(p, _PROP_EXACT_CAPS)
     p.set_defaults(handler=_cmd_prop_winner)
 
     p = psub.add_parser("synth", help="synthesize a separating formula")
     p.add_argument("pair")
     p.add_argument("--rank", type=int, required=True)
-    _add_prop_caps(p)
+    _add_caps(p, _PROP_CAPS)
     p.set_defaults(handler=_cmd_prop_synth)
 
     p = psub.add_parser("density", help="boundary density certificate")
@@ -517,7 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--mode", choices=["full", "existential"], default="full")
-    _add_fo_caps(p)
+    _add_caps(p, _FO_CAPS)
     p.set_defaults(handler=_cmd_fo_winner)
 
     p = fsub.add_parser("minsize", help="minimal separating formula size")
@@ -525,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.add_argument("--wmax", type=int, default=8)
     p.add_argument("--mode", choices=["full", "existential"], default="full")
-    _add_fo_caps(p)
+    _add_caps(p, _FO_CAPS)
     p.set_defaults(handler=_cmd_fo_minsize)
 
     p = fsub.add_parser("synth", help="synthesize a separating formula")
@@ -533,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--mode", choices=["full", "existential"], default="full")
-    _add_fo_caps(p)
+    _add_caps(p, _FO_CAPS)
     p.set_defaults(handler=_cmd_fo_synth)
 
     p = fsub.add_parser("measure", help="counting measure of a family instance")
@@ -548,17 +525,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = rsub.add_parser("parity", help="parity: density bound vs. construction")
     p.add_argument("--n", type=int, required=True)
-    _add_prop_caps(p)
+    _add_caps(p, _PROP_CAPS)
     p.set_defaults(handler=_cmd_repro)
 
     p = rsub.add_parser("boolcomb", help="combination family: M bound vs. sentence")
     p.add_argument("--n", type=int, required=True)
-    _add_fo_caps(p)
+    _add_caps(p, _FO_CAPS)
     p.set_defaults(handler=_cmd_repro)
 
     p = rsub.add_parser("linorder", help="linear orders: N bound vs. sentence")
     p.add_argument("--n", type=int, required=True)
-    _add_fo_caps(p)
+    _add_caps(p, _FO_CAPS)
     p.set_defaults(handler=_cmd_repro)
 
     return parser

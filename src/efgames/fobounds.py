@@ -216,10 +216,6 @@ def measure_M(left: StructureClass, right: StructureClass) -> int:
     return (n + 1) * flawless + good
 
 
-def _fold(op, parts: list[FoFormula]) -> FoFormula:
-    return reduce(op, parts)
-
-
 def boolcomb_existential_sentence(n: int) -> FoFormula:
     """For every trace, some element realizes it; size (n + 1) * 2**n."""
     if not 1 <= n <= 4:
@@ -230,8 +226,8 @@ def boolcomb_existential_sentence(n: int) -> FoFormula:
             RelAtom(f"P{i}", (0,)) if a >> (i - 1) & 1 else FoNot(RelAtom(f"P{i}", (0,)))
             for i in range(1, n + 1)
         ]
-        blocks.append(Exists(0, _fold(FoAnd, lits)))
-    return _fold(FoAnd, blocks)
+        blocks.append(Exists(0, reduce(FoAnd, lits)))
+    return reduce(FoAnd, blocks)
 
 
 def boolcomb_alternating_sentence(n: int) -> FoFormula:
@@ -252,8 +248,8 @@ def boolcomb_alternating_sentence(n: int) -> FoFormula:
     flipped = [iff(p(i, x), p(i, y)) for i in range(2, n + 1)]
     flipped.append(iff(p(1, x), FoNot(p(1, y))))
     return FoAnd(
-        Forall(x, Exists(y, _fold(FoAnd, rotated))),
-        Forall(x, Exists(y, _fold(FoAnd, flipped))),
+        Forall(x, Exists(y, reduce(FoAnd, rotated))),
+        Forall(x, Exists(y, reduce(FoAnd, flipped))),
     )
 
 

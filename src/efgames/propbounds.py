@@ -73,14 +73,6 @@ def parity_property(n: int) -> tuple[StringProperty, StringProperty]:
     return StringProperty(n, even), StringProperty(n, odd)
 
 
-def _fold_and(parts: list[PropFormula]) -> PropFormula:
-    return reduce(And, parts)
-
-
-def _fold_or(parts: list[PropFormula]) -> PropFormula:
-    return reduce(Or, parts)
-
-
 def parity_dnf(n: int) -> PropFormula:
     """Disjunction over the even-weight strings of the conjunction of
     literals pinning every bit; size n * 2**(n-1)."""
@@ -93,8 +85,8 @@ def parity_dnf(n: int) -> PropFormula:
         lits: list[PropFormula] = [
             Var(i) if e >> (i - 1) & 1 else Not(Var(i)) for i in range(1, n + 1)
         ]
-        terms.append(_fold_and(lits))
-    return _fold_or(terms)
+        terms.append(reduce(And, lits))
+    return reduce(Or, terms)
 
 
 def parity_balanced(n: int) -> PropFormula:

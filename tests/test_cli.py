@@ -17,6 +17,7 @@ from efgames import (
     EqAtom,
     Exists,
     FoAnd,
+    FoGame,
     FoNot,
     Forall,
     RelAtom,
@@ -27,6 +28,7 @@ from efgames import (
     linorder_instances,
     parity_property,
     parse_formula,
+    PropGame,
     separates,
     size,
     StringProperty,
@@ -293,15 +295,56 @@ def test_repro_linorder_text_without_exact():
     assert "exact minimal size: not computed" in out
 
 
+FO_CAP_FLAGS = ("--cap-positions", "--cap-choice-functions", "--cap-class-size")
+
+
 def test_repro_reports_a_cap_hit_as_not_computed():
-    for argv in (
-        ("repro", "linorder", "--n", "3", "--cap-positions", "5"),
-        ("repro", "linorder", "--n", "4"),  # a star extension reaches 81 > 64
-        ("repro", "parity", "--n", "5"),  # 32 strings > 16
-    ):
-        code, out, err = run_cli(*argv)
+    # every cap flag of every repro reaches its solver, which names it
+    cases = [
+        (("linorder", "--n", "3", "--cap-positions", "5"), "--cap-positions"),
+        (("linorder", "--n", "4"), "--cap-class-size"),  # a star extension reaches 81 > 64
+        (("parity", "--n", "5"), "--cap-strings"),  # 32 strings > 16
+        (("parity", "--n", "2", "--cap-strings", "3"), "--cap-strings"),
+    ] + [
+        ((experiment, "--n", n, flag, "1"), flag)
+        for experiment, n in (("boolcomb", "1"), ("linorder", "3"))
+        for flag in FO_CAP_FLAGS
+    ]
+    for argv, flag in cases:
+        code, out, err = run_cli("repro", *argv)
         assert code == 0, err
-        assert "exact minimal size: not computed" in out
+        assert "exact minimal size: not computed (" in out
+        assert f"({flag})" in out, argv
+
+
+def test_repro_searches_only_below_the_checked_construction(monkeypatch):
+    # the construction sentence of size 5 is checked first, so the search
+    # only has to refute ranks 1..4
+    minsize, asked = cli.FoGame.minsize, []
+
+    def spy(self, left, right, mode, w_max):
+        asked.append(w_max)
+        return minsize(self, left, right, mode, w_max)
+
+    monkeypatch.setattr("efgames.cli.FoGame.minsize", spy)
+    code, out, _ = run_cli("--json", "repro", "linorder", "--n", "3")
+    assert code == 0
+    assert asked == [4]
+    assert json.loads(out)["exact_minsize"] == 5
+
+
+def test_repro_names_the_cap_that_stopped_it():
+    code, out, _ = run_cli("--json", "repro", "linorder", "--n", "4")
+    assert code == 0
+    cap_hit = json.loads(out)["cap_hit"]
+    assert "(--cap-class-size)" in cap_hit
+    assert "stopped at a rank-" in cap_hit
+    assert "visited positions in this query:" in cap_hit
+    code, out, _ = run_cli("repro", "linorder", "--n", "4")
+    assert f"exact minimal size: not computed ({cap_hit})\n" in out
+    # no cap hit when the exact size is computed
+    code, out, _ = run_cli("--json", "repro", "linorder", "--n", "3")
+    assert json.loads(out)["cap_hit"] is None
 
 
 def test_repro_rechecks_the_parity_construction(monkeypatch):
@@ -313,20 +356,53 @@ def test_repro_rechecks_the_parity_construction(monkeypatch):
     assert "does not separate the instances" in err
 
 
-def test_the_caps_table_lists_every_cap_flag():
-    def flags(parser):
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for sub in action.choices.values():
-                    yield from flags(sub)
-            else:
-                yield from (o for o in action.option_strings if o.startswith("--cap-"))
+def _cap_flags(parser, path=()):
+    """(subcommand path, cap flags) for every subcommand of parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, [
+            o for a in parser._actions for o in a.option_strings if o.startswith("--cap-")
+        ]
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _cap_flags(sub, path + (name,))
 
+
+def test_the_caps_table_lists_every_cap_flag():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("### Resource caps", 1)[1].split("\n#", 1)[0]
     rows = re.findall(r"^\| `(--[a-z-]+)` \|", section, re.MULTILINE)
     assert len(rows) == len(set(rows))
-    assert set(rows) == set(flags(cli._parser()))
+    assert set(rows) == {f for _, flags in _cap_flags(cli._parser()) for f in flags}
+
+
+# a command line for each subcommand that declares caps; only the parser
+# reads it, so the files need not exist
+CAP_SAMPLES = {
+    ("prop", "minsize"): "pair.json",
+    ("prop", "winner"): "pair.json --rank 1",
+    ("prop", "synth"): "pair.json --rank 1",
+    ("fo", "winner"): "left.json right.json --rank 1",
+    ("fo", "minsize"): "left.json right.json",
+    ("fo", "synth"): "left.json right.json --rank 1",
+    ("repro", "parity"): "--n 2",
+    ("repro", "boolcomb"): "--n 1",
+    ("repro", "linorder"): "--n 2",
+}
+
+
+def test_every_cap_flag_sets_a_keyword_of_its_solver():
+    parser = cli._parser()
+    declared = dict(_cap_flags(parser))
+    assert {path for path, flags in declared.items() if flags} == set(CAP_SAMPLES)
+    for path, rest in CAP_SAMPLES.items():
+        caps = cli._caps(parser.parse_args([*path, *rest.split()]))
+        assert len(caps) == len(declared[path])
+        if path[0] == "prop" or path == ("repro", "parity"):
+            solver = PropGame(2, **caps)
+        else:
+            solver = FoGame(**caps)
+        assert all(getattr(solver, k) == v for k, v in caps.items())
 
 
 def test_missing_file_exits_one(tmp_path):
@@ -360,15 +436,33 @@ def test_usage_mistakes_exit_one(parity_pair):
     assert code == 1
 
 
-def test_resource_caps_exit_two(parity_pair, order_classes):
-    code, _, err = run_cli("prop", "minsize", parity_pair, "--cap-strings", "2")
-    assert code == 2
-    assert "resource cap:" in err
-    left, right = order_classes
-    code, _, err = run_cli(
-        "fo", "minsize", left, right, "--cap-positions", "5"
+# each cap flag set low enough to trip it; player II wins the order classes
+# at rank 2, so those searches try every move of the root
+CAP_TRIPS = [
+    ("prop", "minsize", "PAIR", "--cap-strings", "2"),
+    ("prop", "winner", "PAIR", "--rank", "4", "--cap-strings", "3"),
+    ("prop", "synth", "PAIR", "--rank", "4", "--cap-strings", "3"),
+    ("prop", "winner", "PAIR", "--rank", "4", "--mode", "exact",
+     "--cap-exact-strings", "3"),
+    ("fo", "minsize", "LEFT", "RIGHT", "--cap-positions", "5"),
+] + [
+    ("fo", command, "LEFT", "RIGHT", *rank, flag, "1")
+    for command, rank in (
+        ("winner", ("--rank", "2")), ("minsize", ()), ("synth", ("--rank", "2"))
     )
-    assert code == 2
+    for flag in FO_CAP_FLAGS
+]
+
+
+def test_resource_caps_exit_two(parity_pair, order_classes):
+    # every cap flag of every prop and fo command reaches its solver
+    files = {"PAIR": parity_pair, "LEFT": order_classes[0], "RIGHT": order_classes[1]}
+    for argv in CAP_TRIPS:
+        code, out, err = run_cli(*(files.get(w, w) for w in argv))
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("resource cap:")
+        assert f"({argv[-2]})" in err, argv
 
 
 def test_contract_violations_exit_three(monkeypatch):
