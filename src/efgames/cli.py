@@ -19,7 +19,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import ContractError, InputError, ResourceCapError
 from .fo import (
@@ -420,10 +420,28 @@ _FO_CAPS = (
 )
 
 
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type for ints of at least low, so that a value below it
+    is a usage error (exit 1) that names its flag."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse says "invalid int value" for non-ints
+    return parse
+
+
+_POSITIVE, _NONNEGATIVE = _at_least(1), _at_least(0)
+
+
 def _add_caps(p: argparse.ArgumentParser, caps: tuple) -> None:
     for flag, default, what in caps:
         p.add_argument(
-            flag, type=int, default=default, help=f"{what} (default %(default)s)"
+            flag, type=_NONNEGATIVE, default=default,
+            help=f"{what} (default %(default)s)",
         )
 
 
@@ -450,14 +468,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = psub.add_parser("winner", help="who wins the separation game")
     p.add_argument("pair")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_POSITIVE, required=True)
     p.add_argument("--mode", choices=["exact", "reduced"], default="reduced")
     _add_caps(p, _PROP_EXACT_CAPS)
     p.set_defaults(handler=_cmd_prop_winner)
 
     p = psub.add_parser("synth", help="synthesize a separating formula")
     p.add_argument("pair")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_POSITIVE, required=True)
     _add_caps(p, _PROP_CAPS)
     p.set_defaults(handler=_cmd_prop_synth)
 
@@ -492,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = fsub.add_parser("winner", help="who wins the class-separation game")
     p.add_argument("left", help="class file (JSON list of structures)")
     p.add_argument("right")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_POSITIVE, required=True)
     p.add_argument("--mode", choices=["full", "existential"], default="full")
     _add_caps(p, _FO_CAPS)
     p.set_defaults(handler=_cmd_fo_winner)
@@ -500,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = fsub.add_parser("minsize", help="minimal separating formula size")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--wmax", type=int, default=8)
+    p.add_argument("--wmax", type=_POSITIVE, default=8)
     p.add_argument("--mode", choices=["full", "existential"], default="full")
     _add_caps(p, _FO_CAPS)
     p.set_defaults(handler=_cmd_fo_minsize)
@@ -508,7 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = fsub.add_parser("synth", help="synthesize a separating formula")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_POSITIVE, required=True)
     p.add_argument("--mode", choices=["full", "existential"], default="full")
     _add_caps(p, _FO_CAPS)
     p.set_defaults(handler=_cmd_fo_synth)

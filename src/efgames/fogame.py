@@ -454,21 +454,22 @@ class FoGame:
     # -- public API -----------------------------------------------------------
 
     def _enter(
-        self, left: StructureClass, right: StructureClass
-    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        self, left: StructureClass, right: StructureClass, w: int
+    ) -> tuple[tuple[int, ...], int, tuple[int, ...], int, tuple[int, ...]]:
+        """The root of a rank-w query as (A, A bitset, B, B bitset, domain)."""
         check_comparable(left, right)
         # the cap bounds a single query; solved positions answer from the
         # memo without counting
         self.positions_visited = 0
         if max(len(left.members), len(right.members)) > self.cap_class_size:
-            raise ResourceCapError(
+            raise self._capped(
                 f"class size exceeds the cap {self.cap_class_size} "
-                f"(--cap-class-size); stopped before the first position"
+                "(--cap-class-size)",
+                w,
             )
         ak = self._canon(left.members)
         bk = self._canon(right.members)
-        dom = tuple(sorted(left.domain))
-        return ak, bk, dom
+        return ak, self._bitset(ak), bk, self._bitset(bk), tuple(sorted(left.domain))
 
     def winner(
         self,
@@ -479,8 +480,7 @@ class FoGame:
     ) -> Player:
         if rank < 1:
             raise InputError(f"rank must be >= 1, got {rank}")
-        ak, bk, dom = self._enter(left, right)
-        won = self._wins(mode, rank, ak, self._bitset(ak), bk, self._bitset(bk), dom)
+        won = self._wins(mode, rank, *self._enter(left, right, rank))
         return Player.I if won else Player.II
 
     def minsize(
@@ -494,10 +494,9 @@ class FoGame:
         a separating formula; None when there is none of size <= w_max."""
         if w_max < 1:
             raise InputError(f"w_max must be >= 1, got {w_max}")
-        ak, bk, dom = self._enter(left, right)
-        am, bm = self._bitset(ak), self._bitset(bk)
+        root = self._enter(left, right, 1)
         for w in range(1, w_max + 1):
-            if self._wins(mode, w, ak, am, bk, bm, dom):
+            if self._wins(mode, w, *root):
                 return w
         return None
 
@@ -513,11 +512,10 @@ class FoGame:
         mode never emits a universal quantifier."""
         if rank < 1:
             raise InputError(f"rank must be >= 1, got {rank}")
-        ak, bk, dom = self._enter(left, right)
-        am, bm = self._bitset(ak), self._bitset(bk)
-        if not self._wins(mode, rank, ak, am, bk, bm, dom):
+        root = self._enter(left, right, rank)
+        if not self._wins(mode, rank, *root):
             return None
-        return self._extract(mode, rank, ak, am, bk, bm, dom)
+        return self._extract(mode, rank, *root)
 
     def _extract(
         self,

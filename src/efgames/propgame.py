@@ -61,17 +61,18 @@ Sizes count literal occurrences, so renaming or flipping variables
 leaves every size unchanged, and a hypercube map g (a permutation of the
 variables plus flips) that maps S onto S and R onto R gives value(gA,
 gB) = value(A, B) throughout the root's sub-lattice.  Where the search
-is cheaper than the fill (_symmetry_pays), the fill finds that
-stabilizer by backtracking over the variables, trying for each only the
-targets whose signature (|S & p_i|, |R & p_i|) matches, flipped to (|S| -
-a, |R| - b) where the map flips.  Each map becomes a permutation of the
-members of S and one of R, and so of the subset indices of each side.
-Only the least outer index of each orbit is then walked cell by cell;
-every other line o = g(r) comes later than r and is one gather of r's
-finished line through g's inverse on the inner indices.  Parity 4, with
-191 maps besides the identity, walks 15 of its 255 lines after the
-first and derives 240 (PropGame.derived_lines); the cells are the same
-as without the maps.
+is cheaper than the fill (_symmetry_pays, whose bound is the worst case
+of a plain enumeration: every string checked under every map), the fill
+finds that stabilizer by plain enumeration, trying each variable
+permutation with only the flips that send S's first member into S; no
+refinement is needed at the widths that bound admits.  Each map becomes
+a permutation of the members of S and one of R, and so of the subset
+indices of each side.  Only the least outer index of each orbit is then
+walked cell by cell; every other line o = g(r) comes later than r and is
+one gather of r's finished line through g's inverse on the inner
+indices.  Parity 4, with 191 maps besides the identity, walks 15 of its
+255 lines after the first and derives 240 (PropGame.derived_lines); the
+cells are the same as without the maps.
 
 The table keeps exactly the positions a top-down search from the root
 would visit: the root, every (A, B) with A a nonempty proper subset of
@@ -89,7 +90,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import permutations, repeat
 from math import factorial
 from operator import add, itemgetter
 from typing import Iterator, Optional, Sequence, Union
@@ -282,61 +283,27 @@ def _stabilizer(
     pair of member permutations, S then R: with the members of a side
     numbered in ascending order, member j goes to member perm[j].
 
-    A map sends variable i to variable perm[i], flipped or not.  The search
-    assigns the variables in turn and only tries targets with the same
-    signature (|S & p_i|, |R & p_i|), which a flip turns into (|S| - a,
-    |R| - b); a full assignment is kept when it fixes both sides."""
-    ns, nr = smask.bit_count(), rmask.bit_count()
-    sigs = [
-        ((smask & ones).bit_count(), (rmask & ones).bit_count())
-        for ones, _ in _literal_masks(width)
-    ]
-    options = [
-        [
-            (j, flip)
-            for j, sig in enumerate(sigs)
-            for flip in (0, 1)
-            if sig == ((ns - a, nr - b) if flip else (a, b))
-        ]
-        for a, b in sigs
-    ]
-    identity = list(range(1 << width))
-    s_members = [e for e in identity if smask >> e & 1]
-    r_members = [e for e in identity if rmask >> e & 1]
+    A map sends string e to moved[e] ^ x, where moved sends variable i to
+    variable perm[i] and x flips.  Every permutation is tried with only the
+    flips that send S's first member into S, so at most width! * |S| maps
+    are checked, within the worst case that _symmetry_pays admits."""
+    s_members = [e for e in range(1 << width) if smask >> e & 1]
+    r_members = [e for e in range(1 << width) if rmask >> e & 1]
     # each string's number among the members of its side
-    number = [0] * (1 << width)
-    for members in (s_members, r_members):
-        for j, e in enumerate(members):
-            number[e] = j
+    number = {e: j for side in (s_members, r_members) for j, e in enumerate(side)}
+    identity = list(range(1 << width))
     maps: list[tuple[list[int], list[int]]] = []
-    perm: list[int] = []
-
-    def extend(flips: int) -> None:
-        i = len(perm)
-        if i == width:
-            images = [flips]
-            for t in perm:
-                bit = 1 << t
-                images += [x ^ bit for x in images]
+    for perm in permutations(range(width)):
+        moved = _index_perm(perm)
+        for x in [moved[s_members[0]] ^ t for t in s_members]:
             if (
-                sum(1 << images[e] for e in s_members) == smask
-                and sum(1 << images[e] for e in r_members) == rmask
-                and images != identity
+                all(smask >> (moved[e] ^ x) & 1 for e in s_members)
+                and all(rmask >> (moved[e] ^ x) & 1 for e in r_members)
+                and (x or moved != identity)
             ):
-                maps.append(
-                    (
-                        [number[images[e]] for e in s_members],
-                        [number[images[e]] for e in r_members],
-                    )
-                )
-            return
-        for j, flip in options[i]:
-            if j not in perm:
-                perm.append(j)
-                extend(flips | flip << j)
-                perm.pop()
-
-    extend(0)
+                images = [m ^ x for m in moved]
+                s_perm = [number[images[e]] for e in s_members]
+                maps.append((s_perm, [number[images[e]] for e in r_members]))
     return maps
 
 
@@ -460,7 +427,7 @@ def _fill_lines(
     return cells, len(derived)
 
 
-def _index_perm(perm: list[int]) -> list[int]:
+def _index_perm(perm: Sequence[int]) -> list[int]:
     """The permutation of compact subset indices that a member permutation
     induces: bit j of an index goes to bit perm[j]."""
     table = [0]

@@ -304,7 +304,7 @@ class ReferenceFoGame(FoGame):
     ) -> Player:
         if rank < 1:
             raise InputError(f"rank must be >= 1, got {rank}")
-        ak, bk, dom = self._enter(left, right)
+        ak, _, bk, _, dom = self._enter(left, right, rank)
         return Player.I if self._wins(mode, rank, ak, bk, dom) else Player.II
 
     def minsize(
@@ -318,7 +318,7 @@ class ReferenceFoGame(FoGame):
         a separating formula; None when there is none of size <= w_max."""
         if w_max < 1:
             raise InputError(f"w_max must be >= 1, got {w_max}")
-        ak, bk, dom = self._enter(left, right)
+        ak, _, bk, _, dom = self._enter(left, right, 1)
         for w in range(1, w_max + 1):
             if self._wins(mode, w, ak, bk, dom):
                 return w
@@ -336,7 +336,7 @@ class ReferenceFoGame(FoGame):
         mode never emits a universal quantifier."""
         if rank < 1:
             raise InputError(f"rank must be >= 1, got {rank}")
-        ak, bk, dom = self._enter(left, right)
+        ak, _, bk, _, dom = self._enter(left, right, rank)
         if not self._wins(mode, rank, ak, bk, dom):
             return None
         return self._extract(mode, rank, ak, bk, dom)

@@ -33,6 +33,7 @@ from efgames import (
     size,
     StringProperty,
     Var,
+    boolcomb_instances,
 )
 from efgames import cli
 from efgames.cli import ReproReport, run
@@ -347,6 +348,22 @@ def test_repro_names_the_cap_that_stopped_it():
     assert json.loads(out)["cap_hit"] is None
 
 
+def test_a_class_over_the_cap_at_the_root_says_how_far_the_query_got(tmp_path):
+    # the boolcomb n = 1 adversary class has 2 members, over a cap of 1
+    code, out, _ = run_cli("--json", "repro", "boolcomb", "--n", "1", "--cap-class-size", "1")
+    assert code == 0
+    cap_hit = json.loads(out)["cap_hit"]
+    for part in ("(--cap-class-size)", "stopped at a rank-", "visited positions in this query: 0"):
+        assert part in cap_hit
+    left, right = boolcomb_instances(1)
+    files = [write_json(tmp_path, f"{name}.json", class_to_json(c))
+             for name, c in (("left", left), ("right", right))]
+    code, _, err = run_cli("fo", "winner", *files, "--rank", "3", "--cap-class-size", "1")
+    assert code == 2
+    assert "(--cap-class-size); stopped at a rank-3 position" in err
+    assert "visited positions in this query: 0" in err
+
+
 def test_repro_rechecks_the_parity_construction(monkeypatch):
     # p1 is smaller than either parity formula, so it is the one reported
     monkeypatch.setattr("efgames.cli.parity_balanced", lambda n: Var(1))
@@ -356,16 +373,17 @@ def test_repro_rechecks_the_parity_construction(monkeypatch):
     assert "does not separate the instances" in err
 
 
-def _cap_flags(parser, path=()):
-    """(subcommand path, cap flags) for every subcommand of parser."""
+def _cap_flags(parser, prefixes=("--cap-",), path=()):
+    """(subcommand path, flags starting with one of prefixes) for every
+    subcommand of parser."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not subs:
         yield path, [
-            o for a in parser._actions for o in a.option_strings if o.startswith("--cap-")
+            o for a in parser._actions for o in a.option_strings if o.startswith(prefixes)
         ]
     for action in subs:
         for name, sub in action.choices.items():
-            yield from _cap_flags(sub, path + (name,))
+            yield from _cap_flags(sub, prefixes, path + (name,))
 
 
 def test_the_caps_table_lists_every_cap_flag():
@@ -403,6 +421,21 @@ def test_every_cap_flag_sets_a_keyword_of_its_solver():
         else:
             solver = FoGame(**caps)
         assert all(getattr(solver, k) == v for k, v in caps.items())
+
+
+def test_every_numeric_flag_rejects_a_value_out_of_range_as_input():
+    # caps may be 0, ranks and --wmax must be at least 1; a flag declared
+    # without its type would reach the solver and fail there or not at all
+    parser = cli._parser()
+    for path, flags in _cap_flags(parser, ("--cap-", "--rank", "--wmax")):
+        for flag in flags:
+            low = 0 if flag.startswith("--cap-") else 1
+            argv = [*path, *CAP_SAMPLES[path].split(), flag]
+            parser.parse_args([*argv, str(low)])
+            code, out, err = run_cli(*argv, str(low - 1))
+            assert code == 1, argv
+            assert out == ""
+            assert f"argument {flag}: must be >= {low}" in err, argv
 
 
 def test_missing_file_exits_one(tmp_path):

@@ -283,7 +283,7 @@ def test_order_three_search_is_pinned(mode, positions):
 
 def test_atom_masks_pick_the_first_atomic_separator():
     def check(game, a, b):
-        ak, bk, dom = game._enter(a, b)
+        ak, _, bk, _, dom = game._enter(a, b, 1)
         seps = atomic_separators(a, b)
         assert game._first_atomic(ak, bk, dom) == (seps[0] if seps else None)
 

@@ -357,6 +357,23 @@ def test_derived_lines_equal_walked_lines():
             assert cells == walked
 
 
+def test_fill_lines_do_not_depend_on_the_order_of_the_maps():
+    # a line may be derived through another map of its orbit, but a
+    # symmetry keeps every size, so the cells cannot change
+    rng = random.Random(11)
+    for left, right in [parity_property(4), *SYMMETRIC_ROOTS[-2:]]:
+        game = PropGame(4)
+        _, s_lits = game._subsets(left.mask, 0)
+        _, r_lits = game._subsets(right.mask, (1 << 8) - 1)
+        ub = 4 * min(len(left), len(right))
+        maps = propgame._stabilizer(4, left.mask, right.mask)
+        swapped = [(r, s) for s, r in maps]
+        for out_lits, in_lits, side_maps in ((s_lits, r_lits, maps), (r_lits, s_lits, swapped)):
+            expected = propgame._fill_lines(out_lits, in_lits, ub, side_maps)
+            for order in (side_maps[::-1], rng.sample(side_maps, len(side_maps))):
+                assert propgame._fill_lines(out_lits, in_lits, ub, order) == expected
+
+
 def test_derived_lines_are_counted():
     even, odd = parity_property(4)
     game = PropGame(4)
