@@ -56,7 +56,7 @@ from .fobounds import (
     measure_M,
     measure_N,
 )
-from .fogame import FoGame, FoMode, fo_minsize, fo_synthesize, fo_winner
+from .fogame import FoGame, FoMode
 from .oracle import (
     FoEnumerator,
     TruthTable,

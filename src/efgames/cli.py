@@ -156,9 +156,11 @@ def repro_parity(n: int, **caps: int) -> ReproReport:
     """Certificate vs. construction vs. (when within the PropGame caps)
     exact minimal size for even-parity against odd-parity of width n."""
     start = time.perf_counter()
+    # the balanced formula is never larger than the DNF, at every width
+    # both accept
+    construction = parity_balanced(n)
     left, right = parity_property(n)
     certificate = density_lower_bound(left, right)
-    construction = min(parity_dnf(n), parity_balanced(n), key=size)
     if not separates(construction, left, right):
         raise ContractError(
             f"parity construction of size {size(construction)} does not separate "
@@ -371,13 +373,12 @@ def _cmd_fo_synth(args) -> tuple[str, dict]:
 
 
 def _cmd_fo_measure(args) -> tuple[str, dict]:
-    if args.left is not None or args.right is not None:
-        if args.left is None or args.right is None:
-            raise InputError("measure needs both class files or --n")
-        left, right = _load_class(args.left), _load_class(args.right)
-    elif args.n is not None:
+    # positionals fill left first, so a right file means both were given
+    if args.n is not None and args.left is None:
         maker = boolcomb_instances if args.family == "boolcomb" else linorder_instances
         left, right = maker(args.n)
+    elif args.n is None and args.right is not None:
+        left, right = _load_class(args.left), _load_class(args.right)
     else:
         raise InputError("measure needs --n or two class files")
     if args.family == "boolcomb":
@@ -484,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_prop_density)
 
     p = psub.add_parser("parity", help="explicit parity formulas")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_POSITIVE, required=True)
     p.add_argument("--form", choices=["dnf", "balanced"], default="balanced")
     p.set_defaults(handler=_cmd_prop_parity)
 
@@ -492,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
     osub = oracle.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     p = osub.add_parser("table", help="minimal-size census of all functions")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_POSITIVE, required=True)
     p.set_defaults(handler=_cmd_oracle_table)
 
     p = osub.add_parser("minsize", help="minimal size via truth tables")
@@ -500,8 +501,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_oracle_minsize)
 
     p = osub.add_parser("count", help="how many functions have size <= m")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=_NONNEGATIVE, required=True)
+    p.add_argument("--n", type=_POSITIVE, required=True)
     p.set_defaults(handler=_cmd_oracle_count)
 
     fo = commands.add_parser("fo", help="structure-class games")
@@ -533,7 +534,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = fsub.add_parser("measure", help="counting measure of a family instance")
     p.add_argument("--family", choices=["boolcomb", "linorder"], required=True)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_POSITIVE)
     p.add_argument("left", nargs="?")
     p.add_argument("right", nargs="?")
     p.set_defaults(handler=_cmd_fo_measure)
@@ -542,17 +543,17 @@ def _build_parser() -> argparse.ArgumentParser:
     rsub = repro.add_subparsers(dest="experiment", required=True, parser_class=_Parser)
 
     p = rsub.add_parser("parity", help="parity: density bound vs. construction")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_POSITIVE, required=True)
     _add_caps(p, _PROP_CAPS)
     p.set_defaults(handler=_cmd_repro)
 
     p = rsub.add_parser("boolcomb", help="combination family: M bound vs. sentence")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_POSITIVE, required=True)
     _add_caps(p, _FO_CAPS)
     p.set_defaults(handler=_cmd_repro)
 
     p = rsub.add_parser("linorder", help="linear orders: N bound vs. sentence")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_POSITIVE, required=True)
     _add_caps(p, _FO_CAPS)
     p.set_defaults(handler=_cmd_repro)
 

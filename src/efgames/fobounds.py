@@ -163,31 +163,28 @@ def classify_boolcomb(
         role[b] = (r, False)
         role[c] = (r, True)
 
-    flawless = True
     for j, aval in alpha.items:
         if not 0 <= aval < (1 << n):
             raise InputError(
                 f"reference value {aval} for x{j} is not a full-combination element"
             )
-        if aval == missing or beta.get(j) != preferred.get(aval):
-            flawless = False
-            break
-    if flawless:
-        return BoolCombClass("flawless")
-
+    # every variable off the missing trace must take its trace's preferred
+    # element; those on it must share one spare, whose trace is a Hamming
+    # neighbour of the missing one
     shared: Optional[int] = None
-    covers_missing = False
     for j, aval in alpha.items:
         bval = beta.get(j)
-        if aval == missing:
-            covers_missing = True
-            r, is_spare = role[bval]
-            if not is_spare or (shared is not None and shared != r):
+        if aval != missing:
+            if bval != preferred[aval]:
                 return BoolCombClass("other")
-            shared = r
-        elif bval != preferred[aval]:
+            continue
+        r, is_spare = role[bval]
+        if not is_spare or shared not in (None, r):
             return BoolCombClass("other")
-    if covers_missing and shared is not None and (missing ^ shared).bit_count() == 1:
+        shared = r
+    if shared is None:
+        return BoolCombClass("flawless")
+    if (missing ^ shared).bit_count() == 1:
         return BoolCombClass("good_enough", BitString(n, shared))
     return BoolCombClass("other")
 

@@ -161,24 +161,6 @@ class FoGame:
             some_b |= masks[sid]
         return every_a, some_a, every_b, some_b
 
-    def _first_atomic(
-        self, ak: tuple[int, ...], bk: tuple[int, ...], dom: tuple[int, ...]
-    ) -> Optional[tuple[FoFormula, bool]]:
-        """The first atom in ``atom_candidates`` order that separates, tagged
-        True when the atom itself does and False when its negation does."""
-        if not ak and not bk:
-            # both classes empty: any atom separates vacuously, so player I
-            # wins exactly when the domain affords one
-            return (EqAtom(dom[0], dom[0]), True) if dom else None
-        every_a, some_a, every_b, some_b = self._folds(ak, bk)
-        positive = every_a & ~some_b
-        hits = positive | (every_b & ~some_a)
-        if not hits:
-            return None
-        first = hits & -hits
-        atom = self._atoms_of[(ak or bk)[0]][first.bit_length() - 1]
-        return atom, bool(positive & first)
-
     # -- move generation ----------------------------------------------------
 
     def _supp_vars(self, dom: tuple[int, ...]) -> list[int]:
@@ -271,7 +253,7 @@ class FoGame:
         # a rank-1 child wins iff some atom is true on all of it and on none
         # of the fixed side, or the reverse.  x_j = x_j is an atom true on
         # every member, so every fold holds its bit: a side with no members
-        # (AND fold -1) wins, as in _first_atomic, and the folds need no
+        # (AND fold -1) wins, as in _winning_move, and the folds need no
         # mask to the atom list
         every_f, some_f = -1, 0
         for sid in fixed:
@@ -350,9 +332,10 @@ class FoGame:
         bm: int,
         dom: tuple[int, ...],
     ) -> Optional[tuple]:
+        """The one decision of a position: ("win",) when a literal
+        separates A from B, else player I's first winning move, else None."""
         if ak or bk:
-            folds = self._folds(ak, bk)
-            every_a, some_a, every_b, some_b = folds
+            every_a, some_a, every_b, some_b = folds = self._folds(ak, bk)
             if every_a & ~some_b | every_b & ~some_a:
                 return ("win",)
         elif dom:
@@ -382,15 +365,13 @@ class FoGame:
                     cm = self._bitset(c)
                     dm = m ^ cm
                     if side == "lsplit":
-                        if self._wins(mode, u, c, cm, bk, bm, dom) and self._wins(
-                            mode, w - u, d, dm, bk, bm, dom
-                        ):
-                            return ("lsplit", u, w - u, c, cm, d, dm)
+                        first, second = (c, cm, bk, bm), (d, dm, bk, bm)
                     else:
-                        if self._wins(mode, u, ak, am, c, cm, dom) and self._wins(
-                            mode, w - u, ak, am, d, dm, dom
-                        ):
-                            return ("rsplit", u, w - u, c, cm, d, dm)
+                        first, second = (ak, am, c, cm), (ak, am, d, dm)
+                    if self._wins(mode, u, *first, dom) and self._wins(
+                        mode, w - u, *second, dom
+                    ):
+                        return (side, u, w - u, c, cm, d, dm)
         # supplementing moves bind a variable and cost one rank
         for j in self._supp_vars(dom):
             dom2 = tuple(sorted(set(dom) | {j}))
@@ -527,13 +508,21 @@ class FoGame:
         bm: int,
         dom: tuple[int, ...],
     ) -> FoFormula:
-        sep = self._first_atomic(ak, bk, dom)
-        if sep is not None:
-            atom, positive = sep
-            return atom if positive else FoNot(atom)
+        """The formula read off ``_winning_move`` from a won position; a
+        ("win",) leaf names its literal from the position's atom folds."""
         move = self._winning_move(mode, w, ak, am, bk, bm, dom)
         assert move is not None, "extraction reached a losing position"
         kind = move[0]
+        if kind == "win":
+            if not ak and not bk:
+                return EqAtom(dom[0], dom[0])
+            # the first literal in atom_candidates order, atom before negation
+            every_a, some_a, every_b, some_b = self._folds(ak, bk)
+            positive = every_a & ~some_b
+            hits = positive | every_b & ~some_a
+            first = hits & -hits
+            atom = self._atoms_of[(ak or bk)[0]][first.bit_length() - 1]
+            return atom if positive & first else FoNot(atom)
         if kind == "lsplit":
             _, u, v, c, cm, d, dm = move
             return FoOr(
@@ -549,33 +538,3 @@ class FoGame:
         _, j, a2, am2, b2, bm2, dom2 = move
         body = self._extract(mode, w - 1, a2, am2, b2, bm2, dom2)
         return Exists(j, body) if kind == "lsupp" else Forall(j, body)
-
-
-# -- module-level conveniences with default caps ------------------------------
-
-
-def fo_winner(
-    rank: int,
-    left: StructureClass,
-    right: StructureClass,
-    mode: FoMode = FoMode.FULL,
-) -> Player:
-    return FoGame().winner(rank, left, right, mode)
-
-
-def fo_minsize(
-    left: StructureClass,
-    right: StructureClass,
-    mode: FoMode = FoMode.FULL,
-    w_max: int = 8,
-) -> Optional[int]:
-    return FoGame().minsize(left, right, mode, w_max)
-
-
-def fo_synthesize(
-    left: StructureClass,
-    right: StructureClass,
-    rank: int,
-    mode: FoMode = FoMode.FULL,
-) -> Optional[FoFormula]:
-    return FoGame().synthesize(left, right, rank, mode)

@@ -12,6 +12,7 @@ from typing import Iterable, Optional
 
 from efgames import (
     EMPTY_ASSIGNMENT,
+    EqAtom,
     Exists,
     FoAnd,
     FoEnumerator,
@@ -147,8 +148,28 @@ class ReferenceFoGame(FoGame):
     """The tuple-keyed search that ``FoGame`` replaced, kept verbatim as
     the reference for the bitset memo keys and the choice scan: a class is
     a tuple of ids sorted by ``sort_key``, and every choice function is
-    sorted into such a tuple and solved through ``_wins``.  Interning, the
-    atom folds and the atomic check are inherited."""
+    sorted into such a tuple and solved through ``_wins``.  Interning and
+    the atom folds are inherited; ``_first_atomic`` is a verbatim copy of
+    the atomic check ``FoGame`` kept beside ``_winning_move`` until that
+    became its one decision."""
+
+    def _first_atomic(
+        self, ak: tuple[int, ...], bk: tuple[int, ...], dom: tuple[int, ...]
+    ) -> Optional[tuple[FoFormula, bool]]:
+        """The first atom in ``atom_candidates`` order that separates, tagged
+        True when the atom itself does and False when its negation does."""
+        if not ak and not bk:
+            # both classes empty: any atom separates vacuously, so player I
+            # wins exactly when the domain affords one
+            return (EqAtom(dom[0], dom[0]), True) if dom else None
+        every_a, some_a, every_b, some_b = self._folds(ak, bk)
+        positive = every_a & ~some_b
+        hits = positive | (every_b & ~some_a)
+        if not hits:
+            return None
+        first = hits & -hits
+        atom = self._atoms_of[(ak or bk)[0]][first.bit_length() - 1]
+        return atom, bool(positive & first)
 
     def _star_ids(self, ids: tuple[int, ...], j: int) -> tuple[int, ...]:
         key = (ids, j)

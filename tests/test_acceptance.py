@@ -13,6 +13,7 @@ import time
 
 import suites
 from efgames import (
+    FoGame,
     FoMode,
     GameMode,
     Player,
@@ -24,11 +25,9 @@ from efgames import (
     boolcomb_instances,
     count_functions_up_to,
     density,
-    fo_minsize,
     fo_quantifier_rank,
     fo_separates,
     fo_size,
-    fo_synthesize,
     is_existential,
     linorder_existential_sentence,
     linorder_instances,
@@ -151,7 +150,7 @@ def test_criterion_5_combination_family():
             assert fo_separates(g, left, right)
             assert measure_M(left, right) == target
         left, right = boolcomb_instances(1)
-        assert fo_minsize(left, right, FoMode.EXISTENTIAL, w_max=4) == 4
+        assert FoGame().minsize(left, right, FoMode.EXISTENTIAL, w_max=4) == 4
         assert time.perf_counter() - start < 600
 
     _check(5, "combination family", body)
@@ -169,8 +168,8 @@ def test_criterion_6_linear_orders():
             phi = linorder_log_sentence(n)
             assert fo_quantifier_rank(phi) == (n - 1).bit_length() + 1
             assert fo_separates(phi, left, right)
-        assert fo_minsize(*linorder_instances(2), FoMode.EXISTENTIAL, w_max=3) == 3
-        assert fo_minsize(*linorder_instances(3), FoMode.EXISTENTIAL, w_max=5) == 5
+        assert FoGame().minsize(*linorder_instances(2), FoMode.EXISTENTIAL, w_max=3) == 3
+        assert FoGame().minsize(*linorder_instances(3), FoMode.EXISTENTIAL, w_max=5) == 5
 
     _check(6, "linear orders", body)
 
@@ -215,11 +214,11 @@ def test_criterion_8_synthesis_soundness(tiny_fo_suite):
                     assert fo_separates(f, rec.left, rec.right)
                     if mode is FoMode.EXISTENTIAL:
                         assert is_existential(f)
-        f = fo_synthesize(*boolcomb_instances(1), 4, FoMode.EXISTENTIAL)
+        f = FoGame().synthesize(*boolcomb_instances(1), 4, FoMode.EXISTENTIAL)
         assert f is not None and fo_size(f) <= 4
         assert fo_separates(f, *boolcomb_instances(1))
         for n, k in ((2, 3), (3, 5)):
-            f = fo_synthesize(*linorder_instances(n), k, FoMode.EXISTENTIAL)
+            f = FoGame().synthesize(*linorder_instances(n), k, FoMode.EXISTENTIAL)
             assert f is not None and fo_size(f) <= k
             assert is_existential(f)
             assert fo_separates(f, *linorder_instances(n))

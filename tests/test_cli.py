@@ -268,6 +268,26 @@ def test_fo_measure_needs_consistent_inputs(order_classes):
     assert code == 1
 
 
+def test_fo_measure_takes_either_n_or_two_class_files(order_classes):
+    left, right = order_classes
+    both = run_cli("fo", "measure", "--family", "linorder", "--n", "5", left, right)
+    half = run_cli("fo", "measure", "--family", "linorder", "--n", "5", left)
+    for code, out, err in (both, half):
+        assert (code, out) == (1, "")
+        assert err == "error: measure needs --n or two class files\n"
+
+
+def test_repro_parity_rejects_a_width_past_its_construction_at_once(monkeypatch):
+    def unreachable(left, right):
+        raise AssertionError("the certificate was computed")
+
+    monkeypatch.setattr(cli, "density_lower_bound", unreachable)
+    for n in ("11", "17"):
+        code, out, err = run_cli("repro", "parity", "--n", n)
+        assert (code, out) == (1, "")
+        assert err == f"error: parity width must be 1..10, got {n}\n"
+
+
 def test_repro_parity_report():
     code, out, _ = run_cli("--json", "repro", "parity", "--n", "2")
     assert code == 0
@@ -373,17 +393,19 @@ def test_repro_rechecks_the_parity_construction(monkeypatch):
     assert "does not separate the instances" in err
 
 
-def _cap_flags(parser, prefixes=("--cap-",), path=()):
-    """(subcommand path, flags starting with one of prefixes) for every
-    subcommand of parser."""
+def _flags(parser, keep, path=()):
+    """(subcommand path, option strings of the actions keep accepts) for
+    every subcommand of parser."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not subs:
-        yield path, [
-            o for a in parser._actions for o in a.option_strings if o.startswith(prefixes)
-        ]
+        yield path, [o for a in parser._actions if keep(a) for o in a.option_strings]
     for action in subs:
         for name, sub in action.choices.items():
-            yield from _cap_flags(sub, prefixes, path + (name,))
+            yield from _flags(sub, keep, path + (name,))
+
+
+def _cap_flags(parser):
+    return _flags(parser, lambda a: any(o.startswith("--cap-") for o in a.option_strings))
 
 
 def test_the_caps_table_lists_every_cap_flag():
@@ -423,19 +445,33 @@ def test_every_cap_flag_sets_a_keyword_of_its_solver():
         assert all(getattr(solver, k) == v for k, v in caps.items())
 
 
+# the same for every subcommand that declares an int flag
+FLAG_SAMPLES = {
+    **CAP_SAMPLES,
+    ("prop", "parity"): "--n 1",
+    ("oracle", "table"): "--n 1",
+    ("oracle", "count"): "--m 0 --n 1",
+    ("fo", "measure"): "--family linorder",
+}
+
+
 def test_every_numeric_flag_rejects_a_value_out_of_range_as_input():
-    # caps may be 0, ranks and --wmax must be at least 1; a flag declared
-    # without its type would reach the solver and fail there or not at all
+    # caps and --m may be 0; ranks, --wmax and --n must be at least 1.  Every
+    # int flag is walked: one declared as plain int would reach the library
+    # and fail there, naming a library keyword, or not fail at all
     parser = cli._parser()
-    for path, flags in _cap_flags(parser, ("--cap-", "--rank", "--wmax")):
+    walked = set()
+    for path, flags in _flags(parser, lambda a: getattr(a.type, "__name__", "") == "int"):
         for flag in flags:
-            low = 0 if flag.startswith("--cap-") else 1
-            argv = [*path, *CAP_SAMPLES[path].split(), flag]
+            low = 0 if flag.startswith("--cap-") or flag == "--m" else 1
+            argv = [*path, *FLAG_SAMPLES[path].split(), flag]
             parser.parse_args([*argv, str(low)])
             code, out, err = run_cli(*argv, str(low - 1))
             assert code == 1, argv
             assert out == ""
             assert f"argument {flag}: must be >= {low}" in err, argv
+            walked.add(flag)
+    assert {"--rank", "--wmax", "--n", "--m", "--cap-strings"} <= walked
 
 
 def test_missing_file_exits_one(tmp_path):

@@ -9,6 +9,7 @@ from efgames import (
     BitString,
     BoolCombClass,
     Exists,
+    FoGame,
     FoMode,
     InputError,
     LinOrderClass,
@@ -20,7 +21,6 @@ from efgames import (
     boolcomb_instances,
     classify_boolcomb,
     classify_linorder,
-    fo_minsize,
     fo_quantifier_rank,
     fo_separates,
     fo_size,
@@ -98,6 +98,16 @@ def test_classify_validates_input():
         classify_boolcomb(left.members[0], BitString(1, 0), EMPTY_ASSIGNMENT)
 
 
+def test_classify_checks_every_reference_value_before_classifying():
+    # x1 already fails the flawless test, so a check made on the way would
+    # never reach x2's value
+    member = boolcomb_instances(2)[1].members[0]  # drops trace 0
+    beta = Structure(member.model, Assignment.make({0: 0, 1: 1, 2: 0}))
+    alpha = Assignment.make({0: 1, 1: 0, 2: 99})
+    with pytest.raises(InputError, match="reference value 99 for x2"):
+        classify_boolcomb(beta, BitString(2, 0), alpha)
+
+
 def test_measure_m_on_fresh_instances():
     for n in (1, 2, 3):
         left, right = boolcomb_instances(n)
@@ -153,7 +163,7 @@ def test_combination_alternating_sentence():
 def test_certificate_meets_game_value_smallest_combination():
     left, right = boolcomb_instances(1)
     cert = measure_M(left, right)
-    exact = fo_minsize(left, right, mode=FoMode.EXISTENTIAL, w_max=6)
+    exact = FoGame().minsize(left, right, mode=FoMode.EXISTENTIAL, w_max=6)
     assert cert == 4
     assert exact == 4
 
@@ -264,7 +274,7 @@ def test_measure_n_weighs_the_lowest_segment_by_its_chain():
     ref = StructureClass.of([order_struct(2, {0: 1})])
     adv = StructureClass.of([order_struct(1, {0: 0})])
     assert measure_N(ref, adv) == 2
-    assert fo_minsize(ref, adv, mode=FoMode.EXISTENTIAL, w_max=3) == 2
+    assert FoGame().minsize(ref, adv, mode=FoMode.EXISTENTIAL, w_max=3) == 2
     assert fo_separates(Exists(1, RelAtom("<", (1, 0))), ref, adv)
 
 
@@ -291,7 +301,7 @@ def test_certificate_meets_game_value_short_orders():
     for n, expect in ((2, 3), (3, 5)):
         left, right = linorder_instances(n)
         cert = measure_N(left, right)
-        exact = fo_minsize(left, right, mode=FoMode.EXISTENTIAL, w_max=8)
+        exact = FoGame().minsize(left, right, mode=FoMode.EXISTENTIAL, w_max=8)
         assert cert == expect
         assert exact == expect
 

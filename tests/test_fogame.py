@@ -10,6 +10,7 @@ from efgames import (
     Exists,
     FoGame,
     FoMode,
+    FoNot,
     InputError,
     Model,
     Player,
@@ -20,11 +21,8 @@ from efgames import (
     Vocabulary,
     atomic_separators,
     fo_eval,
-    fo_minsize,
     fo_separates,
     fo_size,
-    fo_synthesize,
-    fo_winner,
     format_fo,
     is_existential,
     linear_order,
@@ -50,36 +48,36 @@ def test_atomic_separator_wins_at_rank_one():
         vocabulary=vocab,
         domain=frozenset({0, 1}),
     )
-    assert fo_winner(1, a, b, FoMode.FULL) is Player.I
-    f = fo_synthesize(a, b, 1, FoMode.FULL)
+    assert FoGame().winner(1, a, b, FoMode.FULL) is Player.I
+    f = FoGame().synthesize(a, b, 1, FoMode.FULL)
     assert f == RelAtom("<", (0, 1))
 
 
 def test_order_length_two_needs_rank_three():
     a, b = linorder_instances(2)
-    assert fo_winner(3, a, b, FoMode.EXISTENTIAL) is Player.I
-    assert fo_winner(2, a, b, FoMode.EXISTENTIAL) is Player.II
+    assert FoGame().winner(3, a, b, FoMode.EXISTENTIAL) is Player.I
+    assert FoGame().winner(2, a, b, FoMode.EXISTENTIAL) is Player.II
 
 
 def test_minsize_of_length_two_orders():
     a, b = linorder_instances(2)
-    assert fo_minsize(a, b, mode=FoMode.EXISTENTIAL, w_max=6) == 3
+    assert FoGame().minsize(a, b, mode=FoMode.EXISTENTIAL, w_max=6) == 3
 
 
 def test_minsize_of_smallest_combination_family():
     a, b = boolcomb_instances(1)
-    assert fo_minsize(a, b, mode=FoMode.EXISTENTIAL, w_max=6) == 4
+    assert FoGame().minsize(a, b, mode=FoMode.EXISTENTIAL, w_max=6) == 4
 
 
 def test_identical_classes_are_inseparable():
     a = order_class(2)
-    assert fo_minsize(a, a, mode=FoMode.FULL, w_max=4) is None
-    assert fo_minsize(a, a, mode=FoMode.EXISTENTIAL, w_max=4) is None
+    assert FoGame().minsize(a, a, mode=FoMode.FULL, w_max=4) is None
+    assert FoGame().minsize(a, a, mode=FoMode.EXISTENTIAL, w_max=4) is None
 
 
 def test_synthesized_order_sentence_matches_reference():
     a, b = linorder_instances(2)
-    f = fo_synthesize(a, b, 3, FoMode.EXISTENTIAL)
+    f = FoGame().synthesize(a, b, 3, FoMode.EXISTENTIAL)
     assert f is not None
     assert fo_size(f) <= 3
     assert is_existential(f)
@@ -92,26 +90,26 @@ def test_synthesized_order_sentence_matches_reference():
 
 def test_synthesis_below_minimum_returns_none():
     a, b = linorder_instances(2)
-    assert fo_synthesize(a, b, 2, FoMode.EXISTENTIAL) is None
+    assert FoGame().synthesize(a, b, 2, FoMode.EXISTENTIAL) is None
 
 
 def test_winner_validates_input():
     a, b = linorder_instances(2)
     with pytest.raises(InputError):
-        fo_winner(0, a, b, FoMode.FULL)
+        FoGame().winner(0, a, b, FoMode.FULL)
     vocab = Vocabulary.make(("P1", 1))
     other = StructureClass.of(
         frozenset([Structure(Model.make(vocab, 1, {"P1": []}), EMPTY_ASSIGNMENT)])
     )
     with pytest.raises(InputError):
-        fo_winner(2, a, other, FoMode.FULL)
+        FoGame().winner(2, a, other, FoMode.FULL)
     shifted = StructureClass.of(
         frozenset([Structure(linear_order(1), Assignment.make({0: 0}))]),
         vocabulary=a.vocabulary,
         domain=frozenset({0}),
     )
     with pytest.raises(InputError):
-        fo_winner(2, a, shifted, FoMode.FULL)
+        FoGame().winner(2, a, shifted, FoMode.FULL)
 
 
 def test_class_size_cap():
@@ -257,9 +255,9 @@ def test_synthesize_respects_vacuous_separation():
     member = Structure(Model.make(vocab, 1, {"P1": [(0,)]}), EMPTY_ASSIGNMENT)
     empty = StructureClass.of(frozenset(), vocabulary=vocab, domain=frozenset())
     full = StructureClass.of(frozenset([member]))
-    won_at = fo_minsize(empty, full, mode=FoMode.FULL, w_max=4)
+    won_at = FoGame().minsize(empty, full, mode=FoMode.FULL, w_max=4)
     assert won_at is not None
-    f = fo_synthesize(empty, full, won_at, FoMode.FULL)
+    f = FoGame().synthesize(empty, full, won_at, FoMode.FULL)
     assert fo_separates(f, empty, full)
 
 
@@ -283,9 +281,14 @@ def test_order_three_search_is_pinned(mode, positions):
 
 def test_atom_masks_pick_the_first_atomic_separator():
     def check(game, a, b):
-        ak, _, bk, _, dom = game._enter(a, b, 1)
+        root = game._enter(a, b, 1)
         seps = atomic_separators(a, b)
-        assert game._first_atomic(ak, bk, dom) == (seps[0] if seps else None)
+        move = game._winning_move(FoMode.FULL, 1, *root)
+        assert move == (("win",) if seps else None)
+        if seps:
+            atom, positive = seps[0]
+            literal = atom if positive else FoNot(atom)
+            assert game._extract(FoMode.FULL, 1, *root) == literal
 
     game = FoGame()
     for _, a, b in suites._linorder_positions(n_max=3):
