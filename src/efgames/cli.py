@@ -348,6 +348,8 @@ def _cmd_fo_minsize(args) -> tuple[str, dict]:
     left, right = _load_class(args.left), _load_class(args.right)
     game, mode = FoGame(**_caps(args)), FoMode(args.mode)
     k = game.minsize(left, right, mode, args.wmax)
+    if k is None and not set(left.members).isdisjoint(right.members):
+        return "inseparable", {"result": "inseparable"}
     if k is None:
         return (
             f"no separating formula of size <= {args.wmax}",

@@ -585,6 +585,7 @@ def structure_from_json(obj: object) -> Structure:
             or len(entry) != 2
             or not isinstance(entry[0], str)
             or not isinstance(entry[1], int)
+            or isinstance(entry[1], bool)
         ):
             raise InputError(f"bad vocabulary entry {entry!r}")
         symbols.append((entry[0], entry[1]))
@@ -612,10 +613,9 @@ def structure_from_json(obj: object) -> Structure:
         raise InputError("structure 'assignment' must be an object")
     pairs = []
     for key, value in assignment_spec.items():
-        try:
-            j = int(key)
-        except ValueError:
+        if not (key.isascii() and key.isdigit()):
             raise InputError(f"assignment key {key!r} is not a variable index")
+        j = int(key)
         if not isinstance(value, int) or isinstance(value, bool):
             raise InputError(f"assignment value {value!r} is not an element")
         pairs.append((j, value))

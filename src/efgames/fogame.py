@@ -16,9 +16,9 @@ first.  At rank w >= 2 player I may:
 
 Choosing on the left and branching on the right corresponds to an
 existential quantifier; the mirror image corresponds to a universal
-one and is disabled in existential mode.  By default the bound variable
-is the smallest index outside the current domain; reusing domain
-variables is equivalent and can be enabled for cross-checks.
+one and is disabled in existential mode.  The bound variable is the
+smallest index outside the current domain; reusing domain variables as
+well changes no winner, which the test suite checks.
 """
 
 from __future__ import annotations
@@ -90,12 +90,10 @@ class FoGame:
         cap_positions: int = DEFAULT_CAP_POSITIONS,
         cap_choice_functions: int = DEFAULT_CAP_CHOICE_FUNCTIONS,
         cap_class_size: int = DEFAULT_CAP_CLASS_SIZE,
-        fresh_only: bool = True,
     ) -> None:
         self.cap_positions = cap_positions
         self.cap_choice_functions = cap_choice_functions
         self.cap_class_size = cap_class_size
-        self.fresh_only = fresh_only
         self.positions_visited = 0
         self._ids: dict[Structure, int] = {}
         self._by_id: list[Structure] = []
@@ -164,13 +162,12 @@ class FoGame:
     # -- move generation ----------------------------------------------------
 
     def _supp_vars(self, dom: tuple[int, ...]) -> list[int]:
+        """The variables a supplement may bind: the smallest one outside
+        the domain."""
         fresh = 0
-        used = set(dom)
-        while fresh in used:
+        while fresh in dom:
             fresh += 1
-        if self.fresh_only:
-            return [fresh]
-        return [fresh] + list(dom)
+        return [fresh]
 
     def _extensions(self, sid: int, j: int) -> tuple[int, ...]:
         """Ids of the structure extended by x_j -> a, for every element a."""
@@ -472,10 +469,14 @@ class FoGame:
         w_max: int = 8,
     ) -> Optional[int]:
         """Smallest rank player I wins at, which equals the minimal size of
-        a separating formula; None when there is none of size <= w_max."""
+        a separating formula; None when there is none of size <= w_max, and
+        at once when the classes share a structure, on which no formula is
+        both true and false."""
         if w_max < 1:
             raise InputError(f"w_max must be >= 1, got {w_max}")
         root = self._enter(left, right, 1)
+        if root[1] & root[3]:
+            return None
         for w in range(1, w_max + 1):
             if self._wins(mode, w, *root):
                 return w

@@ -46,16 +46,16 @@ the inner side's 2**k lanes, against a per-cell fold over the inner
 halves.  Lopsided roots run along their small side, balanced ones along
 the larger.
 
-The inner splits are folded per cell over flat arrays of each inner
-index's halves and their complements, built by doubling for sides of
-at most 15 strings and per index above that.  Sizes only grow with the
+The inner splits are folded per cell over each inner index's halves and
+their complements, read from a table of the index's subsets, held up to
+15 strings and built per index above that.  Sizes only grow with the
 sides, so no split of a cell sums below its one-member-smaller cells:
-the packed lines give the largest of those along the outer side at
-once, and the cell's own line gives the cells without its lowest and
-its highest inner member.  A cell is settled without the fold when the
-best split found so far (the outer one, or one cutting off the lowest
-or the highest inner member) meets that bound; when it is one above the
-bound, the fold stops at the first split that meets it.
+the packed lines give the largest of those along the outer side at once,
+and the cell's own line gives the cells without its lowest and its
+highest inner member.  A cell is settled without the fold when the best
+split found so far (the outer one, or one cutting off the lowest or the
+highest inner member) meets that bound; when it is one above the bound,
+the fold stops at the first split that meets it.
 
 Sizes count literal occurrences, so renaming or flipping variables
 leaves every size unchanged, and a hypercube map g (a permutation of the
@@ -343,9 +343,11 @@ def _fill_lines(
     Each finished line is also packed into one int with a lane per inner
     index, so the best outer split of a whole line is a lane-wise min, over
     the outer halves h of o, of packed[h] + packed[o ^ h].  The inner splits
-    are folded per cell, and only where no bound settles the cell: sizes
-    only grow with the sides, so no split sums below the largest of the
-    one-member-smaller cells, and a split that reaches it is minimal.
+    are folded per cell over the halves in the inner index's subset table
+    (_subset_tables, held up to 15 strings and built per index above), and
+    only where no bound settles the cell: sizes only grow with the sides,
+    so no split sums below the largest of the one-member-smaller cells,
+    and a split that reaches it is minimal.
 
     Each of maps is a symmetry of the root as a pair of member permutations,
     outer then inner (member j goes to member perm[j]); a line that one of
@@ -356,7 +358,7 @@ def _fill_lines(
     lane_bytes = array(code).itemsize * n_in
     guards, shift = _lanes(code, top, n_in), top.bit_length() - 1
     no_split = _lanes(code, top - 1, n_in)
-    halves, comps, offsets = _halves(n_in.bit_length() - 1)
+    tables = _subset_tables(n_in.bit_length() - 1)
     # i minus its highest member
     tops = array("L", [i ^ 1 << i.bit_length() - 1 if i else 0 for i in range(n_in)])
     cells = array(code, [1 if lit & out_lits[0] else 2 for lit in in_lits])
@@ -411,8 +413,9 @@ def _fill_lines(
                     if below_k > least:
                         least = below_k
                     if best > least:
-                        lo, hi = offsets[i], offsets[i + 1]
-                        sums = map(add, map(get, halves[lo:hi]), map(get, comps[lo:hi]))
+                        # the halves of i and their complements, pair by pair
+                        t = tables[i]
+                        sums = map(add, map(get, t[1:-1:2]), map(get, t[-2:0:-2]))
                         if best == least + 1:
                             if least in sums:  # stops at the first hit
                                 best = least
@@ -472,68 +475,42 @@ def _derived_lines(
     return derived
 
 
-# Largest side whose halves are held for the whole fill: about 3**k two-byte
-# entries for the halves and their complements, 29 MB at k = 15.  Larger
-# sides, which the default --cap-strings excludes, build each index's halves
-# when it is filled.
-_HALVES_CACHE_MAX = 15
+# Largest inner side whose subset tables are held for the whole fill: 3**k
+# two-byte entries, 29 MB at k = 15.  Larger sides, which the default
+# --cap-strings excludes, build each index's table when it is read.
+_TABLES_CACHE_MAX = 15
 
 
-def _halves(k: int) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
-    """Per compact index a < 2**k: the subsets of a that hold its lowest
-    member, a itself excluded (its halves), and their complements in a, as
-    two flat sequences in which a's entries span offsets[a]:offsets[a + 1].
+def _subset_tables(k: int) -> Sequence[Sequence[int]]:
+    """Per compact index a < 2**k, every subset of a in the order of a's own
+    members: entry x of a's table holds the members of a whose rank in a is
+    a set bit of x.  The halves of a (the subsets that hold its lowest
+    member, a itself excluded) are then t[1:-1:2], and t[-2:0:-2] are their
+    complements in a, pair by pair.
 
-    With h the highest member of a and c = a ^ h, the halves of a are those
-    of c, c itself, and those of c with h added; their complements are those
-    of c with h added, h itself, and those of c."""
-    if k > _HALVES_CACHE_MAX:
-        return _LazyHalves(False), _LazyHalves(True), range((1 << k) + 1)
-    # allocated once at full size: growing them would leave a trail of freed
-    # blocks behind, which raises the peak resident memory of the process
-    total = (3**k + 1) // 2 - (1 << k)
-    halves, comps = array("H", [0]) * total, array("H", [0]) * total
-    hb, cb = memoryview(halves).cast("B"), memoryview(comps).cast("B")
-    offsets, end = array("L", [0, 0]), 0
+    With h the highest member of a and c = a ^ h, a's table is c's table
+    followed by c's table with h added."""
+    if k > _TABLES_CACHE_MAX:
+        return _LazyTables()
+    tables = [array("H", [0])]
     for j in range(k):
         h = 1 << j
-        # h in h / 2 two-byte lanes, more than any index below h has
-        # halves; adding it to entries below h ORs it in
-        lanes_h = _lanes("H", h, h // 2)
-        offsets.append(end // 2)
-        for c in range(1, h):
-            lo, hi = 2 * offsets[c], 2 * offsets[c + 1]
-            below, above, n = hb[lo:hi], cb[lo:hi], hi - lo
-            plus_h = lanes_h >> 8 * (h - n)
-            below_h = int.from_bytes(below, _ORDER) + plus_h
-            above_h = int.from_bytes(above, _ORDER) + plus_h
-            mid = end + n
-            hb[end:mid] = below
-            hb[mid : mid + 2] = c.to_bytes(2, _ORDER)
-            hb[mid + 2 : mid + 2 + n] = below_h.to_bytes(n, _ORDER)
-            cb[end:mid] = above_h.to_bytes(n, _ORDER)
-            cb[mid : mid + 2] = h.to_bytes(2, _ORDER)
-            cb[mid + 2 : mid + 2 + n] = above
-            end = mid + 2 + n
-            offsets.append(end // 2)
-    return memoryview(halves), memoryview(comps), offsets
+        # h in h two-byte lanes, as many as any index below h has subsets;
+        # adding it to entries below h ORs it in
+        lanes_h = _lanes("H", h, h)
+        for c in range(h):
+            t = tables[c]
+            n = len(t)
+            plus_h = int.from_bytes(t, _ORDER) + (lanes_h >> 16 * (h - n))
+            tables.append(t + array("H", plus_h.to_bytes(2 * n, _ORDER)))
+    return tables
 
 
-class _LazyHalves:
-    """The halves (or, with ``comps``, their complements) of _halves for a
-    side too large to hold them all.  Its offsets are the indices
-    themselves, so the span a:a + 1 builds the list of index a, and the
-    fill reads both kinds the same way."""
+class _LazyTables:
+    """The tables of _subset_tables above its cache max, built when read."""
 
-    def __init__(self, comps: bool) -> None:
-        self.comps = comps
-
-    def __getitem__(self, span: slice) -> list[int]:
-        a = span.start
-        low = a & -a
-        # _submasks yields a ^ low first, whose half is a itself
-        halves = [low | c for c in _submasks(a ^ low)][1:]
-        return [a ^ x for x in halves] if self.comps else halves
+    def __getitem__(self, a: int) -> list[int]:
+        return _index_perm([j for j in range(a.bit_length()) if a >> j & 1])
 
 
 class PropGame:

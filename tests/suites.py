@@ -396,18 +396,38 @@ class ReferenceFoGame(FoGame):
         return Forall(j, self._extract(mode, w - 1, a2, b2, dom2))
 
 
+class ReuseVariables:
+    """Mixin for a first-order solver whose supplements may also rebind the
+    variables already in the domain, for the cross-checks that reuse
+    changes no answer."""
+
+    def _supp_vars(self, dom: tuple[int, ...]) -> list[int]:
+        return super()._supp_vars(dom) + list(dom)
+
+
+class ReusingFoGame(ReuseVariables, FoGame):
+    pass
+
+
+class ReusingReferenceFoGame(ReuseVariables, ReferenceFoGame):
+    pass
+
+
 def fo_search_mismatches(
     queries: list[tuple[StructureClass, StructureClass, int]],
     mode: FoMode,
-    fresh_only: bool = True,
+    reuse: bool = False,
 ) -> list[str]:
     """Ask each (left, right, rank) in order of one ``FoGame`` and one
-    ``ReferenceFoGame``, so both memos fill alike.  Per query the winners,
-    ``positions_visited`` and, where player I wins, the text of the
-    synthesized formula and the positions synthesis visits must agree.  A
-    query that hits a cap must hit the same one after as many positions."""
-    game = FoGame(fresh_only=fresh_only)
-    ref = ReferenceFoGame(fresh_only=fresh_only)
+    ``ReferenceFoGame`` (with ``reuse``, their ``ReuseVariables`` forms), so
+    both memos fill alike.  Per query the winners, ``positions_visited``
+    and, where player I wins, the text of the synthesized formula and the
+    positions synthesis visits must agree.  A query that hits a cap must
+    hit the same one after as many positions."""
+    if reuse:
+        game, ref = ReusingFoGame(), ReusingReferenceFoGame()
+    else:
+        game, ref = FoGame(), ReferenceFoGame()
     violations = []
     for i, (left, right, w) in enumerate(queries):
         answers = []

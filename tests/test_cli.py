@@ -219,6 +219,17 @@ def test_fo_minsize(order_classes):
     assert json.loads(out) == {"result": "unknown", "searched_up_to": 2}
 
 
+def test_fo_minsize_of_classes_that_share_a_structure(tmp_path):
+    member = class_to_json(linorder_instances(2)[0])[:1]
+    one = write_json(tmp_path, "one.json", member)
+    twice = write_json(tmp_path, "twice.json", member * 2)
+    for extra in ((), ("--mode", "existential"), ("--wmax", "3")):
+        code, out, _ = run_cli("fo", "minsize", twice, one, *extra)
+        assert (code, out.strip()) == (0, "inseparable"), extra
+        code, out, _ = run_cli("--json", "fo", "minsize", twice, one, *extra)
+        assert (code, json.loads(out)) == (0, {"result": "inseparable"}), extra
+
+
 def test_fo_synth_is_deterministic(order_classes):
     left, right = order_classes
     argv = ("--json", "fo", "synth", left, right, "--rank", "3", "--mode", "existential")
@@ -414,6 +425,14 @@ def test_the_caps_table_lists_every_cap_flag():
     rows = re.findall(r"^\| `(--[a-z-]+)` \|", section, re.MULTILINE)
     assert len(rows) == len(set(rows))
     assert set(rows) == {f for _, flags in _cap_flags(cli._parser()) for f in flags}
+
+
+def test_the_readme_lists_every_subcommand():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Commands", 1)[1].split("\n### ", 1)[0]
+    lines = re.findall(r"^efgames ([a-z]+) ([a-z]+)\b", section, re.MULTILINE)
+    assert len(lines) == len(set(lines))
+    assert set(lines) == {path for path, _ in _flags(cli._parser(), lambda a: False)}
 
 
 # a command line for each subcommand that declares caps; only the parser

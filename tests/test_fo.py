@@ -274,6 +274,16 @@ def test_structure_json_validation():
         structure_from_json(bad2)
 
 
+def test_structure_json_rejects_a_bool_arity_and_non_decimal_keys():
+    good = structure_to_json(order_struct(2, {0: 1}))
+    with pytest.raises(InputError, match="bad vocabulary entry"):
+        structure_from_json({**good, "vocabulary": [["<", True]]})
+    for key in ("1_0", " 1", "1 ", "+1", "-1", "\u0661", ""):
+        with pytest.raises(InputError, match="is not a variable index"):
+            structure_from_json({**good, "assignment": {key: 1}})
+    assert structure_from_json({**good, "assignment": {"00": 1}}) == order_struct(2, {0: 1})
+
+
 def test_format_uses_infix_for_operators():
     assert format_fo(PSI2) == "exists x0 exists x1 (x0 < x1)"
     f = Forall(0, FoNot(RelAtom("P1", (0,))))

@@ -75,6 +75,18 @@ def test_identical_classes_are_inseparable():
     assert FoGame().minsize(a, a, mode=FoMode.EXISTENTIAL, w_max=4) is None
 
 
+def test_classes_that_share_a_structure_are_inseparable_at_once():
+    # no formula is true and false on the shared structure, so no rank is
+    # searched
+    a, b = linorder_instances(2)
+    both = StructureClass.of(a.members + b.members)
+    for mode in FoMode:
+        for left, right in ((a, both), (both, b)):
+            game = FoGame()
+            assert game.minsize(left, right, mode=mode, w_max=3) is None
+            assert game.positions_visited == 0
+
+
 def test_synthesized_order_sentence_matches_reference():
     a, b = linorder_instances(2)
     f = FoGame().synthesize(a, b, 3, FoMode.EXISTENTIAL)
@@ -239,7 +251,7 @@ def test_variable_reuse_does_not_change_winners(tiny_fo_suite):
     _, records = tiny_fo_suite[FoMode.FULL]
     sample = rng.sample(records, 30)
     for mode in (FoMode.EXISTENTIAL, FoMode.FULL):
-        reuse = FoGame(fresh_only=False)
+        reuse = suites.ReusingFoGame()
         restricted = tiny_fo_suite[mode][0]
         for rec in sample:
             for w in (2, 3, 4):
@@ -352,7 +364,7 @@ def test_search_matches_the_reference_when_variables_are_reused():
     for mode, w_max in ((FoMode.EXISTENTIAL, 5), (FoMode.FULL, 3)):
         queries = [(a, b, w) for w in range(1, w_max + 1)]
         queries += [(b, a, w) for w in range(1, w_max + 1)]
-        assert suites.fo_search_mismatches(queries, mode, fresh_only=False) == []
+        assert suites.fo_search_mismatches(queries, mode, reuse=True) == []
 
 
 def test_search_matches_the_reference_with_an_empty_side():

@@ -144,19 +144,16 @@ def test_size_table_matches_reference_on_random_pairs():
 
 
 def _half_pairs(k):
-    """Per index below 2**k: its (half, complement) pairs from _halves."""
-    halves, comps, offsets = propgame._halves(k)
-    return [
-        list(zip(halves[offsets[a] : offsets[a + 1]], comps[offsets[a] : offsets[a + 1]]))
-        for a in range(1 << k)
-    ]
+    """Per index below 2**k: its (half, complement) pairs from its subset
+    table."""
+    tables = propgame._subset_tables(k)
+    return [list(zip(tables[a][1:-1:2], tables[a][-2:0:-2])) for a in range(1 << k)]
 
 
 def test_lazy_halves_match_the_cached_halves(monkeypatch):
     cached = _half_pairs(6)
-    monkeypatch.setattr(propgame, "_HALVES_CACHE_MAX", 5)
-    lazy = _half_pairs(6)
-    assert [sorted(pairs) for pairs in lazy] == [sorted(pairs) for pairs in cached]
+    monkeypatch.setattr(propgame, "_TABLES_CACHE_MAX", 5)
+    assert _half_pairs(6) == cached
 
 
 @pytest.mark.parametrize("k", range(11))
@@ -168,8 +165,19 @@ def test_halves_pair_each_half_with_its_complement(k):
         assert all(c == a ^ h for h, c in pairs)
 
 
+def test_subset_tables_order_subsets_by_member_rank():
+    tables = propgame._subset_tables(6)
+    for a in range(1 << 6):
+        members = [1 << j for j in range(6) if a >> j & 1]
+        want = [
+            sum(m for r, m in enumerate(members) if x >> r & 1)
+            for x in range(1 << len(members))
+        ]
+        assert list(tables[a]) == want
+
+
 def test_size_table_matches_reference_with_lazy_halves(monkeypatch):
-    monkeypatch.setattr(propgame, "_HALVES_CACHE_MAX", 2)
+    monkeypatch.setattr(propgame, "_TABLES_CACHE_MAX", 2)
     rng = random.Random(99)
     shapes = [(1, 13), (13, 1), (6, 6), (2, 3)]
     for root in _random_roots(rng, 4, shapes):
@@ -328,15 +336,15 @@ def test_stabilizer_matches_every_hypercube_map_on_random_roots():
 
 
 @pytest.mark.parametrize(
-    "s_outer, halves_max",
-    [(True, propgame._HALVES_CACHE_MAX), (False, propgame._HALVES_CACHE_MAX), (None, 2)],
+    "s_outer, tables_max",
+    [(True, propgame._TABLES_CACHE_MAX), (False, propgame._TABLES_CACHE_MAX), (None, 2)],
 )
-def test_size_table_matches_reference_on_symmetric_roots(monkeypatch, s_outer, halves_max):
+def test_size_table_matches_reference_on_symmetric_roots(monkeypatch, s_outer, tables_max):
     # the search would not pay below 13 strings; run it on every root
     monkeypatch.setattr(propgame, "_symmetry_pays", lambda width, n_strings: True)
     if s_outer is not None:
         monkeypatch.setattr(propgame, "_outer_first", lambda n1, n2: s_outer)
-    monkeypatch.setattr(propgame, "_HALVES_CACHE_MAX", halves_max)
+    monkeypatch.setattr(propgame, "_TABLES_CACHE_MAX", tables_max)
     for left, right in SYMMETRIC_ROOTS:
         assert suites.size_table_mismatches(left.width, [(left.mask, right.mask)]) == []
 
