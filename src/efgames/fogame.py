@@ -198,11 +198,23 @@ class FoGame:
     def _branching(
         self, w: int, ids: tuple[int, ...], m: int, j: int
     ) -> tuple[tuple[int, ...], int]:
-        """The star of a side that player II branches over, within the cap."""
-        got = self._star_ids(ids, m, j)
-        if len(got[0]) > self.cap_class_size:
+        """The star of a side that player II branches over, within the cap.
+        At an unbound x_j distinct members have distinct extensions, so a
+        star not yet built is refused before it is built when the members'
+        universes hold more elements than the cap."""
+        got = self._star.get((m, j))
+        if got is None:
+            size = 0
+            if ids and j not in self._by_id[ids[0]].assignment:
+                size = sum(self._by_id[sid].model.universe_size for sid in ids)
+            if size <= self.cap_class_size:
+                got = self._star_ids(ids, m, j)
+                size = len(got[0])
+        else:
+            size = len(got[0])
+        if size > self.cap_class_size:
             raise self._capped(
-                f"a branching extension reaches {len(got[0])} members, over the "
+                f"a branching extension reaches {size} members, over the "
                 f"cap {self.cap_class_size} (--cap-class-size)",
                 w,
             )
@@ -490,12 +502,13 @@ class FoGame:
         mode: FoMode = FoMode.FULL,
     ) -> Optional[FoFormula]:
         """A separating formula of size <= rank read off a winning
-        strategy, or None when player II wins at that rank.  Existential
-        mode never emits a universal quantifier."""
+        strategy, or None when player II wins at that rank, and at once
+        when the classes share a structure.  Existential mode never emits a
+        universal quantifier."""
         if rank < 1:
             raise InputError(f"rank must be >= 1, got {rank}")
         root = self._enter(left, right, rank)
-        if not self._wins(mode, rank, *root):
+        if root[1] & root[3] or not self._wins(mode, rank, *root):
             return None
         return self._extract(mode, rank, *root)
 

@@ -36,11 +36,11 @@ smaller, so every summand is already filled.  Each finished line is
 packed into one int, with one lane per inner index, so the best outer
 split of every cell of a line is a single lane-wise (SWAR) min over the
 outer halves: the subsets h of the outer index o that hold its lowest
-member, each adding the packed lines of h and o ^ h.  A lane is 8 bits
-where it fits and 16 bits otherwise, sized from the bound width *
-min(|S|, |R|) on every size (a DNF or CNF of full-length terms), so that
-the sum of two sizes stays below the lane's guard bit; a larger bound
-raises ResourceCapError.  The outer side is the one with the lower
+member, each adding the packed lines of h and o ^ h.  A lane is 16 bits
+with its top bit as the guard, so the sum of two sizes must stay below
+2**15; the bound width * min(|S|, |R|) on every size (a DNF or CNF of
+full-length terms) is checked against that, and a larger bound raises
+ResourceCapError.  The outer side is the one with the lower
 estimated cost: a lane-wise min per outer half, whose cost grows with
 the inner side's 2**k lanes, against a per-cell fold over the inner
 halves.  Lopsided roots run along their small side, balanced ones along
@@ -235,17 +235,6 @@ def successors(pos: PropPosition, move: PropMove) -> tuple[PropPosition, ...]:
     )
 
 
-def _proper_submasks(m: int) -> Iterator[int]:
-    """Nonempty proper submasks of m, ascending."""
-    sub = 0
-    while True:
-        sub = (sub - m) & m  # next submask in ascending order
-        if sub == 0:
-            return
-        if sub != m:
-            yield sub
-
-
 def _submasks(m: int) -> Iterator[int]:
     """All submasks of m including 0 and m, descending."""
     x = m
@@ -259,20 +248,9 @@ def _submasks(m: int) -> Iterator[int]:
 _ORDER = sys.byteorder  # lines are packed into ints and back in native order
 
 
-def _lane_code(ub: int) -> tuple[str, int]:
-    """The array typecode of the narrowest 8- or 16-bit lane that holds the
-    sum of two sizes up to ub below its top (guard) bit, and that bit."""
-    bits = (2 * ub).bit_length() + 1
-    if bits > 16:
-        raise ResourceCapError(
-            f"sizes up to {ub} do not fit the fill's 16-bit lanes"
-        )
-    return ("B", 1 << 7) if bits <= 8 else ("H", 1 << 15)
-
-
-def _lanes(code: str, value: int, n: int) -> int:
-    """n lanes of the typecode's width packed into one int, each holding value."""
-    return int.from_bytes(array(code, [value]).tobytes() * n, _ORDER)
+def _lanes(value: int, n: int) -> int:
+    """n 16-bit lanes packed into one int, each holding value."""
+    return int.from_bytes(array("H", [value]).tobytes() * n, _ORDER)
 
 
 def _stabilizer(
@@ -340,9 +318,11 @@ def _fill_lines(
     A literal separates the cell when out_lits[o] & in_lits[i] is nonzero,
     and ub bounds every size.
 
-    Each finished line is also packed into one int with a lane per inner
-    index, so the best outer split of a whole line is a lane-wise min, over
-    the outer halves h of o, of packed[h] + packed[o ^ h].  The inner splits
+    Each finished line is also packed into one int with a 16-bit lane per
+    inner index, so the best outer split of a whole line is a lane-wise
+    min, over the outer halves h of o, of packed[h] + packed[o ^ h]; the
+    sum of two sizes up to ub must stay below the lanes' guard bit 2**15,
+    or ResourceCapError is raised.  The inner splits
     are folded per cell over the halves in the inner index's subset table
     (_subset_tables, held up to 15 strings and built per index above), and
     only where no bound settles the cell: sizes only grow with the sides,
@@ -353,21 +333,21 @@ def _fill_lines(
     outer then inner (member j goes to member perm[j]); a line that one of
     them reaches from an earlier line is gathered from that line instead
     of walked (_derived_lines)."""
+    if 2 * ub >= 1 << 15:
+        raise ResourceCapError(f"sizes up to {ub} do not fit the fill's 16-bit lanes")
     n_in = len(in_lits)
-    code, top = _lane_code(ub)
-    lane_bytes = array(code).itemsize * n_in
-    guards, shift = _lanes(code, top, n_in), top.bit_length() - 1
-    no_split = _lanes(code, top - 1, n_in)
+    lane_bytes, shift = 2 * n_in, 15
+    guards, no_split = _lanes(1 << 15, n_in), _lanes((1 << 15) - 1, n_in)
     tables = _subset_tables(n_in.bit_length() - 1)
     # i minus its highest member
     tops = array("L", [i ^ 1 << i.bit_length() - 1 if i else 0 for i in range(n_in)])
-    cells = array(code, [1 if lit & out_lits[0] else 2 for lit in in_lits])
+    cells = array("H", [1 if lit & out_lits[0] else 2 for lit in in_lits])
     packed = [int.from_bytes(cells.tobytes(), _ORDER)]
     derived = _derived_lines(len(out_lits), maps)
     for o in range(1, len(out_lits)):
         if o in derived:
             r, gather = derived[o]
-            done = array(code, gather(cells[r * n_in : (r + 1) * n_in]))
+            done = array("H", gather(cells[r * n_in : (r + 1) * n_in]))
             cells += done
             packed.append(int.from_bytes(done.tobytes(), _ORDER))
             continue
@@ -380,7 +360,7 @@ def _fill_lines(
             s = packed[low | y] + packed[rest ^ y]
             g = ((acc | guards) - s) & guards
             acc ^= (acc ^ s) & (g - (g >> shift))
-        outer = array(code, acc.to_bytes(lane_bytes, _ORDER))
+        outer = array("H", acc.to_bytes(lane_bytes, _ORDER))
         # lane-wise max over the lines of o minus one member
         acc, y = 0, o
         while y:
@@ -388,7 +368,7 @@ def _fill_lines(
             y &= y - 1
             g = ((acc | guards) - s) & guards ^ guards
             acc ^= (acc ^ s) & (g - (g >> shift))
-        floor = array(code, acc.to_bytes(lane_bytes, _ORDER))
+        floor = array("H", acc.to_bytes(lane_bytes, _ORDER))
         o_lit = out_lits[o]
         line = [1 if in_lits[0] & o_lit else 2]
         get = line.__getitem__
@@ -424,7 +404,7 @@ def _fill_lines(
                             if cand < best:
                                 best = cand
             line.append(best)
-        done = array(code, line)
+        done = array("H", line)
         cells += done
         packed.append(int.from_bytes(done.tobytes(), _ORDER))
     return cells, len(derived)
@@ -497,7 +477,7 @@ def _subset_tables(k: int) -> Sequence[Sequence[int]]:
         h = 1 << j
         # h in h two-byte lanes, as many as any index below h has subsets;
         # adding it to entries below h ORs it in
-        lanes_h = _lanes("H", h, h)
+        lanes_h = _lanes(h, h)
         for c in range(h):
             t = tables[c]
             n = len(t)
@@ -637,48 +617,41 @@ class PropGame:
                 f"properties must have width {self.width}, got {left.width}/{right.width}"
             )
 
-    def _check_reduced_caps(self, left: StringProperty, right: StringProperty) -> None:
-        count = len(left) + len(right)
-        if count > self.cap_strings:
-            raise ResourceCapError(
-                f"|S| + |R| = {count} exceeds the size-table cap {self.cap_strings} "
-                f"(--cap-strings)"
-            )
-
     def minsize(self, left: StringProperty, right: StringProperty) -> Optional[int]:
         """Minimal separating formula size, or None when the sides overlap
         (no formula can be true and false on a shared string)."""
         self._check_pair(left, right)
         if left.mask & right.mask:
             return None
-        self._check_reduced_caps(left, right)
+        count = len(left) + len(right)
+        if count > self.cap_strings:
+            raise ResourceCapError(
+                f"|S| + |R| = {count} exceeds the size-table cap {self.cap_strings} "
+                f"(--cap-strings)"
+            )
         return self.value(left.mask, right.mask)
 
     def winner(self, pos: PropPosition, mode: GameMode = GameMode.REDUCED) -> Player:
+        if mode is GameMode.REDUCED:
+            k = self.minsize(pos.left, pos.right)
+            return Player.I if k is not None and k <= pos.rank else Player.II
         self._check_pair(pos.left, pos.right)
-        if mode is GameMode.EXACT:
-            count = len(pos.left) + len(pos.right)
-            if count > self.cap_exact_strings:
-                raise ResourceCapError(
-                    f"|S| + |R| = {count} exceeds the exact-mode cap "
-                    f"{self.cap_exact_strings} (--cap-exact-strings)"
-                )
-            return Player.I if self._exact_wins(pos.rank, pos.left.mask, pos.right.mask) else Player.II
-        if pos.left.mask & pos.right.mask:
-            return Player.II
-        self._check_reduced_caps(pos.left, pos.right)
-        return Player.I if self.value(pos.left.mask, pos.right.mask) <= pos.rank else Player.II
+        count = len(pos.left) + len(pos.right)
+        if count > self.cap_exact_strings:
+            raise ResourceCapError(
+                f"|S| + |R| = {count} exceeds the exact-mode cap "
+                f"{self.cap_exact_strings} (--cap-exact-strings)"
+            )
+        return Player.I if self._exact_wins(pos.rank, pos.left.mask, pos.right.mask) else Player.II
 
     # -- exact mode ----------------------------------------------------------
 
     def _exact_wins(self, w: int, smask: int, rmask: int) -> bool:
         key = (w, smask, rmask)
         got = self._exact.get(key)
-        if got is not None:
-            return got
-        result = self._exact_search(w, smask, rmask)
-        self._exact[key] = result
-        return result
+        if got is None:
+            got = self._exact[key] = self._exact_search(w, smask, rmask)
+        return got
 
     def _exact_search(self, w: int, smask: int, rmask: int) -> bool:
         if _first_literal(self._literals, smask, rmask) is not None:
@@ -714,13 +687,10 @@ class PropGame:
         Deterministic choices: a winning literal beats any split, left
         splits beat right splits, then the smallest left-block size u and
         the smallest left-block mask win ties."""
-        self._check_pair(left, right)
         if budget < 1:
             raise InputError(f"budget must be >= 1, got {budget}")
-        if left.mask & right.mask:
-            return None
-        self._check_reduced_caps(left, right)
-        if self.value(left.mask, right.mask) > budget:
+        k = self.minsize(left, right)
+        if k is None or k > budget:
             return None
         return self._build(left.mask, right.mask)
 
@@ -734,21 +704,25 @@ class PropGame:
             return Or(Var(1), Not(Var(1)))
         target = self.value(smask, rmask)
         best: Optional[tuple[int, int]] = None  # (u, cmask)
-        for c in _proper_submasks(smask):
+        # the nonempty proper blocks c; the least (u, c) wins, whatever the
+        # scan order
+        for c in _submasks(smask):
             d = smask ^ c
-            u = self.value(c, rmask)
-            if u + self.value(d, rmask) == target:
-                if best is None or (u, c) < best:
-                    best = (u, c)
+            if c and d:
+                u = self.value(c, rmask)
+                if u + self.value(d, rmask) == target:
+                    if best is None or (u, c) < best:
+                        best = (u, c)
         if best is not None:
             _, c = best
             return Or(self._build(c, rmask), self._build(smask ^ c, rmask))
-        for c in _proper_submasks(rmask):
+        for c in _submasks(rmask):
             d = rmask ^ c
-            u = self.value(smask, c)
-            if u + self.value(smask, d) == target:
-                if best is None or (u, c) < best:
-                    best = (u, c)
+            if c and d:
+                u = self.value(smask, c)
+                if u + self.value(smask, d) == target:
+                    if best is None or (u, c) < best:
+                        best = (u, c)
         if best is None:
             raise ContractError("size table admits no optimal split")  # unreachable
         _, c = best

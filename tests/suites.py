@@ -619,6 +619,26 @@ def lemma_measure_m_supplement() -> list[str]:
     return violations
 
 
+
+def lemma_measure_m_soundness() -> list[str]:
+    """M is a lower bound: measure_M never exceeds the exact existential
+    minimal size at the n = 1 instance pair and at every position reached
+    by one or two supplementing extensions.  The search runs up to rank
+    (n + 1) * 2**n.  The n = 2 positions stop at the default class-size
+    cap and are left out until the split search over bitset classes
+    lifts it."""
+    violations = []
+    game = FoGame()
+    for n, a, b in _boolcomb_positions(n_max=1):
+        bound = measure_M(a, b)
+        exact = game.minsize(a, b, FoMode.EXISTENTIAL, (n + 1) * 2**n)
+        if exact is None or bound > exact:
+            violations.append(
+                f"n={n}, assignment {dict(a.members[0].assignment.items)}: "
+                f"measure_M {bound} against the exact existential size {exact}"
+            )
+    return violations
+
 # ---------------------------------------------------------------------------
 # linear orders
 

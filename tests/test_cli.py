@@ -230,6 +230,15 @@ def test_fo_minsize_of_classes_that_share_a_structure(tmp_path):
         assert (code, json.loads(out)) == (0, {"result": "inseparable"}), extra
 
 
+
+def test_fo_synth_of_classes_that_share_a_structure(tmp_path):
+    two, three = (class_to_json(linorder_instances(n)[0]) for n in (2, 3))
+    one = write_json(tmp_path, "one.json", two)
+    both = write_json(tmp_path, "both.json", two + three)
+    for extra in (("--rank", "4"), ("--rank", "5"), ("--rank", "5", "--mode", "existential")):
+        code, out, _ = run_cli("fo", "synth", one, both, *extra)
+        assert (code, out.strip()) == (0, f"no separating formula of size <= {extra[1]}"), extra
+
 def test_fo_synth_is_deterministic(order_classes):
     left, right = order_classes
     argv = ("--json", "fo", "synth", left, right, "--rank", "3", "--mode", "existential")
@@ -434,6 +443,26 @@ def test_the_readme_lists_every_subcommand():
     assert len(lines) == len(set(lines))
     assert set(lines) == {path for path, _ in _flags(cli._parser(), lambda a: False)}
 
+
+
+def test_the_readme_examples_give_what_they_state():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1]
+    sketch = sketch.split("```", 1)[0]
+    namespace = {}
+    exec(sketch, namespace)
+    stated = re.findall(r"^(\S.*?)\s+# (\d+)\b", sketch, re.MULTILINE)
+    assert [int(value) for _, value in stated] == [4, 4, 5, 5]
+    for expr, value in stated:
+        assert eval(expr, namespace) == int(value), expr
+    f, left, right = namespace["f"], namespace["S"], namespace["R"]
+    assert size(f) == 4 and separates(f, left, right)
+    command = "$ efgames --json repro parity --n 2\n"
+    example = json.loads(readme.split(command, 1)[1].split("```", 1)[0])
+    code, out, _ = run_cli(*command.split()[2:])
+    got = json.loads(out)
+    assert code == 0
+    assert {**got, "runtime_ms": None} == {**example, "runtime_ms": None}
 
 # a command line for each subcommand that declares caps; only the parser
 # reads it, so the files need not exist

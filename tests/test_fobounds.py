@@ -322,6 +322,10 @@ def test_measure_m_survives_supplements():
     assert suites.lemma_measure_m_supplement() == []
 
 
+
+def test_measure_m_never_exceeds_the_exact_size():
+    assert suites.lemma_measure_m_soundness() == []
+
 def test_measure_n_ignores_atomic_wins():
     assert suites.lemma_measure_n_blindness() == []
 

@@ -87,6 +87,17 @@ def test_classes_that_share_a_structure_are_inseparable_at_once():
             assert game.positions_visited == 0
 
 
+
+def test_synthesis_of_classes_that_share_a_structure_is_none_at_once():
+    # before any rank was searched, these queries stopped at the
+    # choice-function cap (full, rank 4) or the class-size cap
+    two = order_class(2)
+    both = StructureClass.of(two.members + order_class(3).members)
+    for mode, rank in ((FoMode.FULL, 4), (FoMode.FULL, 5), (FoMode.EXISTENTIAL, 5)):
+        game = FoGame()
+        assert game.synthesize(two, both, rank, mode) is None
+        assert game.positions_visited == 0
+
 def test_synthesized_order_sentence_matches_reference():
     a, b = linorder_instances(2)
     f = FoGame().synthesize(a, b, 3, FoMode.EXISTENTIAL)
@@ -202,6 +213,23 @@ def test_cap_errors_say_how_far_the_search_got():
     assert "reaches 3 members, over the cap 2 (--cap-class-size)" in message
     assert message.endswith("rank-2 position, visited positions in this query: 4")
 
+
+
+def test_the_class_size_cap_refuses_a_star_before_building_it():
+    # at rank 2 player II would branch over every element of the large
+    # structure; its star is refused from the universe size alone
+    vocab = Vocabulary.make(("P", 1))
+    small, large = (
+        StructureClass.of([Structure(Model.make(vocab, k), EMPTY_ASSIGNMENT)])
+        for k in (1, 5000)
+    )
+    game = FoGame()
+    with pytest.raises(ResourceCapError) as err:
+        game.winner(2, small, large, FoMode.FULL)
+    message = str(err.value)
+    assert "reaches 5000 members, over the cap 64 (--cap-class-size)" in message
+    assert message.endswith("rank-2 position, visited positions in this query: 1")
+    assert len(game._by_id) < 100
 
 def test_winner_agrees_with_enumeration_everywhere(tiny_fo_suite):
     for mode, (game, records) in tiny_fo_suite.items():

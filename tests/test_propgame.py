@@ -203,25 +203,19 @@ def test_lines_run_along_the_side_that_costs_less():
 
 
 def test_lanes_are_sized_from_the_size_bound():
-    # two sizes up to ub must sum below the lane's guard bit
-    assert propgame._lane_code(63) == ("B", 1 << 7)
-    assert propgame._lane_code(64) == ("H", 1 << 15)
-    assert propgame._lane_code(16383) == ("H", 1 << 15)
+    # two sizes up to ub must sum below the lane's guard bit; the cells are
+    # one member a side, separated by the one literal
+    cells, _ = propgame._fill_lines([1, 1], [1, 1], 16383)
+    assert list(cells) == [1, 1, 1, 1]
     with pytest.raises(ResourceCapError):
-        propgame._lane_code(16384)
+        propgame._fill_lines([1, 1], [1, 1], 16384)
 
 
-def test_size_table_matches_reference_with_sixteen_bit_lanes(monkeypatch):
-    # width 16 times 5 strings bounds every size by 80, past 8-bit lanes
-    codes = []
-    lane_code = propgame._lane_code
-    monkeypatch.setattr(
-        propgame, "_lane_code", lambda ub: codes.append(lane_code(ub)) or codes[-1]
-    )
+def test_size_table_matches_reference_with_sixteen_bit_lanes():
+    # roots at width 16, the widest a PropGame takes
     rng = random.Random(95)
     roots = _random_roots(rng, 16, [(5, 5), (4, 6)])
     assert suites.size_table_mismatches(16, roots) == []
-    assert codes == [("H", 1 << 15), ("H", 1 << 15)]
 
 
 def test_size_table_matches_reference_with_empty_sides():
