@@ -59,7 +59,6 @@ from .fobounds import (
 from .fogame import FoGame, FoMode
 from .oracle import (
     FoEnumerator,
-    TruthTable,
     count_functions_up_to,
     fo_enumerate_separator,
     min_size_table,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import ContractError, InputError
 
@@ -120,13 +120,12 @@ class Assignment:
             if j in seen:
                 raise InputError(f"variable x{j} assigned twice")
             seen.add(j)
-        if self.items != tuple(sorted(self.items)):
-            object.__setattr__(self, "items", tuple(sorted(self.items)))
+        object.__setattr__(self, "items", tuple(sorted(self.items)))
 
     @classmethod
     def make(cls, mapping: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()) -> "Assignment":
         pairs = mapping.items() if isinstance(mapping, Mapping) else mapping
-        return cls(tuple(sorted((int(j), int(a)) for j, a in pairs)))
+        return cls(tuple((int(j), int(a)) for j, a in pairs))
 
     @property
     def domain(self) -> frozenset[int]:
@@ -144,7 +143,7 @@ class Assignment:
     def extend(self, j: int, a: int) -> "Assignment":
         """Copy with x_j set to a, overriding any previous value."""
         items = tuple((var, val) for var, val in self.items if var != j)
-        return Assignment(tuple(sorted(items + ((j, a),))))
+        return Assignment(items + ((j, a),))
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.items)
@@ -289,17 +288,22 @@ class Forall(FoFormula):
             raise InputError("quantified variable index must be >= 0")
 
 
+def _subformulas(f: FoFormula) -> Iterator[FoFormula]:
+    """Every node of f, children first."""
+    if isinstance(f, (FoNot, Exists, Forall)):
+        yield from _subformulas(f.child)
+    elif isinstance(f, (FoAnd, FoOr)):
+        yield from _subformulas(f.left)
+        yield from _subformulas(f.right)
+    elif not isinstance(f, (RelAtom, EqAtom)):
+        raise InputError(f"not a formula node: {f!r}")
+    yield f
+
+
 def fo_size(f: FoFormula) -> int:
     """Atoms weigh 1, connectives add, each quantifier adds 1."""
-    if isinstance(f, (RelAtom, EqAtom)):
-        return 1
-    if isinstance(f, FoNot):
-        return fo_size(f.child)
-    if isinstance(f, (FoAnd, FoOr)):
-        return fo_size(f.left) + fo_size(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return 1 + fo_size(f.child)
-    raise InputError(f"not a formula node: {f!r}")
+    weighed = (RelAtom, EqAtom, Exists, Forall)
+    return sum(isinstance(g, weighed) for g in _subformulas(f))
 
 
 def fo_quantifier_rank(f: FoFormula) -> int:
@@ -333,48 +337,26 @@ def fo_nnf(f: FoFormula) -> FoFormula:
     return _fo_nnf(f, positive=True)
 
 
+_DUAL = {FoAnd: FoOr, FoOr: FoAnd, Exists: Forall, Forall: Exists}
+
+
 def _fo_nnf(f: FoFormula, positive: bool) -> FoFormula:
     if isinstance(f, (RelAtom, EqAtom)):
         return f if positive else FoNot(f)
     if isinstance(f, FoNot):
         return _fo_nnf(f.child, not positive)
-    if isinstance(f, FoAnd):
-        if positive:
-            return FoAnd(_fo_nnf(f.left, True), _fo_nnf(f.right, True))
-        return FoOr(_fo_nnf(f.left, False), _fo_nnf(f.right, False))
-    if isinstance(f, FoOr):
-        if positive:
-            return FoOr(_fo_nnf(f.left, True), _fo_nnf(f.right, True))
-        return FoAnd(_fo_nnf(f.left, False), _fo_nnf(f.right, False))
-    if isinstance(f, Exists):
-        if positive:
-            return Exists(f.var, _fo_nnf(f.child, True))
-        return Forall(f.var, _fo_nnf(f.child, False))
-    if isinstance(f, Forall):
-        if positive:
-            return Forall(f.var, _fo_nnf(f.child, True))
-        return Exists(f.var, _fo_nnf(f.child, False))
+    op = type(f) if positive else _DUAL.get(type(f))
+    if isinstance(f, (FoAnd, FoOr)):
+        return op(_fo_nnf(f.left, positive), _fo_nnf(f.right, positive))
+    if isinstance(f, (Exists, Forall)):
+        return op(f.var, _fo_nnf(f.child, positive))
     raise InputError(f"not a formula node: {f!r}")
 
 
 def is_existential(f: FoFormula) -> bool:
     """True iff the negation normal form of f contains no universal
     quantifier."""
-    return _is_existential(f, positive=True)
-
-
-def _is_existential(f: FoFormula, positive: bool) -> bool:
-    if isinstance(f, (RelAtom, EqAtom)):
-        return True
-    if isinstance(f, FoNot):
-        return _is_existential(f.child, not positive)
-    if isinstance(f, (FoAnd, FoOr)):
-        return _is_existential(f.left, positive) and _is_existential(f.right, positive)
-    if isinstance(f, Exists):
-        return positive and _is_existential(f.child, positive)
-    if isinstance(f, Forall):
-        return not positive and _is_existential(f.child, positive)
-    raise InputError(f"not a formula node: {f!r}")
+    return not any(isinstance(g, Forall) for g in _subformulas(fo_nnf(f)))
 
 
 _MISSING = object()

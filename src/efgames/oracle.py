@@ -22,7 +22,6 @@ legality (free variables inside the class domain) matters.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -48,23 +47,6 @@ from .fogame import FoMode
 from .props import StringProperty, check_same_width, var_mask
 
 ORACLE_MAX_WIDTH = 3
-
-
-@dataclass(frozen=True, slots=True)
-class TruthTable:
-    """A Boolean function of ``width`` variables: bit e(s) of ``bits`` is
-    the value on the string s."""
-
-    width: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.width <= ORACLE_MAX_WIDTH:
-            raise InputError(
-                f"oracle width must be 1..{ORACLE_MAX_WIDTH}, got {self.width}"
-            )
-        if self.bits < 0 or self.bits >> (1 << self.width):
-            raise InputError(f"truth table out of range for width {self.width}")
 
 
 def _check_oracle_width(n: int) -> None:
@@ -109,10 +91,11 @@ def _size_map(n: int) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def min_size_table(n: int) -> dict[TruthTable, int]:
-    """Minimal separating-formula size of every function of n variables."""
+def min_size_table(n: int) -> dict[StringProperty, int]:
+    """Minimal separating-formula size of every function of n variables,
+    keyed by the property of the strings the function accepts."""
     _check_oracle_width(n)
-    return {TruthTable(n, t): s for t, s in enumerate(_size_map(n))}
+    return {StringProperty(n, t): s for t, s in enumerate(_size_map(n))}
 
 
 def oracle_minsize(left: StringProperty, right: StringProperty) -> Optional[int]:

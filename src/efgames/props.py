@@ -190,17 +190,7 @@ def size(f: PropFormula) -> int:
 
 
 def evaluate(f: PropFormula, s: BitString) -> bool:
-    if isinstance(f, Var):
-        if f.index > s.width:
-            raise InputError(f"variable p{f.index} exceeds string width {s.width}")
-        return s.bit(f.index) == 1
-    if isinstance(f, Not):
-        return not evaluate(f.child, s)
-    if isinstance(f, And):
-        return evaluate(f.left, s) and evaluate(f.right, s)
-    if isinstance(f, Or):
-        return evaluate(f.left, s) or evaluate(f.right, s)
-    raise InputError(f"not a formula node: {f!r}")
+    return bool(truth_table(f, s.width) >> s.bits & 1)
 
 
 def to_nnf(f: PropFormula) -> PropFormula:
@@ -208,30 +198,23 @@ def to_nnf(f: PropFormula) -> PropFormula:
     return _nnf(f, positive=True)
 
 
+_DUAL = {And: Or, Or: And}
+
+
 def _nnf(f: PropFormula, positive: bool) -> PropFormula:
     if isinstance(f, Var):
         return f if positive else Not(f)
     if isinstance(f, Not):
         return _nnf(f.child, not positive)
-    if isinstance(f, And):
-        if positive:
-            return And(_nnf(f.left, True), _nnf(f.right, True))
-        return Or(_nnf(f.left, False), _nnf(f.right, False))
-    if isinstance(f, Or):
-        if positive:
-            return Or(_nnf(f.left, True), _nnf(f.right, True))
-        return And(_nnf(f.left, False), _nnf(f.right, False))
+    if isinstance(f, (And, Or)):
+        op = type(f) if positive else _DUAL[type(f)]  # De Morgan
+        return op(_nnf(f.left, positive), _nnf(f.right, positive))
     raise InputError(f"not a formula node: {f!r}")
 
 
 def is_nnf(f: PropFormula) -> bool:
-    if isinstance(f, Var):
-        return True
-    if isinstance(f, Not):
-        return isinstance(f.child, Var)
-    if isinstance(f, (And, Or)):
-        return is_nnf(f.left) and is_nnf(f.right)
-    raise InputError(f"not a formula node: {f!r}")
+    """True iff negation stands only on variables in f."""
+    return to_nnf(f) == f
 
 
 @lru_cache(maxsize=None)

@@ -156,6 +156,22 @@ def test_prop_synth_below_minimum(parity_pair):
     assert json.loads(out) == {"formula": None, "rank": 3}
 
 
+@pytest.mark.parametrize(
+    "sides, text",
+    [(([], ["0", "1"]), "(p1 & !p1)"), ((["0", "1"], []), "(p1 | !p1)")],
+)
+def test_prop_synth_builds_the_constants(tmp_path, sides, text):
+    # one side empty and the other holding every string: no literal
+    # separates, so the formula is a constant, which takes two leaves
+    pair = write_json(tmp_path, "pair.json", {"width": 1, "S": sides[0], "R": sides[1]})
+    code, out, _ = run_cli("prop", "synth", pair, "--rank", "2")
+    assert code == 0
+    assert out.strip() == text
+    code, out, _ = run_cli("--json", "prop", "synth", pair, "--rank", "1")
+    assert code == 0
+    assert json.loads(out) == {"formula": None, "rank": 1}
+
+
 def test_prop_density(parity_pair):
     code, out, _ = run_cli("--json", "prop", "density", parity_pair)
     assert code == 0
@@ -191,6 +207,16 @@ def test_oracle_minsize(parity_pair):
     code, out, _ = run_cli("oracle", "minsize", parity_pair)
     assert code == 0
     assert out.strip() == "minimum separating size: 4"
+
+
+def test_oracle_minsize_of_an_overlapping_pair(tmp_path):
+    pair = write_json(tmp_path, "pair.json", {"width": 2, "S": ["00"], "R": ["00", "11"]})
+    code, out, _ = run_cli("oracle", "minsize", pair)
+    assert code == 0
+    assert out.strip() == "inseparable"
+    code, out, _ = run_cli("--json", "oracle", "minsize", pair)
+    assert code == 0
+    assert json.loads(out) == {"result": "inseparable"}
 
 
 def test_oracle_count():

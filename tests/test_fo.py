@@ -84,12 +84,25 @@ def test_nnf_dualizes_quantifiers():
     assert fo_size(g) == fo_size(f) == 2
 
 
+def test_a_negated_universal_becomes_an_existential():
+    atom = RelAtom("P1", (0,))
+    assert fo_nnf(FoNot(Forall(0, atom))) == Exists(0, FoNot(atom))
+    assert is_existential(FoNot(Forall(0, FoNot(atom))))
+
+
 def test_existential_fragment_detection():
     assert is_existential(PSI2)
     assert not is_existential(Forall(0, Exists(1, RelAtom("<", (0, 1)))))
     # normalized first: the double negation hides no universal
     assert is_existential(FoNot(FoNot(PSI2)))
     assert not is_existential(FoNot(Exists(0, EqAtom(0, 0))))
+
+
+def test_formula_helpers_reject_non_formulas():
+    for bad in ("x0 = x0", FoAnd(EqAtom(0, 0), 3), Exists(0, None)):
+        for helper in (fo_size, is_existential, fo_nnf):
+            with pytest.raises(InputError, match="not a formula node"):
+                helper(bad)
 
 
 def _random_fo(rng, vocab_arity, depth, next_var=0):
@@ -288,6 +301,11 @@ def test_format_uses_infix_for_operators():
     assert format_fo(PSI2) == "exists x0 exists x1 (x0 < x1)"
     f = Forall(0, FoNot(RelAtom("P1", (0,))))
     assert format_fo(f) == "forall x0 !P1(x0)"
+
+
+def test_assignment_items_are_sorted_on_construction():
+    assert Assignment(((1, 0), (0, 1))).items == ((0, 1), (1, 0))
+    assert Assignment.make({2: 0, 0: 1}).extend(1, 1).items == ((0, 1), (1, 1), (2, 0))
 
 
 def test_class_members_share_domain():

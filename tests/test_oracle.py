@@ -17,7 +17,6 @@ from efgames import (
     StringProperty,
     Structure,
     StructureClass,
-    TruthTable,
     Vocabulary,
     count_functions_up_to,
     fo_enumerate_separator,
@@ -47,10 +46,10 @@ def odd_parity_mask(width):
 def test_width_one_table():
     table = min_size_table(1)
     assert len(table) == 4
-    assert table[TruthTable(1, 0b10)] == 1  # p1
-    assert table[TruthTable(1, 0b01)] == 1  # not p1
-    assert table[TruthTable(1, 0b00)] == 2  # constants need two leaves
-    assert table[TruthTable(1, 0b11)] == 2
+    assert table[StringProperty(1, 0b10)] == 1  # p1
+    assert table[StringProperty(1, 0b01)] == 1  # not p1
+    assert table[StringProperty(1, 0b00)] == 2  # constants need two leaves
+    assert table[StringProperty(1, 0b11)] == 2
 
 
 def test_width_two_size_census():
@@ -72,11 +71,11 @@ def test_width_three_table_landmarks():
 
 
 def test_parity_sizes():
-    assert min_size_table(2)[TruthTable(2, odd_parity_mask(2))] == 4
+    assert min_size_table(2)[StringProperty(2, odd_parity_mask(2))] == 4
     table3 = min_size_table(3)
     odd = odd_parity_mask(3)
-    assert table3[TruthTable(3, odd)] == 10
-    assert table3[TruthTable(3, 255 ^ odd)] == 10
+    assert table3[StringProperty(3, odd)] == 10
+    assert table3[StringProperty(3, 255 ^ odd)] == 10
 
 
 def permuted_table(t, width, perm):
@@ -89,7 +88,7 @@ def permuted_table(t, width, perm):
 
 def test_sizes_invariant_under_variable_renaming():
     for n in (2, 3):
-        sizes = {t.bits: s for t, s in min_size_table(n).items()}
+        sizes = {t.mask: s for t, s in min_size_table(n).items()}
         for perm in itertools.permutations(range(n)):
             for t, s in sizes.items():
                 assert sizes[permuted_table(t, n, perm)] == s
@@ -98,7 +97,7 @@ def test_sizes_invariant_under_variable_renaming():
 def test_sizes_invariant_under_input_flips():
     # substituting the complement of a variable only swaps literal
     # polarities, so sizes survive xor-ing the inputs
-    sizes = {t.bits: s for t, s in min_size_table(3).items()}
+    sizes = {t.mask: s for t, s in min_size_table(3).items()}
     for c in range(8):
         for t, s in sizes.items():
             flipped = 0
@@ -110,7 +109,7 @@ def test_sizes_invariant_under_input_flips():
 
 def test_sizes_invariant_under_output_complement():
     for n in (1, 2, 3):
-        sizes = {t.bits: s for t, s in min_size_table(n).items()}
+        sizes = {t.mask: s for t, s in min_size_table(n).items()}
         full = (1 << (1 << n)) - 1
         for t, s in sizes.items():
             assert sizes[t ^ full] == s
@@ -177,15 +176,13 @@ def test_oracle_validates_input():
         count_functions_up_to(1, 4)
 
 
-def test_truth_table_validation():
+def test_string_property_validation():
     with pytest.raises(InputError):
-        TruthTable(0, 0)
+        StringProperty(0, 0)
     with pytest.raises(InputError):
-        TruthTable(4, 0)
+        StringProperty(2, 1 << 4)
     with pytest.raises(InputError):
-        TruthTable(2, 1 << 4)
-    with pytest.raises(InputError):
-        TruthTable(2, -1)
+        StringProperty(2, -1)
 
 
 def test_enumerated_order_separator():

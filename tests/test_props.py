@@ -96,6 +96,14 @@ def _random_formula(rng: random.Random, width: int, depth: int):
     return And(left, right) if kind < 0.7 else Or(left, right)
 
 
+def _negations_only_on_variables(f) -> bool:
+    if isinstance(f, Not):
+        return isinstance(f.child, Var)
+    if isinstance(f, (And, Or)):
+        return _negations_only_on_variables(f.left) and _negations_only_on_variables(f.right)
+    return isinstance(f, Var)
+
+
 def test_nnf_preserves_size_and_meaning():
     rng = random.Random(7)
     for _ in range(120):
@@ -103,10 +111,20 @@ def test_nnf_preserves_size_and_meaning():
         f = _random_formula(rng, width, rng.randint(1, 6))
         g = to_nnf(f)
         assert is_nnf(g)
+        assert _negations_only_on_variables(g)
         assert size(g) == size(f)
         for bits in range(1 << width):
             s = BitString(width, bits)
             assert evaluate(f, s) == evaluate(g, s)
+
+
+def test_non_formulas_are_rejected():
+    s = BitString.parse("10")
+    for bad in ("p1", And(Var(1), 3)):
+        with pytest.raises(InputError, match="not a formula node"):
+            evaluate(bad, s)
+        with pytest.raises(InputError, match="not a formula node"):
+            is_nnf(bad)
 
 
 def test_separates_examples():
