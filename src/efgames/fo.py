@@ -7,17 +7,20 @@ vocabulary and an assignment domain.  Separation means one formula,
 with free variables inside the class domain, holding on every member of
 the left class and no member of the right class.
 
-The size measure counts atoms and quantifiers: an atom weighs 1,
-negation is free, binary connectives add, and each quantifier adds 1.
+First-order formulas are trees of the shared ``formula`` module over the
+atoms ``RelAtom`` and ``EqAtom``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ContractError, InputError
+from .formula import And, Atom, Exists, Forall, Formula, Not, Or, _subformulas, to_nnf
+from .formula import Formula as FoFormula, Not as FoNot, And as FoAnd, Or as FoOr
+from .formula import format_formula as format_fo, size as fo_size, to_nnf as fo_nnf
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,14 +228,8 @@ class StructureClass:
 # formulas
 
 
-class FoFormula:
-    """Marker base class for first-order formula nodes."""
-
-    __slots__ = ()
-
-
 @dataclass(frozen=True, slots=True)
-class RelAtom(FoFormula):
+class RelAtom(Atom):
     symbol: str
     args: tuple[int, ...]
 
@@ -240,9 +237,14 @@ class RelAtom(FoFormula):
         if not self.args or any(j < 0 for j in self.args):
             raise InputError(f"bad argument list {self.args} for {self.symbol!r}")
 
+    def __str__(self) -> str:
+        if len(self.args) == 2 and not self.symbol[0].isalnum():
+            return f"(x{self.args[0]} {self.symbol} x{self.args[1]})"
+        return f"{self.symbol}({', '.join(f'x{j}' for j in self.args)})"
+
 
 @dataclass(frozen=True, slots=True)
-class EqAtom(FoFormula):
+class EqAtom(Atom):
     left: int
     right: int
 
@@ -250,119 +252,46 @@ class EqAtom(FoFormula):
         if self.left < 0 or self.right < 0:
             raise InputError("equality arguments must be variable indices >= 0")
 
-
-@dataclass(frozen=True, slots=True)
-class FoNot(FoFormula):
-    child: FoFormula
+    def __str__(self) -> str:
+        return f"(x{self.left} = x{self.right})"
 
 
-@dataclass(frozen=True, slots=True)
-class FoAnd(FoFormula):
-    left: FoFormula
-    right: FoFormula
-
-
-@dataclass(frozen=True, slots=True)
-class FoOr(FoFormula):
-    left: FoFormula
-    right: FoFormula
-
-
-@dataclass(frozen=True, slots=True)
-class Exists(FoFormula):
-    var: int
-    child: FoFormula
-
-    def __post_init__(self) -> None:
-        if self.var < 0:
-            raise InputError("quantified variable index must be >= 0")
-
-
-@dataclass(frozen=True, slots=True)
-class Forall(FoFormula):
-    var: int
-    child: FoFormula
-
-    def __post_init__(self) -> None:
-        if self.var < 0:
-            raise InputError("quantified variable index must be >= 0")
-
-
-def _subformulas(f: FoFormula) -> Iterator[FoFormula]:
-    """Every node of f, children first."""
-    if isinstance(f, (FoNot, Exists, Forall)):
-        yield from _subformulas(f.child)
-    elif isinstance(f, (FoAnd, FoOr)):
-        yield from _subformulas(f.left)
-        yield from _subformulas(f.right)
-    elif not isinstance(f, (RelAtom, EqAtom)):
-        raise InputError(f"not a formula node: {f!r}")
-    yield f
-
-
-def fo_size(f: FoFormula) -> int:
-    """Atoms weigh 1, connectives add, each quantifier adds 1."""
-    weighed = (RelAtom, EqAtom, Exists, Forall)
-    return sum(isinstance(g, weighed) for g in _subformulas(f))
-
-
-def fo_quantifier_rank(f: FoFormula) -> int:
+def fo_quantifier_rank(f: Formula) -> int:
     if isinstance(f, (RelAtom, EqAtom)):
         return 0
-    if isinstance(f, FoNot):
+    if isinstance(f, Not):
         return fo_quantifier_rank(f.child)
-    if isinstance(f, (FoAnd, FoOr)):
+    if isinstance(f, (And, Or)):
         return max(fo_quantifier_rank(f.left), fo_quantifier_rank(f.right))
     if isinstance(f, (Exists, Forall)):
         return 1 + fo_quantifier_rank(f.child)
     raise InputError(f"not a formula node: {f!r}")
 
 
-def fo_free_vars(f: FoFormula) -> frozenset[int]:
+def fo_free_vars(f: Formula) -> frozenset[int]:
     if isinstance(f, RelAtom):
         return frozenset(f.args)
     if isinstance(f, EqAtom):
         return frozenset((f.left, f.right))
-    if isinstance(f, FoNot):
+    if isinstance(f, Not):
         return fo_free_vars(f.child)
-    if isinstance(f, (FoAnd, FoOr)):
+    if isinstance(f, (And, Or)):
         return fo_free_vars(f.left) | fo_free_vars(f.right)
     if isinstance(f, (Exists, Forall)):
         return fo_free_vars(f.child) - {f.var}
     raise InputError(f"not a formula node: {f!r}")
 
 
-def fo_nnf(f: FoFormula) -> FoFormula:
-    """Push negations down to the atoms; preserves size and meaning."""
-    return _fo_nnf(f, positive=True)
-
-
-_DUAL = {FoAnd: FoOr, FoOr: FoAnd, Exists: Forall, Forall: Exists}
-
-
-def _fo_nnf(f: FoFormula, positive: bool) -> FoFormula:
-    if isinstance(f, (RelAtom, EqAtom)):
-        return f if positive else FoNot(f)
-    if isinstance(f, FoNot):
-        return _fo_nnf(f.child, not positive)
-    op = type(f) if positive else _DUAL.get(type(f))
-    if isinstance(f, (FoAnd, FoOr)):
-        return op(_fo_nnf(f.left, positive), _fo_nnf(f.right, positive))
-    if isinstance(f, (Exists, Forall)):
-        return op(f.var, _fo_nnf(f.child, positive))
-    raise InputError(f"not a formula node: {f!r}")
-
-
-def is_existential(f: FoFormula) -> bool:
+def is_existential(f: Formula) -> bool:
     """True iff the negation normal form of f contains no universal
     quantifier."""
-    return not any(isinstance(g, Forall) for g in _subformulas(fo_nnf(f)))
+    return not any(isinstance(g, Forall) for g in _subformulas(to_nnf(f)))
 
 
 _MISSING = object()
 
 
-def fo_eval(f: FoFormula, st: Structure) -> bool:
+def fo_eval(f: Formula, st: Structure) -> bool:
     """Truth of f in the structure; every free variable must be assigned."""
     missing = fo_free_vars(f) - st.assignment.domain
     if missing:
@@ -372,7 +301,7 @@ def fo_eval(f: FoFormula, st: Structure) -> bool:
     return _eval(f, st.model, st.assignment.as_dict())
 
 
-def _eval(f: FoFormula, model: Model, env: dict[int, int]) -> bool:
+def _eval(f: Formula, model: Model, env: dict[int, int]) -> bool:
     if isinstance(f, RelAtom):
         if len(f.args) != model.vocabulary.arity(f.symbol):
             raise InputError(
@@ -381,11 +310,11 @@ def _eval(f: FoFormula, model: Model, env: dict[int, int]) -> bool:
         return tuple(env[j] for j in f.args) in model.relation(f.symbol)
     if isinstance(f, EqAtom):
         return env[f.left] == env[f.right]
-    if isinstance(f, FoNot):
+    if isinstance(f, Not):
         return not _eval(f.child, model, env)
-    if isinstance(f, FoAnd):
+    if isinstance(f, And):
         return _eval(f.left, model, env) and _eval(f.right, model, env)
-    if isinstance(f, FoOr):
+    if isinstance(f, Or):
         return _eval(f.left, model, env) or _eval(f.right, model, env)
     if isinstance(f, (Exists, Forall)):
         want_any = isinstance(f, Exists)
@@ -413,7 +342,7 @@ def check_comparable(left: StructureClass, right: StructureClass) -> None:
         raise InputError("classes use different assignment domains")
 
 
-def fo_separates(f: FoFormula, left: StructureClass, right: StructureClass) -> bool:
+def fo_separates(f: Formula, left: StructureClass, right: StructureClass) -> bool:
     """True iff f holds on every member of ``left`` and no member of
     ``right``."""
     check_comparable(left, right)
@@ -477,12 +406,11 @@ def extend_choice(
 # atoms
 
 
-def atom_candidates(vocabulary: Vocabulary, domain: Iterable[int]) -> list[FoFormula]:
+def atom_candidates(vocabulary: Vocabulary, variables: Sequence[int]) -> list[Formula]:
     """All atoms over the given variables, in a fixed deterministic order:
     relation atoms in vocabulary order with argument tuples in
-    lexicographic order, then equalities."""
-    variables = sorted(domain)
-    atoms: list[FoFormula] = []
+    lexicographic order over the variables as given, then equalities."""
+    atoms: list[Formula] = []
     for name, arity in vocabulary.symbols:
         for args in itertools.product(variables, repeat=arity):
             atoms.append(RelAtom(name, args))
@@ -495,12 +423,12 @@ def atom_candidates(vocabulary: Vocabulary, domain: Iterable[int]) -> list[FoFor
 
 def atomic_separators(
     left: StructureClass, right: StructureClass
-) -> list[tuple[FoFormula, bool]]:
+) -> list[tuple[Formula, bool]]:
     """Atoms separating the classes, each tagged True when the atom itself
     separates and False when its negation does."""
     check_comparable(left, right)
     found = []
-    for atom in atom_candidates(left.vocabulary, left.domain):
+    for atom in atom_candidates(left.vocabulary, sorted(left.domain)):
         on_left = [fo_eval(atom, st) for st in left.members]
         on_right = [fo_eval(atom, st) for st in right.members]
         if all(on_left) and not any(on_right):
@@ -508,30 +436,6 @@ def atomic_separators(
         elif not any(on_left) and all(on_right):
             found.append((atom, False))
     return found
-
-
-# ---------------------------------------------------------------------------
-# text format
-
-
-def format_fo(f: FoFormula) -> str:
-    if isinstance(f, RelAtom):
-        if len(f.args) == 2 and not f.symbol[0].isalnum():
-            return f"(x{f.args[0]} {f.symbol} x{f.args[1]})"
-        return f"{f.symbol}({', '.join(f'x{j}' for j in f.args)})"
-    if isinstance(f, EqAtom):
-        return f"(x{f.left} = x{f.right})"
-    if isinstance(f, FoNot):
-        return f"!{format_fo(f.child)}"
-    if isinstance(f, FoAnd):
-        return f"({format_fo(f.left)} & {format_fo(f.right)})"
-    if isinstance(f, FoOr):
-        return f"({format_fo(f.left)} | {format_fo(f.right)})"
-    if isinstance(f, Exists):
-        return f"exists x{f.var} {format_fo(f.child)}"
-    if isinstance(f, Forall):
-        return f"forall x{f.var} {format_fo(f.child)}"
-    raise InputError(f"not a formula node: {f!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from typing import Iterable, Optional, Sequence
 from .errors import InputError, ResourceCapError
 from .fo import (
     Assignment,
-    EqAtom,
     Exists,
     FoAnd,
     FoFormula,
@@ -36,9 +35,9 @@ from .fo import (
     FoOr,
     Forall,
     Model,
-    RelAtom,
     Structure,
     StructureClass,
+    atom_candidates,
     check_comparable,
     fo_eval,
     fo_free_vars,
@@ -272,12 +271,7 @@ class FoEnumerator:
         k = len(self.pool)
         seen: set[int] = set()
         layers: list[list[tuple[FoFormula, int, int]]] = []
-        atoms: list[FoFormula] = []
-        for name, arity in self.models[0].vocabulary.symbols:
-            for args in itertools.product(self.pool, repeat=arity):
-                atoms.append(RelAtom(name, args))
-        for a, b in itertools.combinations_with_replacement(self.pool, 2):
-            atoms.append(EqAtom(a, b))
+        atoms = atom_candidates(self.models[0].vocabulary, self.pool)
         first = []
         for atom, bitmap in zip(atoms, self._atom_bitmaps(atoms)):
             free = sum(1 << self.pool.index(v) for v in fo_free_vars(atom))

@@ -6,9 +6,8 @@ set of strings of one width, stored as a membership mask over all
 e(s) of the mask is set iff s is a member, where e(s) = sum of
 s_i * 2**(i-1), i.e. s_1 is the least significant bit.
 
-Formulas are binary and/or/not trees over variables p_1 ... p_n.  The
-size measure counts literal occurrences: size(p_i) = 1, negation is
-free, size(f & g) = size(f | g) = size(f) + size(g).
+Propositional formulas are trees of the shared ``formula`` module over
+the atoms p_1 ... p_n; their size counts literal occurrences.
 """
 
 from __future__ import annotations
@@ -19,6 +18,8 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 from .errors import InputError
+from .formula import And, Atom, Formula, Not, Or, format_formula, is_nnf, size, to_nnf
+from .formula import Formula as PropFormula
 
 MAX_WIDTH = 16
 
@@ -120,45 +121,16 @@ class StringProperty:
 # formulas
 
 
-class PropFormula:
-    """Marker base class for formula nodes."""
-
-    __slots__ = ()
-
-    def __and__(self, other: "PropFormula") -> "And":
-        return And(self, other)
-
-    def __or__(self, other: "PropFormula") -> "Or":
-        return Or(self, other)
-
-    def __invert__(self) -> "Not":
-        return Not(self)
-
-
 @dataclass(frozen=True, slots=True)
-class Var(PropFormula):
+class Var(Atom):
     index: int  # 1-based
 
     def __post_init__(self) -> None:
         if not 1 <= self.index <= MAX_WIDTH:
             raise InputError(f"variable index must be 1..{MAX_WIDTH}, got {self.index}")
 
-
-@dataclass(frozen=True, slots=True)
-class Not(PropFormula):
-    child: PropFormula
-
-
-@dataclass(frozen=True, slots=True)
-class And(PropFormula):
-    left: PropFormula
-    right: PropFormula
-
-
-@dataclass(frozen=True, slots=True)
-class Or(PropFormula):
-    left: PropFormula
-    right: PropFormula
+    def __str__(self) -> str:
+        return f"p{self.index}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,7 +140,7 @@ class Literal:
     var: int
     positive: bool
 
-    def formula(self) -> PropFormula:
+    def formula(self) -> Formula:
         return Var(self.var) if self.positive else Not(Var(self.var))
 
     def holds_on(self, s: BitString) -> bool:
@@ -178,43 +150,8 @@ class Literal:
         return f"p{self.var}" if self.positive else f"!p{self.var}"
 
 
-def size(f: PropFormula) -> int:
-    """Leaf count: negation is free, binary connectives add."""
-    if isinstance(f, Var):
-        return 1
-    if isinstance(f, Not):
-        return size(f.child)
-    if isinstance(f, (And, Or)):
-        return size(f.left) + size(f.right)
-    raise InputError(f"not a formula node: {f!r}")
-
-
-def evaluate(f: PropFormula, s: BitString) -> bool:
+def evaluate(f: Formula, s: BitString) -> bool:
     return bool(truth_table(f, s.width) >> s.bits & 1)
-
-
-def to_nnf(f: PropFormula) -> PropFormula:
-    """Push negations to the variables.  Preserves size and meaning."""
-    return _nnf(f, positive=True)
-
-
-_DUAL = {And: Or, Or: And}
-
-
-def _nnf(f: PropFormula, positive: bool) -> PropFormula:
-    if isinstance(f, Var):
-        return f if positive else Not(f)
-    if isinstance(f, Not):
-        return _nnf(f.child, not positive)
-    if isinstance(f, (And, Or)):
-        op = type(f) if positive else _DUAL[type(f)]  # De Morgan
-        return op(_nnf(f.left, positive), _nnf(f.right, positive))
-    raise InputError(f"not a formula node: {f!r}")
-
-
-def is_nnf(f: PropFormula) -> bool:
-    """True iff negation stands only on variables in f."""
-    return to_nnf(f) == f
 
 
 @lru_cache(maxsize=None)
@@ -229,7 +166,7 @@ def var_mask(width: int, i: int) -> int:
     return mask
 
 
-def truth_table(f: PropFormula, width: int) -> int:
+def truth_table(f: Formula, width: int) -> int:
     """Membership mask of the strings of the given width satisfying f."""
     full = _strings_mask(width)
     if isinstance(f, Var):
@@ -250,7 +187,7 @@ def check_same_width(left: StringProperty, right: StringProperty) -> None:
         raise InputError(f"width mismatch: {left.width} vs {right.width}")
 
 
-def separates(f: PropFormula, left: StringProperty, right: StringProperty) -> bool:
+def separates(f: Formula, left: StringProperty, right: StringProperty) -> bool:
     """True iff f holds on every string of ``left`` and none of ``right``."""
     check_same_width(left, right)
     tt = truth_table(f, left.width)
@@ -258,24 +195,12 @@ def separates(f: PropFormula, left: StringProperty, right: StringProperty) -> bo
 
 
 # ---------------------------------------------------------------------------
-# text format: p1, !f, (f & g), (f | g)
+# text format: p1, !f, (f & g), (f | g), as ``format_formula`` prints it
 
 _TOKEN = re.compile(r"\s*(p\d+|[!&|()])")
 
 
-def format_formula(f: PropFormula) -> str:
-    if isinstance(f, Var):
-        return f"p{f.index}"
-    if isinstance(f, Not):
-        return f"!{format_formula(f.child)}"
-    if isinstance(f, And):
-        return f"({format_formula(f.left)} & {format_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"({format_formula(f.left)} | {format_formula(f.right)})"
-    raise InputError(f"not a formula node: {f!r}")
-
-
-def parse_formula(text: str) -> PropFormula:
+def parse_formula(text: str) -> Formula:
     tokens = []
     pos = 0
     while pos < len(text):
@@ -293,7 +218,7 @@ def parse_formula(text: str) -> PropFormula:
             raise InputError("unexpected end of formula")
         return tokens.pop()
 
-    def formula() -> PropFormula:
+    def formula() -> Formula:
         tok = take()
         if tok.startswith("p"):
             return Var(int(tok[1:]))

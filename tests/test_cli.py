@@ -414,6 +414,20 @@ def test_repro_names_the_cap_that_stopped_it():
     assert json.loads(out)["cap_hit"] is None
 
 
+def test_repro_linorder_four_meets_its_certificate_under_a_raised_cap():
+    # the first n at which the N certificate is checked against an exact
+    # size: rank 7 is the construction, so ranks 1..6 are refuted
+    code, out, _ = run_cli(
+        "--json", "repro", "linorder", "--n", "4", "--cap-class-size", "1000"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["certificate_bound"] == 7
+    assert payload["construction_size"] == 7
+    assert payload["exact_minsize"] == 7
+    assert payload["cap_hit"] is None
+
+
 def test_a_class_over_the_cap_at_the_root_says_how_far_the_query_got(tmp_path):
     # the boolcomb n = 1 adversary class has 2 members, over a cap of 1
     code, out, _ = run_cli("--json", "repro", "boolcomb", "--n", "1", "--cap-class-size", "1")

@@ -4,6 +4,7 @@ import pytest
 
 from efgames import (
     EMPTY_ASSIGNMENT,
+    And,
     Assignment,
     ContractError,
     EqAtom,
@@ -17,6 +18,7 @@ from efgames import (
     RelAtom,
     Structure,
     StructureClass,
+    Var,
     Vocabulary,
     atom_candidates,
     atomic_separators,
@@ -38,7 +40,9 @@ from efgames import (
     linorder_instances,
     structure_from_json,
     structure_to_json,
+    truth_table,
 )
+from efgames import fo, props
 
 PSI2 = Exists(0, Exists(1, RelAtom("<", (0, 1))))
 
@@ -63,6 +67,27 @@ def test_eval_unary_atom_under_assignment():
 def test_eval_requires_assigned_free_variables():
     with pytest.raises(ContractError):
         fo_eval(RelAtom("<", (0, 1)), order_struct(2))
+
+
+def test_eval_rejects_an_atom_outside_the_vocabulary():
+    st = order_struct(2, {0: 0})
+    with pytest.raises(InputError, match="does not match the vocabulary"):
+        fo_eval(RelAtom("<", (0,)), st)
+    with pytest.raises(InputError, match="unknown relation symbol"):
+        fo_eval(RelAtom("P1", (0,)), st)
+
+
+def test_atoms_and_quantifiers_reject_bad_variables():
+    atom = RelAtom("P1", (0,))
+    for make in (
+        lambda: Exists(-1, atom),
+        lambda: Forall(-1, atom),
+        lambda: RelAtom("P", ()),
+        lambda: RelAtom("P", (0, -1)),
+        lambda: EqAtom(-1, 0),
+    ):
+        with pytest.raises(InputError):
+            make()
 
 
 def test_size_counts_atoms_and_quantifiers():
@@ -99,10 +124,35 @@ def test_existential_fragment_detection():
 
 
 def test_formula_helpers_reject_non_formulas():
+    st = order_struct(1, {0: 0})
+    helpers = (fo_size, is_existential, fo_nnf, format_fo, fo_free_vars,
+               fo_quantifier_rank, lambda f: fo_eval(f, st))
     for bad in ("x0 = x0", FoAnd(EqAtom(0, 0), 3), Exists(0, None)):
-        for helper in (fo_size, is_existential, fo_nnf):
+        for helper in helpers:
             with pytest.raises(InputError, match="not a formula node"):
                 helper(bad)
+
+
+def test_each_logic_rejects_the_other_logics_atom():
+    with pytest.raises(InputError):
+        truth_table(And(Var(1), RelAtom("P", (0,))), 1)
+    with pytest.raises(InputError):
+        fo_eval(Var(1), order_struct(1))
+    with pytest.raises(InputError):
+        fo_quantifier_rank(Exists(0, Var(1)))
+
+
+def test_both_logics_share_one_formula_tree():
+    assert fo.FoNot is props.Not and fo.FoAnd is props.And and fo.FoOr is props.Or
+    assert fo.FoFormula is props.PropFormula
+    assert fo.fo_size is props.size
+    assert fo.fo_nnf is props.to_nnf
+    assert fo.format_fo is props.format_formula
+    # an atom's str is its text; its repr is the dataclass one
+    assert str(Var(2)) == "p2" and repr(Var(2)) == "Var(index=2)"
+    assert str(RelAtom("<", (0, 1))) == "(x0 < x1)"
+    assert str(EqAtom(0, 1)) == "(x0 = x1)"
+    assert format_fo(Var(1) & ~RelAtom("P1", (0,))) == "(p1 & !P1(x0))"
 
 
 def _random_fo(rng, vocab_arity, depth, next_var=0):

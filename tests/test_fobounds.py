@@ -13,12 +13,14 @@ from efgames import (
     FoMode,
     InputError,
     LinOrderClass,
+    Model,
     RelAtom,
     Structure,
     StructureClass,
     boolcomb_alternating_sentence,
     boolcomb_existential_sentence,
     boolcomb_instances,
+    boolcomb_vocabulary,
     classify_boolcomb,
     classify_linorder,
     fo_quantifier_rank,
@@ -29,6 +31,7 @@ from efgames import (
     linorder_existential_sentence,
     linorder_instances,
     linorder_log_sentence,
+    linorder_vocabulary,
     measure_M,
     measure_N,
 )
@@ -139,6 +142,13 @@ def test_measure_m_needs_single_reference():
     both = StructureClass.of(list(right.members))
     with pytest.raises(InputError):
         measure_M(both, right)
+    paired = StructureClass.of([right.members[0]])
+    with pytest.raises(InputError, match="must realize every trace once"):
+        measure_M(paired, right)
+    # trace 1 once and trace 0 twice: neither full nor paired
+    odd = Model.make(boolcomb_vocabulary(1), 3, {"P1": [(0,)]})
+    with pytest.raises(InputError, match="not from the combination family"):
+        measure_M(StructureClass.of([Structure(odd)]), right)
 
 
 def test_combination_existential_sentence():
@@ -185,6 +195,20 @@ def test_order_instances_shape():
         linorder_instances(1)
     with pytest.raises(InputError):
         linorder_instances(9)
+    with pytest.raises(InputError):
+        linear_order(0)
+
+
+def test_sentences_reject_n_outside_their_family():
+    for sentence, bad in (
+        (boolcomb_existential_sentence, (0, 5)),
+        (boolcomb_alternating_sentence, (0, 5)),
+        (linorder_existential_sentence, (1, 9)),
+        (linorder_log_sentence, (1, 9)),
+    ):
+        for n in bad:
+            with pytest.raises(InputError, match="supports n ="):
+                sentence(n)
 
 
 def test_classify_empty_assignment_is_nice():
@@ -246,6 +270,9 @@ def test_classify_order_validates_input():
     left, _ = boolcomb_instances(1)
     with pytest.raises(InputError):
         classify_linorder(left.members[0], order_struct(3))
+    reversed_order = Model.make(linorder_vocabulary(), 2, {"<": [(1, 0)]})
+    with pytest.raises(InputError, match="natural strict order"):
+        classify_linorder(Structure(reversed_order), order_struct(3))
 
 
 def test_measure_n_on_fresh_instances():

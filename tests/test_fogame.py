@@ -135,6 +135,14 @@ def test_winner_validates_input():
         FoGame().winner(2, a, shifted, FoMode.FULL)
 
 
+def test_minsize_and_synthesize_reject_a_bound_below_one():
+    a, b = linorder_instances(2)
+    with pytest.raises(InputError, match="w_max must be >= 1"):
+        FoGame().minsize(a, b, FoMode.FULL, w_max=0)
+    with pytest.raises(InputError, match="rank must be >= 1"):
+        FoGame().synthesize(a, b, 0)
+
+
 def test_class_size_cap():
     game = FoGame(cap_class_size=1)
     a, b = boolcomb_instances(1)  # the adversary class has two members

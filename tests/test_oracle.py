@@ -301,9 +301,9 @@ def test_tiny_universe_layers_are_pinned():
     models, _ = suites.tiny_fo_universe()
     pinned = [
         (FoMode.EXISTENTIAL, 4, [28, 348, 3767, 35656],
-         "f90ef122e15e45ace233f464b9b2c90e4afe208236a1ed08f5ee88d6f12d3a44"),
+         "a0130384cf5d560d7c2e61fbdd450a0c4d7c2b1b05e11a2964f2e792b3556a57"),
         (FoMode.FULL, 3, [18, 130, 684],
-         "14db79c624dd3909aa2048eb41c200da4944f4f4546887006f94bdd32ad29552"),
+         "a864f54d5fd1f570a9eb1fb864be411c8cc5c6f6461a46a8bb1bc21db91e2cc8"),
     ]
     for mode, w_max, sizes, digest in pinned:
         enum = FoEnumerator(models, (), w_max, mode)

@@ -529,6 +529,10 @@ def test_successors_validate_moves():
             PropPosition(1, PARITY2_S, PARITY2_R),
             LeftSplit(1, 1, prop(2, ["00"]), prop(2, ["11"])),
         )
+    with pytest.raises(ContractError, match="not a move"):
+        successors(pos, Literal(1, True))
+    with pytest.raises(ContractError, match="wrong width"):
+        successors(pos, RightSplit(2, 1, prop(3, ["010"]), prop(3, ["100"])))
     left, right = successors(pos, LeftSplit(2, 1, prop(2, ["00"]), prop(2, ["11"])))
     assert left == PropPosition(2, prop(2, ["00"]), PARITY2_R)
     assert right == PropPosition(1, prop(2, ["11"]), PARITY2_R)
@@ -606,6 +610,14 @@ def test_solver_caps_are_enforced():
         game.minsize(full, prop(2, ["11"]))
     with pytest.raises(InputError):
         PropGame(2).minsize(prop(2, ["00"]), prop(3, ["111"]))
+
+
+def test_width_and_budget_are_validated():
+    for width in (0, 17):
+        with pytest.raises(InputError, match="width must be 1..16"):
+            PropGame(width)
+    with pytest.raises(InputError, match="budget must be >= 1"):
+        PropGame(2).synthesize(PARITY2_S, PARITY2_R, 0)
 
 
 def test_position_width_mismatch_rejected():

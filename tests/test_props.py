@@ -123,8 +123,9 @@ def test_non_formulas_are_rejected():
     for bad in ("p1", And(Var(1), 3)):
         with pytest.raises(InputError, match="not a formula node"):
             evaluate(bad, s)
-        with pytest.raises(InputError, match="not a formula node"):
-            is_nnf(bad)
+        for helper in (is_nnf, size, format_formula, lambda f: truth_table(f, 2)):
+            with pytest.raises(InputError, match="not a formula node"):
+                helper(bad)
 
 
 def test_separates_examples():
