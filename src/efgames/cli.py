@@ -387,6 +387,20 @@ def _cmd_fo_measure(args) -> tuple[str, dict]:
         name, value = "M", measure_M(left, right)
     else:
         name, value = "N", measure_N(left, right)
+    # the measure claims a lower bound on the existential minimal size, so
+    # no smaller rank may win; a cap that stops the search leaves it unchecked
+    if value >= 2:
+        try:
+            smaller = FoGame(**_caps(args)).minsize(
+                left, right, FoMode.EXISTENTIAL, w_max=value - 1
+            )
+        except ResourceCapError:
+            smaller = None
+        if smaller is not None:
+            raise ContractError(
+                f"measure {name} is {value}, but an existential formula of "
+                f"size {smaller} separates the classes"
+            )
     return f"measure {name}: {value}", {"measure": name, "value": value}
 
 
@@ -539,6 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_POSITIVE)
     p.add_argument("left", nargs="?")
     p.add_argument("right", nargs="?")
+    _add_caps(p, _FO_CAPS)
     p.set_defaults(handler=_cmd_fo_measure)
 
     repro = commands.add_parser("repro", help="benchmark experiments")

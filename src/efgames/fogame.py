@@ -63,25 +63,36 @@ class FoGame:
     """Solver with memo tables shared across queries.
 
     Structures are interned to small ints, and each id keeps ``1 << id``,
-    so a class is also an int bitset over ids.  Memo keys hold the two
-    bitsets: equal classes give equal keys without sorting, and the keys
-    stay small.  Interning also evaluates every atom over the structure's
-    assignment domain once and keeps the truth values as an int mask (bit
-    i for the i-th entry of ``atom_candidates``), so the atomic win check
-    and the literal splits are AND/OR folds of the members' masks.  Each
-    structure's extensions x_j -> a are interned once per variable.
+    so a class is also an int bitset over ids.  Interning also evaluates
+    every atom over the structure's assignment domain once and keeps the
+    truth values as an int mask (bit i for the i-th entry of
+    ``atom_candidates``), so the atomic win check and the literal splits
+    are AND/OR folds of the members' masks.  Each structure's extensions
+    x_j -> a are interned once per variable.
+
+    The memo is one sub-table per (mode is FULL, rank, domain), keyed by
+    the (A bitset, B bitset) pair: equal classes give equal keys without
+    sorting, and a scan fetches its children's sub-table once.  Each
+    position a query visits becomes one entry once it is decided, so after
+    an uncapped query on a fresh solver the entries over all sub-tables
+    number its ``positions_visited``.
 
     Member order still decides which moves are tried first, and so which
     positions the search visits and which formula it extracts.  A class
     that is expanded therefore travels as a tuple of ids sorted by the
     structural ``sort_key`` beside its bitset; splits and choice functions
-    are enumerated in that order.  A supplementing move scans the choice
-    functions in ``itertools.product`` order over two pre-combined halves
-    of the chooser side, each half-combination carrying its bitset and
-    the AND and OR of its atom masks.  A rank-1 child is decided from
-    those folds against the other side's folds (it is still looked up,
-    counted and recorded like any position); a child of higher rank gets
-    its ordered tuple only when the memo does not already hold it.
+    are enumerated in that order.  ``_star`` keeps one record per (class
+    bitset, variable): the class's star (every extension of every member,
+    ordered, and its bitset) and, from the first time player I chooses on
+    the class, the two halves of its choice functions, each
+    half-combination carrying its bitset and the AND and complemented OR
+    of its atom masks.  The choice-function cap is checked when the halves
+    are built.  A supplementing move scans the choice functions in
+    ``itertools.product`` order over the two halves.  A rank-1 child is
+    decided from those folds against the other side's folds, without a
+    call (it is still looked up, counted and recorded like any position);
+    a child of higher rank gets its ordered tuple only when the memo does
+    not already hold it.
     """
 
     def __init__(
@@ -103,8 +114,8 @@ class FoGame:
         self._atoms_of: list[list[FoFormula]] = []
         self._atom_lists: dict[tuple, list[FoFormula]] = {}
         self._ext: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._memo: dict[tuple, bool] = {}
-        self._star: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
+        self._memo: dict[tuple, dict[tuple[int, int], bool]] = {}
+        self._star: dict[tuple[int, int], tuple] = {}
 
     # -- interning ----------------------------------------------------------
 
@@ -184,15 +195,17 @@ class FoGame:
 
     def _star_ids(
         self, ids: tuple[int, ...], m: int, j: int
-    ) -> tuple[tuple[int, ...], int]:
-        """Every extension x_j -> a of every member, as ordered ids and a
-        bitset.  Uncapped: the choice scan orders its classes by it."""
+    ) -> tuple[tuple[int, ...], int, Optional[tuple[list, list]]]:
+        """The record of the class ``ids`` (bitset m) at x_j: every
+        extension x_j -> a of every member, as ordered ids and a bitset,
+        then the halves of its choice functions once it has chosen.
+        Uncapped: the choice scan orders its classes by it."""
         key = (m, j)
         got = self._star.get(key)
         if got is None:
             out = {ext for sid in ids for ext in self._extensions(sid, j)}
             star = tuple(sorted(out, key=self._keys.__getitem__))
-            got = self._star[key] = (star, self._bitset(star))
+            got = self._star[key] = (star, self._bitset(star), None)
         return got
 
     def _branching(
@@ -218,7 +231,49 @@ class FoGame:
                 f"cap {self.cap_class_size} (--cap-class-size)",
                 w,
             )
+        return got[0], got[1]
+
+    def _chooser(
+        self, w: int, ids: tuple[int, ...], m: int, j: int
+    ) -> tuple[tuple[int, ...], int, tuple[list, list]]:
+        """The record of a side that player I chooses on, with its halves:
+        the choice functions x_j -> a of the first and of the second half
+        of the members, each in ``itertools.product`` order and combined
+        into its class's bitset with the AND and the complemented OR of
+        its atom masks.  The cap on choice functions is checked when the
+        halves are built, so a refused class leaves no halves behind."""
+        got = self._star_ids(ids, m, j)
+        if got[2] is None:
+            total = math.prod(self._by_id[sid].model.universe_size for sid in ids)
+            if total > self.cap_choice_functions:
+                raise self._capped(
+                    f"{total} choice functions exceed the cap "
+                    f"{self.cap_choice_functions} (--cap-choice-functions)",
+                    w,
+                )
+            bits, masks = self._bits, self._masks
+            halves = []
+            for part in (ids[: len(ids) // 2], ids[len(ids) // 2 :]):
+                combos = [(0, -1, -1)]
+                for sid in part:
+                    ext = self._extensions(sid, j)
+                    combos = [
+                        (cb | bits[e], every & masks[e], none & ~masks[e])
+                        for cb, every, none in combos
+                        for e in ext
+                    ]
+                halves.append(combos)
+            got = self._star[(m, j)] = (got[0], got[1], tuple(halves))
         return got
+
+    def _table(self, full: bool, w: int, dom: tuple[int, ...]) -> dict:
+        """The memo sub-table of one (mode is FULL, rank, domain), keyed by
+        the (A bitset, B bitset) pair."""
+        key = (full, w, dom)
+        table = self._memo.get(key)
+        if table is None:
+            table = self._memo[key] = {}
+        return table
 
     def _choice_scan(
         self,
@@ -236,69 +291,62 @@ class FoGame:
         (the left side when ``left``) whose class wins at rank w - 1
         against ``fixed``, as ordered ids and a bitset; None when none
         does.  Choice functions come in ``itertools.product`` order over
-        the members in order, and each is its class's bitset with the AND
-        and OR of its atom masks, combined from two precomputed halves."""
-        total = math.prod(self._by_id[sid].model.universe_size for sid in ids)
-        if total > self.cap_choice_functions:
-            raise self._capped(
-                f"{total} choice functions exceed the cap "
-                f"{self.cap_choice_functions} (--cap-choice-functions)",
-                w,
-            )
-        bits, masks = self._bits, self._masks
-        halves = []
-        for part in (ids[: len(ids) // 2], ids[len(ids) // 2 :]):
-            combos = [(0, -1, 0)]
-            for sid in part:
-                ext = self._extensions(sid, j)
-                combos = [
-                    (cb | bits[e], every & masks[e], some | masks[e])
-                    for cb, every, some in combos
-                    for e in ext
-                ]
-            halves.append(combos)
-        head, tail = halves
-        star = self._star_ids(ids, m, j)[0]
-        # a rank-1 child wins iff some atom is true on all of it and on none
-        # of the fixed side, or the reverse.  x_j = x_j is an atom true on
-        # every member, so every fold holds its bit: a side with no members
-        # (AND fold -1) wins, as in _winning_move, and the folds need no
-        # mask to the atom list
-        every_f, some_f = -1, 0
-        for sid in fixed:
-            every_f &= masks[sid]
-            some_f |= masks[sid]
-        none_f = ~some_f
-        get, memo = self._memo.get, self._memo
-        full = mode is _FULL
+        the members in order, each one a head half-combination joined with
+        a tail one."""
+        star, _, (head, tail) = self._chooser(w, ids, m, j)
+        bits = self._bits
         v = w - 1
-        for hb, h_every, h_some in head:
-            for tb, t_every, t_some in tail:
-                cb = hb | tb
-                key = (full, v, cb, fm, dom2) if left else (full, v, fm, cb, dom2)
-                got = get(key)
-                if got is None:
-                    if v == 1:
-                        # a rank-1 child: decided by its folds in place
-                        self.positions_visited += 1
-                        if self.positions_visited > self.cap_positions:
-                            raise self._capped(
-                                f"visited positions exceed the cap "
-                                f"{self.cap_positions} (--cap-positions)",
-                                v,
-                            )
-                        got = memo[key] = (
-                            h_every & t_every & none_f
-                            | every_f & ~(h_some | t_some)
-                        ) != 0
-                    else:
+        table = self._table(mode is _FULL, v, dom2)
+        get = table.get
+        if v >= 2:
+            for hb, _, _ in head:
+                for tb, _, _ in tail:
+                    cb = hb | tb
+                    got = get((cb, fm) if left else (fm, cb))
+                    if got is None:
                         ck = tuple(sid for sid in star if bits[sid] & cb)
                         if left:
                             got = self._wins(mode, v, ck, cb, fixed, fm, dom2)
                         else:
                             got = self._wins(mode, v, fixed, fm, ck, cb, dom2)
+                    if got:
+                        return tuple(sid for sid in star if bits[sid] & cb), cb
+            return None
+        # a rank-1 child never recurses: it wins iff some atom is true on all
+        # of it and on none of the fixed side, or the reverse.  x_j = x_j is
+        # an atom true on every member, so every fold holds its bit: a side
+        # with no members (AND fold -1) wins, as in _winning_move, and the
+        # folds need no mask to the atom list.  Per head row the fixed
+        # side's folds are joined in once, and the visit count stays in a
+        # local that is written back before a cap error and at the end.
+        masks = self._masks
+        every_f, some_f = -1, 0
+        for sid in fixed:
+            every_f &= masks[sid]
+            some_f |= masks[sid]
+        none_f = ~some_f
+        visited, cap = self.positions_visited, self.cap_positions
+        for hb, h_every, h_none in head:
+            h_every &= none_f
+            h_none &= every_f
+            for tb, t_every, t_none in tail:
+                cb = hb | tb
+                key = (cb, fm) if left else (fm, cb)
+                got = get(key)
+                if got is None:
+                    visited += 1
+                    if visited > cap:
+                        self.positions_visited = visited
+                        raise self._capped(
+                            f"visited positions exceed the cap {cap} "
+                            f"(--cap-positions)",
+                            v,
+                        )
+                    got = table[key] = (h_every & t_every | h_none & t_none) != 0
                 if got:
+                    self.positions_visited = visited
                     return tuple(sid for sid in star if bits[sid] & cb), cb
+        self.positions_visited = visited
         return None
 
     # -- the game -----------------------------------------------------------
@@ -316,8 +364,9 @@ class FoGame:
         """Whether player I wins at rank w on A against B, each given as
         ordered ids and the same class's bitset."""
         # a plain bool hashes in C; an Enum member hashes through Python
-        key = (mode is _FULL, w, am, bm, dom)
-        got = self._memo.get(key)
+        table = self._table(mode is _FULL, w, dom)
+        key = (am, bm)
+        got = table.get(key)
         if got is not None:
             return got
         self.positions_visited += 1
@@ -328,7 +377,7 @@ class FoGame:
                 w,
             )
         result = self._winning_move(mode, w, ak, am, bk, bm, dom) is not None
-        self._memo[key] = result
+        table[key] = result
         return result
 
     def _winning_move(

@@ -305,6 +305,29 @@ def test_fo_measure_prints_the_chain_weight(tmp_path):
     assert out.strip() == "measure N: 2"
 
 
+@pytest.mark.parametrize("n, value", [(2, 3), (3, 5)])
+def test_fo_measure_is_refuted_below_its_value(n, value):
+    # N is 2n - 1 at the roots; the solver refutes every smaller rank
+    code, out, err = run_cli("fo", "measure", "--family", "linorder", "--n", str(n))
+    assert (code, out.strip(), err) == (0, f"measure N: {value}", "")
+
+
+def test_fo_measure_above_the_exact_size_exits_three(monkeypatch):
+    # the order-3 root separates at size 5, so a measure of 6 is no bound
+    monkeypatch.setattr(cli, "measure_N", lambda left, right: 6)
+    code, out, err = run_cli("fo", "measure", "--family", "linorder", "--n", "3")
+    assert (code, out) == (3, "")
+    assert "measure N is 6, but an existential formula of size 5" in err
+
+
+def test_fo_measure_keeps_its_output_when_a_cap_stops_the_check():
+    # the n = 4 check stops at an 81-member star over the default class cap
+    code, out, err = run_cli("fo", "measure", "--family", "linorder", "--n", "4")
+    assert (code, out.strip(), err) == (0, "measure N: 7", "")
+    argv = ("fo", "measure", "--family", "linorder", "--n", "3", "--cap-positions", "1")
+    assert run_cli(*argv)[:2] == (0, "measure N: 5\n")
+
+
 def test_fo_measure_needs_consistent_inputs(order_classes):
     left, _ = order_classes
     code, _, err = run_cli("fo", "measure", "--family", "linorder", left)
@@ -513,6 +536,7 @@ CAP_SAMPLES = {
     ("fo", "winner"): "left.json right.json --rank 1",
     ("fo", "minsize"): "left.json right.json",
     ("fo", "synth"): "left.json right.json --rank 1",
+    ("fo", "measure"): "--family linorder",
     ("repro", "parity"): "--n 2",
     ("repro", "boolcomb"): "--n 1",
     ("repro", "linorder"): "--n 2",
@@ -539,7 +563,6 @@ FLAG_SAMPLES = {
     ("prop", "parity"): "--n 1",
     ("oracle", "table"): "--n 1",
     ("oracle", "count"): "--m 0 --n 1",
-    ("fo", "measure"): "--family linorder",
 }
 
 

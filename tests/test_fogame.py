@@ -327,6 +327,75 @@ def test_order_three_search_is_pinned(mode, positions):
     assert format_fo(game.synthesize(a, b, 5, mode)) == ORDER_3_SENTENCE
 
 
+@pytest.mark.parametrize(
+    "mode, positions", [(FoMode.EXISTENTIAL, 139), (FoMode.FULL, 82_799)]
+)
+def test_every_visited_position_is_one_memo_entry(mode, positions):
+    # rank-1 children are counted in a local of the choice scan; the count
+    # must still match what the sub-tables hold
+    a, b = linorder_instances(3)
+    game = FoGame()
+    assert game.minsize(a, b, mode, w_max=5) == 5
+    assert game.positions_visited == positions
+    assert sum(map(len, game._memo.values())) == positions
+    assert game.minsize(a, b, mode, w_max=5) == 5
+    assert game.positions_visited == 0
+
+
+def _order_three_answers(solver):
+    """Per mode and rank 1..5 on the order-3 root: the winner, the
+    positions visited and the synthesized text, or the cap flag hit and
+    the positions visited when it was hit."""
+    a, b = linorder_instances(3)
+    answers = []
+    for mode in FoMode:
+        for w in range(1, 6):
+            try:
+                won = solver.winner(w, a, b, mode)
+            except ResourceCapError as exc:
+                flag = str(exc).partition("(--")[2].partition(")")[0]
+                answers.append((flag, solver.positions_visited))
+                continue
+            visited = solver.positions_visited
+            text = None
+            if won is Player.I:
+                text = format_fo(solver.synthesize(a, b, w, mode))
+            answers.append((won, visited, text, solver.positions_visited))
+    return answers
+
+
+@pytest.mark.parametrize(
+    "caps",
+    [
+        {"cap_positions": 2},  # the third position is a rank-1 child
+        {"cap_positions": 3000},
+        {"cap_choice_functions": 2},
+        {"cap_choice_functions": 30},
+    ],
+)
+def test_a_cap_leaves_the_solver_as_the_reference(caps):
+    # a cap error inside a choice scan must leave the counted positions and
+    # the memo as the tuple-keyed search does, and no halves of a class
+    # over the choice-function cap; raised caps then finish the same way
+    game, ref = FoGame(**caps), suites.ReferenceFoGame(**caps)
+    capped = _order_three_answers(game)
+    assert capped == _order_three_answers(ref)
+    [flag] = [name.replace("_", "-") for name in caps]
+    assert any(answer[0] == flag for answer in capped)
+    for _, _, halves in game._star.values():
+        if halves is not None:
+            head, tail = halves
+            assert len(head) * len(tail) <= game.cap_choice_functions
+    for solver in (game, ref):
+        solver.cap_positions = 10**6
+        solver.cap_choice_functions = 10**5
+    raised = _order_three_answers(game)
+    assert raised == _order_three_answers(ref)
+    assert [answer[0] for answer in raised] == [Player.II] * 4 + [Player.I] + [
+        Player.II
+    ] * 4 + [Player.I]
+
+
 def test_atom_masks_pick_the_first_atomic_separator():
     def check(game, a, b):
         root = game._enter(a, b, 1)
