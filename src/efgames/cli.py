@@ -389,19 +389,22 @@ def _cmd_fo_measure(args) -> tuple[str, dict]:
         name, value = "N", measure_N(left, right)
     # the measure claims a lower bound on the existential minimal size, so
     # no smaller rank may win; a cap that stops the search leaves it unchecked
+    text = f"measure {name}: {value}"
+    checked = True
     if value >= 2:
         try:
             smaller = FoGame(**_caps(args)).minsize(
                 left, right, FoMode.EXISTENTIAL, w_max=value - 1
             )
-        except ResourceCapError:
-            smaller = None
+        except ResourceCapError as exc:
+            smaller, checked = None, False
+            text += f" (unchecked: {exc})"
         if smaller is not None:
             raise ContractError(
                 f"measure {name} is {value}, but an existential formula of "
                 f"size {smaller} separates the classes"
             )
-    return f"measure {name}: {value}", {"measure": name, "value": value}
+    return text, {"measure": name, "value": value, "checked": checked}
 
 
 def _cmd_repro(args) -> tuple[str, dict]:

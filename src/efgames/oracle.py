@@ -17,12 +17,20 @@ pointwise, which keeps the pruning sound; the dedup key also carries
 the free-variable set, because a formula with a vacuous free variable
 is not interchangeable with a closed formula of the same bitmap once
 legality (free variables inside the class domain) matters.
+
+Only formulas that can still end up inside a legal one are built.  A
+formula of size m with j free variables outside the class domain needs
+j different quantifiers above it, each adding 1 to the size, so it is
+kept only if m + j <= w_max.  The pruning is exact: formulas sharing a
+dedup key share their free set, hence their j, so a pruned formula
+never shadows a kept one, and every legal formula comes out the same
+and in the same order as from the whole enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, ResourceCapError
@@ -138,8 +146,9 @@ FO_MAX_SIZE = 4
 
 
 class FoEnumerator:
-    """All NNF formulas up to a size bound over a fixed variable pool,
-    deduplicated by meaning across a fixed set of models.
+    """The NNF formulas up to a size bound over a fixed variable pool
+    that can still become a legal separator, deduplicated by meaning
+    across a fixed set of models.
 
     The pool is the class domain plus fresh variables up to the size
     bound; a formula's meaning is its satisfaction bitmap over every
@@ -153,6 +162,13 @@ class FoEnumerator:
     Conjunction, disjunction and negation are single int operations;
     quantifiers shift the block copies onto the assignments whose
     coordinate is 0, fold them, and spread the result back.
+
+    A pool variable outside the class domain is *outside*.  A formula of
+    size m with j free outside variables is built only if m + j <= w_max,
+    since binding them takes j quantifiers above it.  A dedup key carries
+    the free set, so kept keys only ever meet kept keys and the legal
+    formulas, in order, match those of the whole enumeration.  That whole
+    enumeration is ``_layers``, built on first access for inspection only.
     """
 
     def __init__(
@@ -205,16 +221,21 @@ class FoEnumerator:
             total += mo.universe_size ** len(pool)
         self._full = (1 << total) - 1
         self._quantifier_masks = [self._masks_at(p) for p in range(len(pool))]
-        self._layers = self._enumerate(w_max)
+        self.w_max = w_max
+        self._outside = sum(1 << p for p, v in enumerate(pool) if v not in self.domain)
         # separator candidates: the legal formulas in layer order, the
         # first (hence smallest) per bitmap
         legal: dict[int, FoFormula] = {}
-        outside = sum(1 << p for p, v in enumerate(pool) if v not in self.domain)
-        for layer in self._layers:
+        for layer in self._enumerate(w_max, self._outside):
             for f, fmap, ffree in layer:
-                if not ffree & outside and fmap not in legal:
+                if not ffree & self._outside and fmap not in legal:
                     legal[fmap] = f
         self._legal = list(legal.items())
+
+    @cached_property
+    def _layers(self) -> list[list[tuple[FoFormula, int, int]]]:
+        """Every layer without pruning, for inspection only."""
+        return self._enumerate(self.w_max, 0)
 
     def _masks_at(self, p: int) -> list[tuple[int, tuple[int, ...]]]:
         """Per universe size n: the assignments of every block of that size
@@ -265,9 +286,12 @@ class FoEnumerator:
             sum(1 << bit for bit, st in points if fo_eval(atom, st)) for atom in atoms
         ]
 
-    def _enumerate(self, w_max: int) -> list[list[tuple[FoFormula, int, int]]]:
+    def _enumerate(
+        self, w_max: int, outside: int
+    ) -> list[list[tuple[FoFormula, int, int]]]:
         # a formula's free variables are a mask over pool positions, packed
-        # with its bitmap into one dedup key
+        # with its bitmap into one dedup key; a size-m formula is kept only
+        # if at most w_max - m of them lie in ``outside``
         k = len(self.pool)
         seen: set[int] = set()
         layers: list[list[tuple[FoFormula, int, int]]] = []
@@ -275,6 +299,8 @@ class FoEnumerator:
         first = []
         for atom, bitmap in zip(atoms, self._atom_bitmaps(atoms)):
             free = sum(1 << self.pool.index(v) for v in fo_free_vars(atom))
+            if (free & outside).bit_count() > w_max - 1:
+                continue
             for f, fmap in ((atom, bitmap), (FoNot(atom), bitmap ^ self._full)):
                 key = fmap << k | free
                 if key not in seen:
@@ -283,14 +309,23 @@ class FoEnumerator:
         layers.append(first)
         full_mode = self.mode is FoMode.FULL
         for m in range(2, w_max + 1):
+            budget = w_max - m
+            # filtering keeps the order, so rights[i:] below pairs the same
+            # formulas as in the unpruned layers
+            fits = [
+                [t for t in layer if (t[2] & outside).bit_count() <= budget]
+                for layer in layers
+            ]
             layer = []
             # (g, f) gives the bitmaps and free set of (f, g), so only
             # pairs with u <= m - u, and j >= i inside one layer, are new
             for u in range(1, m // 2 + 1):
-                lefts, rights = layers[u - 1], layers[m - u - 1]
+                lefts, rights = fits[u - 1], fits[m - u - 1]
                 for i, (f, fmap, ffree) in enumerate(lefts):
                     for g, gmap, gfree in rights[i:] if u == m - u else rights:
                         hfree = ffree | gfree
+                        if (hfree & outside).bit_count() > budget:
+                            continue
                         hmap = fmap & gmap
                         key = hmap << k | hfree
                         if key not in seen:
@@ -304,6 +339,8 @@ class FoEnumerator:
             for f, fmap, ffree in layers[m - 2]:
                 for p, var in enumerate(self.pool):
                     qfree = ffree & ~(1 << p)
+                    if (qfree & outside).bit_count() > budget:
+                        continue
                     emap = self._exists(fmap, p)
                     key = emap << k | qfree
                     if key not in seen:

@@ -278,14 +278,19 @@ def test_fo_synth_is_deterministic(order_classes):
 
 
 def test_fo_measure_families(order_classes):
+    # n = 5 and boolcomb n = 2 are past the default class-size cap, so
+    # their values print unchecked
     code, out, _ = run_cli("fo", "measure", "--family", "linorder", "--n", "5")
     assert code == 0
-    assert out.strip() == "measure N: 9"
+    assert out.startswith("measure N: 9 (unchecked: ")
+    assert "(--cap-class-size)" in out
     code, out, _ = run_cli("--json", "fo", "measure", "--family", "boolcomb", "--n", "2")
-    assert json.loads(out) == {"measure": "M", "value": 12}
+    assert json.loads(out) == {"measure": "M", "value": 12, "checked": False}
     left, right = order_classes
     code, out, _ = run_cli("fo", "measure", "--family", "linorder", left, right)
     assert out.strip() == "measure N: 3"
+    code, out, _ = run_cli("--json", "fo", "measure", "--family", "linorder", left, right)
+    assert json.loads(out) == {"measure": "N", "value": 3, "checked": True}
 
 
 def test_fo_measure_prints_the_chain_weight(tmp_path):
@@ -321,11 +326,23 @@ def test_fo_measure_above_the_exact_size_exits_three(monkeypatch):
 
 
 def test_fo_measure_keeps_its_output_when_a_cap_stops_the_check():
-    # the n = 4 check stops at an 81-member star over the default class cap
+    # the n = 4 check stops at an 81-member star over the default class cap;
+    # the value stays, marked unchecked with the cap that stopped it
     code, out, err = run_cli("fo", "measure", "--family", "linorder", "--n", "4")
-    assert (code, out.strip(), err) == (0, "measure N: 7", "")
+    assert (code, err) == (0, "")
+    assert out == (
+        "measure N: 7 (unchecked: a branching extension reaches 81 members, over "
+        "the cap 64 (--cap-class-size); stopped at a rank-2 position, visited "
+        "positions in this query: 200)\n"
+    )
+    code, out, _ = run_cli("--json", "fo", "measure", "--family", "linorder", "--n", "4")
+    assert (code, json.loads(out)) == (0, {"measure": "N", "value": 7, "checked": False})
     argv = ("fo", "measure", "--family", "linorder", "--n", "3", "--cap-positions", "1")
-    assert run_cli(*argv)[:2] == (0, "measure N: 5\n")
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    assert out.startswith(
+        "measure N: 5 (unchecked: visited positions exceed the cap 1 (--cap-positions)"
+    )
 
 
 def test_fo_measure_needs_consistent_inputs(order_classes):

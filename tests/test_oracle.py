@@ -309,3 +309,47 @@ def test_tiny_universe_layers_are_pinned():
         enum = FoEnumerator(models, (), w_max, mode)
         assert [len(layer) for layer in enum._layers] == sizes
         assert _layers_digest(enum) == digest
+
+
+def _unpruned_legal(enum):
+    # the legal formulas as the whole enumeration yields them: free
+    # variables inside the domain, the first formula per bitmap
+    legal = {}
+    for layer in enum._layers:
+        for f, fmap, free in layer:
+            if not free & enum._outside and fmap not in legal:
+                legal[fmap] = f
+    return [(fmap, repr(f)) for fmap, f in legal.items()]
+
+
+def test_pruned_enumeration_keeps_every_legal_formula():
+    # a size-m formula with j free variables outside the domain sits only
+    # inside legal formulas of size >= m + j, so pruning the rest must
+    # leave the separator candidates, and their order, as they were
+    models, _ = suites.tiny_fo_universe()
+    configs = [(models, (), w_max) for w_max in (1, 2, 3, 4)]
+    configs += [
+        ([linear_order(n)], domain, 3) for n in (1, 2, 3) for domain in ((0,), (0, 1))
+    ]
+    for mode in (FoMode.EXISTENTIAL, FoMode.FULL):
+        for ms, domain, w_max in configs:
+            enum = FoEnumerator(ms, domain, w_max, mode)
+            pruned = [(fmap, repr(f)) for fmap, f in enum._legal]
+            assert pruned == _unpruned_legal(enum), (mode, domain, w_max)
+    pinned = [
+        (FoMode.EXISTENTIAL, [28, 164, 41, 5], 10),
+        (FoMode.FULL, [28, 170, 82, 14], 22),
+    ]
+    for mode, sizes, n_legal in pinned:
+        enum = FoEnumerator(models, (), 4, mode)
+        assert [len(layer) for layer in enum._enumerate(4, enum._outside)] == sizes
+        assert len(enum._legal) == n_legal
+
+
+def test_separator_never_builds_the_unpruned_layers():
+    models, classes = suites.tiny_fo_universe()
+    enum = FoEnumerator(models, (), 4, FoMode.FULL)
+    for a, b in itertools.product(classes[:4], repeat=2):
+        f = enum.separator(a, b)
+        assert f is None or fo_separates(f, a, b)
+    assert "_layers" not in vars(enum)
