@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
 from .errors import InputError, ResourceCapError
 from .fo import (
@@ -59,16 +59,25 @@ class FoMode(enum.Enum):
 _FULL = FoMode.FULL
 
 
+def _members(m: int) -> Iterator[int]:
+    """The ids in the bitset m, highest first."""
+    while m:
+        sid = m.bit_length() - 1
+        yield sid
+        m ^= 1 << sid
+
+
 class FoGame:
     """Solver with memo tables shared across queries.
 
     Structures are interned to small ints, and each id keeps ``1 << id``,
-    so a class is also an int bitset over ids.  Interning also evaluates
-    every atom over the structure's assignment domain once and keeps the
-    truth values as an int mask (bit i for the i-th entry of
-    ``atom_candidates``), so the atomic win check and the literal splits
-    are AND/OR folds of the members' masks.  Each structure's extensions
-    x_j -> a are interned once per variable.
+    so a class is an int bitset over ids, and that bitset is the one value
+    that stands for it.  Interning also evaluates every atom over the
+    structure's assignment domain once and keeps the truth values as an int
+    mask (bit i for the i-th entry of ``atom_candidates``), so the atomic
+    win check and the literal splits are AND/OR folds of the members'
+    masks.  Each structure's extensions x_j -> a are interned once per
+    variable.
 
     The memo is one sub-table per (mode is FULL, rank, domain), keyed by
     the (A bitset, B bitset) pair: equal classes give equal keys without
@@ -77,22 +86,20 @@ class FoGame:
     an uncapped query on a fresh solver the entries over all sub-tables
     number its ``positions_visited``.
 
-    Member order still decides which moves are tried first, and so which
-    positions the search visits and which formula it extracts.  A class
-    that is expanded therefore travels as a tuple of ids sorted by the
-    structural ``sort_key`` beside its bitset; splits and choice functions
-    are enumerated in that order.  ``_star`` keeps one record per (class
-    bitset, variable): the class's star (every extension of every member,
-    ordered, and its bitset) and, from the first time player I chooses on
-    the class, the two halves of its choice functions, each
+    Member order decides which moves are tried first, and so which
+    positions the search visits and which formula it extracts.  That order
+    is the structural ``sort_key`` of the members, and ``_ordered`` is its
+    one reader: the splits that give both blocks rank >= 2 and the choice
+    functions are enumerated over its list.  ``_star`` keeps one record
+    per (class bitset, variable): the bitset of the class's star (every
+    extension of every member) and, from the first time player I chooses
+    on the class, the two halves of its choice functions, each
     half-combination carrying its bitset and the AND and complemented OR
     of its atom masks.  The choice-function cap is checked when the halves
     are built.  A supplementing move scans the choice functions in
     ``itertools.product`` order over the two halves.  A rank-1 child is
     decided from those folds against the other side's folds, without a
-    call (it is still looked up, counted and recorded like any position);
-    a child of higher rank gets its ordered tuple only when the memo does
-    not already hold it.
+    call (it is still looked up, counted and recorded like any position).
     """
 
     def __init__(
@@ -115,7 +122,7 @@ class FoGame:
         self._atom_lists: dict[tuple, list[FoFormula]] = {}
         self._ext: dict[tuple[int, int], tuple[int, ...]] = {}
         self._memo: dict[tuple, dict[tuple[int, int], bool]] = {}
-        self._star: dict[tuple[int, int], tuple] = {}
+        self._star: dict[tuple[int, int], list] = {}
 
     # -- interning ----------------------------------------------------------
 
@@ -137,12 +144,10 @@ class FoGame:
             )
         return sid
 
-    def _canon(self, members: Iterable[Structure]) -> tuple[int, ...]:
-        ids = {self._intern(st) for st in members}
-        return tuple(sorted(ids, key=self._keys.__getitem__))
-
-    def _bitset(self, ids: Iterable[int]) -> int:
-        return sum(map(self._bits.__getitem__, ids))
+    def _ordered(self, m: int) -> list[int]:
+        """The ids of the class m in ``sort_key`` order, the order in which
+        its splits and choice functions are tried."""
+        return sorted(_members(m), key=self._keys.__getitem__)
 
     def _capped(self, what: str, w: int) -> ResourceCapError:
         """A cap error that also says how far the query got."""
@@ -153,22 +158,26 @@ class FoGame:
 
     # -- win condition ------------------------------------------------------
 
-    def _folds(
-        self, ak: tuple[int, ...], bk: tuple[int, ...]
-    ) -> tuple[int, int, int, int]:
+    def _folds(self, am: int, bm: int) -> tuple[int, int, int, int]:
         """Masks of the atoms true on every member of A, on some member of
         A, on every member of B and on some member of B.  The position
-        needs a member to fix its atom list."""
-        masks = self._masks
-        every_a = every_b = (1 << len(self._atoms_of[(ak or bk)[0]])) - 1
-        some_a = some_b = 0
-        for sid in ak:
-            every_a &= masks[sid]
-            some_a |= masks[sid]
-        for sid in bk:
-            every_b &= masks[sid]
-            some_b |= masks[sid]
-        return every_a, some_a, every_b, some_b
+        needs a member, any one, to fix its atom list."""
+        atoms = (1 << len(self._atoms_of[(am or bm).bit_length() - 1])) - 1
+        every_a, some_a = self._fold(am)
+        every_b, some_b = self._fold(bm)
+        return every_a & atoms, some_a, every_b & atoms, some_b
+
+    def _fold(self, m: int) -> tuple[int, int]:
+        """The AND (-1 for no member) and the OR of the atom masks of the
+        members of m."""
+        masks, bits = self._masks, self._bits
+        every, some = -1, 0
+        while m:
+            sid = m.bit_length() - 1
+            every &= masks[sid]
+            some |= masks[sid]
+            m ^= bits[sid]
+        return every, some
 
     # -- move generation ----------------------------------------------------
 
@@ -193,24 +202,21 @@ class FoGame:
             self._ext[key] = got
         return got
 
-    def _star_ids(
-        self, ids: tuple[int, ...], m: int, j: int
-    ) -> tuple[tuple[int, ...], int, Optional[tuple[list, list]]]:
-        """The record of the class ``ids`` (bitset m) at x_j: every
-        extension x_j -> a of every member, as ordered ids and a bitset,
-        then the halves of its choice functions once it has chosen.
-        Uncapped: the choice scan orders its classes by it."""
+    def _star_of(self, m: int, j: int) -> list:
+        """The record of the class m at x_j: the bitset of every extension
+        x_j -> a of every member, then the halves of its choice functions
+        once it has chosen.  Uncapped."""
         key = (m, j)
         got = self._star.get(key)
         if got is None:
-            out = {ext for sid in ids for ext in self._extensions(sid, j)}
-            star = tuple(sorted(out, key=self._keys.__getitem__))
-            got = self._star[key] = (star, self._bitset(star), None)
+            bits, star = self._bits, 0
+            for sid in _members(m):
+                for ext in self._extensions(sid, j):
+                    star |= bits[ext]
+            got = self._star[key] = [star, None]
         return got
 
-    def _branching(
-        self, w: int, ids: tuple[int, ...], m: int, j: int
-    ) -> tuple[tuple[int, ...], int]:
+    def _branching(self, w: int, m: int, j: int) -> int:
         """The star of a side that player II branches over, within the cap.
         At an unbound x_j distinct members have distinct extensions, so a
         star not yet built is refused before it is built when the members'
@@ -218,32 +224,32 @@ class FoGame:
         got = self._star.get((m, j))
         if got is None:
             size = 0
-            if ids and j not in self._by_id[ids[0]].assignment:
-                size = sum(self._by_id[sid].model.universe_size for sid in ids)
+            if m and j not in self._by_id[m.bit_length() - 1].assignment:
+                size = sum(self._by_id[sid].model.universe_size for sid in _members(m))
             if size <= self.cap_class_size:
-                got = self._star_ids(ids, m, j)
-                size = len(got[0])
+                got = self._star_of(m, j)
+                size = got[0].bit_count()
         else:
-            size = len(got[0])
+            size = got[0].bit_count()
         if size > self.cap_class_size:
             raise self._capped(
                 f"a branching extension reaches {size} members, over the "
                 f"cap {self.cap_class_size} (--cap-class-size)",
                 w,
             )
-        return got[0], got[1]
+        return got[0]
 
-    def _chooser(
-        self, w: int, ids: tuple[int, ...], m: int, j: int
-    ) -> tuple[tuple[int, ...], int, tuple[list, list]]:
-        """The record of a side that player I chooses on, with its halves:
-        the choice functions x_j -> a of the first and of the second half
-        of the members, each in ``itertools.product`` order and combined
-        into its class's bitset with the AND and the complemented OR of
-        its atom masks.  The cap on choice functions is checked when the
-        halves are built, so a refused class leaves no halves behind."""
-        got = self._star_ids(ids, m, j)
-        if got[2] is None:
+    def _chooser(self, w: int, m: int, j: int) -> tuple[list, list]:
+        """The halves of a side that player I chooses on: the choice
+        functions x_j -> a of the first and of the second half of the
+        members in ``_ordered`` order, each in ``itertools.product`` order
+        and combined into its class's bitset with the AND and the
+        complemented OR of its atom masks.  The cap on choice functions is
+        checked when the halves are built, so a refused class leaves no
+        halves behind."""
+        got = self._star_of(m, j)
+        if got[1] is None:
+            ids = self._ordered(m)
             total = math.prod(self._by_id[sid].model.universe_size for sid in ids)
             if total > self.cap_choice_functions:
                 raise self._capped(
@@ -263,8 +269,8 @@ class FoGame:
                         for e in ext
                     ]
                 halves.append(combos)
-            got = self._star[(m, j)] = (got[0], got[1], tuple(halves))
-        return got
+            got[1] = tuple(halves)
+        return got[1]
 
     def _table(self, full: bool, w: int, dom: tuple[int, ...]) -> dict:
         """The memo sub-table of one (mode is FULL, rank, domain), keyed by
@@ -280,21 +286,18 @@ class FoGame:
         mode: FoMode,
         w: int,
         left: bool,
-        ids: tuple[int, ...],
         m: int,
-        fixed: tuple[int, ...],
         fm: int,
         dom2: tuple[int, ...],
         j: int,
-    ) -> Optional[tuple[tuple[int, ...], int]]:
-        """The first choice function x_j -> a on the chooser side ``ids``
-        (the left side when ``left``) whose class wins at rank w - 1
-        against ``fixed``, as ordered ids and a bitset; None when none
-        does.  Choice functions come in ``itertools.product`` order over
-        the members in order, each one a head half-combination joined with
-        a tail one."""
-        star, _, (head, tail) = self._chooser(w, ids, m, j)
-        bits = self._bits
+    ) -> Optional[int]:
+        """The bitset of the first choice function x_j -> a on the chooser
+        side m (the left side when ``left``) whose class wins at rank w - 1
+        against the fixed side fm; None when none does.  Choice functions
+        come in ``itertools.product`` order over the members in
+        ``_ordered`` order, each one a head half-combination joined with a
+        tail one."""
+        head, tail = self._chooser(w, m, j)
         v = w - 1
         table = self._table(mode is _FULL, v, dom2)
         get = table.get
@@ -304,13 +307,12 @@ class FoGame:
                     cb = hb | tb
                     got = get((cb, fm) if left else (fm, cb))
                     if got is None:
-                        ck = tuple(sid for sid in star if bits[sid] & cb)
                         if left:
-                            got = self._wins(mode, v, ck, cb, fixed, fm, dom2)
+                            got = self._wins(mode, v, cb, fm, dom2)
                         else:
-                            got = self._wins(mode, v, fixed, fm, ck, cb, dom2)
+                            got = self._wins(mode, v, fm, cb, dom2)
                     if got:
-                        return tuple(sid for sid in star if bits[sid] & cb), cb
+                        return cb
             return None
         # a rank-1 child never recurses: it wins iff some atom is true on all
         # of it and on none of the fixed side, or the reverse.  x_j = x_j is
@@ -319,11 +321,7 @@ class FoGame:
         # folds need no mask to the atom list.  Per head row the fixed
         # side's folds are joined in once, and the visit count stays in a
         # local that is written back before a cap error and at the end.
-        masks = self._masks
-        every_f, some_f = -1, 0
-        for sid in fixed:
-            every_f &= masks[sid]
-            some_f |= masks[sid]
+        every_f, some_f = self._fold(fm)
         none_f = ~some_f
         visited, cap = self.positions_visited, self.cap_positions
         for hb, h_every, h_none in head:
@@ -345,24 +343,17 @@ class FoGame:
                     got = table[key] = (h_every & t_every | h_none & t_none) != 0
                 if got:
                     self.positions_visited = visited
-                    return tuple(sid for sid in star if bits[sid] & cb), cb
+                    return cb
         self.positions_visited = visited
         return None
 
     # -- the game -----------------------------------------------------------
 
     def _wins(
-        self,
-        mode: FoMode,
-        w: int,
-        ak: tuple[int, ...],
-        am: int,
-        bk: tuple[int, ...],
-        bm: int,
-        dom: tuple[int, ...],
+        self, mode: FoMode, w: int, am: int, bm: int, dom: tuple[int, ...]
     ) -> bool:
-        """Whether player I wins at rank w on A against B, each given as
-        ordered ids and the same class's bitset."""
+        """Whether player I wins at rank w on the class bitset am against
+        bm."""
         # a plain bool hashes in C; an Enum member hashes through Python
         table = self._table(mode is _FULL, w, dom)
         key = (am, bm)
@@ -376,24 +367,18 @@ class FoGame:
                 f"(--cap-positions)",
                 w,
             )
-        result = self._winning_move(mode, w, ak, am, bk, bm, dom) is not None
+        result = self._winning_move(mode, w, am, bm, dom) is not None
         table[key] = result
         return result
 
     def _winning_move(
-        self,
-        mode: FoMode,
-        w: int,
-        ak: tuple[int, ...],
-        am: int,
-        bk: tuple[int, ...],
-        bm: int,
-        dom: tuple[int, ...],
+        self, mode: FoMode, w: int, am: int, bm: int, dom: tuple[int, ...]
     ) -> Optional[tuple]:
         """The one decision of a position: ("win",) when a literal
-        separates A from B, else player I's first winning move, else None."""
-        if ak or bk:
-            every_a, some_a, every_b, some_b = folds = self._folds(ak, bk)
+        separates A from B, else player I's first winning move, else None.
+        A move carries class bitsets."""
+        if am or bm:
+            every_a, some_a, every_b, some_b = folds = self._folds(am, bm)
             if every_a & ~some_b | every_b & ~some_a:
                 return ("win",)
         elif dom:
@@ -407,50 +392,48 @@ class FoGame:
         # side, hence a winning partition with a smaller literal-won block
         # stays winning after the swap.  This covers all u = 1 / v = 1
         # splits without enumerating partitions.
-        if ak or bk:
-            move = self._literal_splits(mode, w, ak, am, bk, bm, dom, folds)
+        if am or bm:
+            move = self._literal_splits(mode, w, am, bm, dom, folds)
             if move is not None:
                 return move
         # remaining splits give both blocks rank >= 2, so they only exist
         # at w >= 4; classes are still small there in practice
+        bits = self._bits
         for u in range(2, w - 1):
-            for side, ids, m in (("lsplit", ak, am), ("rsplit", bk, bm)):
+            for side, m in (("lsplit", am), ("rsplit", bm)):
+                ids = self._ordered(m)
                 k = len(ids)
                 for sel in range((1 << (k - 1)) - 1 if k >= 2 else 0):
                     sel2 = sel << 1 | 1
-                    c = tuple(ids[i] for i in range(k) if sel2 >> i & 1)
-                    d = tuple(ids[i] for i in range(k) if not sel2 >> i & 1)
-                    cm = self._bitset(c)
+                    cm = sum(bits[ids[i]] for i in range(k) if sel2 >> i & 1)
                     dm = m ^ cm
                     if side == "lsplit":
-                        first, second = (c, cm, bk, bm), (d, dm, bk, bm)
+                        first, second = (cm, bm), (dm, bm)
                     else:
-                        first, second = (ak, am, c, cm), (ak, am, d, dm)
+                        first, second = (am, cm), (am, dm)
                     if self._wins(mode, u, *first, dom) and self._wins(
                         mode, w - u, *second, dom
                     ):
-                        return (side, u, w - u, c, cm, d, dm)
+                        return (side, u, w - u, cm, dm)
         # supplementing moves bind a variable and cost one rank
         for j in self._supp_vars(dom):
             dom2 = tuple(sorted(set(dom) | {j}))
-            b_star, bsm = self._branching(w, bk, bm, j)
-            got = self._choice_scan(mode, w, True, ak, am, b_star, bsm, dom2, j)
-            if got is not None:
-                return ("lsupp", j, *got, b_star, bsm, dom2)
+            bsm = self._branching(w, bm, j)
+            cm = self._choice_scan(mode, w, True, am, bsm, dom2, j)
+            if cm is not None:
+                return ("lsupp", j, cm, bsm, dom2)
             if mode is _FULL:
-                a_star, asm = self._branching(w, ak, am, j)
-                got = self._choice_scan(mode, w, False, bk, bm, a_star, asm, dom2, j)
-                if got is not None:
-                    return ("rsupp", j, a_star, asm, *got, dom2)
+                asm = self._branching(w, am, j)
+                cm = self._choice_scan(mode, w, False, bm, asm, dom2, j)
+                if cm is not None:
+                    return ("rsupp", j, asm, cm, dom2)
         return None
 
     def _literal_splits(
         self,
         mode: FoMode,
         w: int,
-        ak: tuple[int, ...],
         am: int,
-        bk: tuple[int, ...],
         bm: int,
         dom: tuple[int, ...],
         folds: tuple[int, int, int, int],
@@ -473,29 +456,27 @@ class FoGame:
             todo ^= bit
             for target, lsplit, rsplit in cases:  # the atom, then its negation
                 if lsplit & bit:
-                    d = self._where(ak, bit, not target)
-                    dm = self._bitset(d)
-                    if self._wins(mode, w - 1, d, dm, bk, bm, dom):
-                        c = self._where(ak, bit, target)
-                        return ("lsplit", 1, w - 1, c, am ^ dm, d, dm)
+                    dm = self._where(am, bit, not target)
+                    if self._wins(mode, w - 1, dm, bm, dom):
+                        return ("lsplit", 1, w - 1, am ^ dm, dm)
                 if rsplit & bit:
-                    d = self._where(bk, bit, target)
-                    dm = self._bitset(d)
-                    if self._wins(mode, w - 1, ak, am, d, dm, dom):
-                        c = self._where(bk, bit, not target)
-                        return ("rsplit", 1, w - 1, c, bm ^ dm, d, dm)
+                    dm = self._where(bm, bit, target)
+                    if self._wins(mode, w - 1, am, dm, dom):
+                        return ("rsplit", 1, w - 1, bm ^ dm, dm)
         return None
 
-    def _where(self, ids: tuple[int, ...], bit: int, value: bool) -> tuple[int, ...]:
-        """The members on which the atom at ``bit`` has the given value."""
-        return tuple(sid for sid in ids if bool(self._masks[sid] & bit) is value)
+    def _where(self, m: int, bit: int, value: bool) -> int:
+        """The bitset of the members of m on which the atom at ``bit`` has
+        the given value."""
+        masks, bits = self._masks, self._bits
+        return sum(bits[sid] for sid in _members(m) if bool(masks[sid] & bit) is value)
 
     # -- public API -----------------------------------------------------------
 
     def _enter(
         self, left: StructureClass, right: StructureClass, w: int
-    ) -> tuple[tuple[int, ...], int, tuple[int, ...], int, tuple[int, ...]]:
-        """The root of a rank-w query as (A, A bitset, B, B bitset, domain)."""
+    ) -> tuple[int, int, tuple[int, ...]]:
+        """The root of a rank-w query as (A bitset, B bitset, domain)."""
         check_comparable(left, right)
         # the cap bounds a single query; solved positions answer from the
         # memo without counting
@@ -506,9 +487,12 @@ class FoGame:
                 "(--cap-class-size)",
                 w,
             )
-        ak = self._canon(left.members)
-        bk = self._canon(right.members)
-        return ak, self._bitset(ak), bk, self._bitset(bk), tuple(sorted(left.domain))
+        am = bm = 0
+        for st in left.members:
+            am |= self._bits[self._intern(st)]
+        for st in right.members:
+            bm |= self._bits[self._intern(st)]
+        return am, bm, tuple(sorted(left.domain))
 
     def winner(
         self,
@@ -536,7 +520,7 @@ class FoGame:
         if w_max < 1:
             raise InputError(f"w_max must be >= 1, got {w_max}")
         root = self._enter(left, right, 1)
-        if root[1] & root[3]:
+        if root[0] & root[1]:
             return None
         for w in range(1, w_max + 1):
             if self._wins(mode, w, *root):
@@ -557,47 +541,40 @@ class FoGame:
         if rank < 1:
             raise InputError(f"rank must be >= 1, got {rank}")
         root = self._enter(left, right, rank)
-        if root[1] & root[3] or not self._wins(mode, rank, *root):
+        if root[0] & root[1] or not self._wins(mode, rank, *root):
             return None
         return self._extract(mode, rank, *root)
 
     def _extract(
-        self,
-        mode: FoMode,
-        w: int,
-        ak: tuple[int, ...],
-        am: int,
-        bk: tuple[int, ...],
-        bm: int,
-        dom: tuple[int, ...],
+        self, mode: FoMode, w: int, am: int, bm: int, dom: tuple[int, ...]
     ) -> FoFormula:
         """The formula read off ``_winning_move`` from a won position; a
         ("win",) leaf names its literal from the position's atom folds."""
-        move = self._winning_move(mode, w, ak, am, bk, bm, dom)
+        move = self._winning_move(mode, w, am, bm, dom)
         assert move is not None, "extraction reached a losing position"
         kind = move[0]
         if kind == "win":
-            if not ak and not bk:
+            if not am and not bm:
                 return EqAtom(dom[0], dom[0])
             # the first literal in atom_candidates order, atom before negation
-            every_a, some_a, every_b, some_b = self._folds(ak, bk)
+            every_a, some_a, every_b, some_b = self._folds(am, bm)
             positive = every_a & ~some_b
             hits = positive | every_b & ~some_a
             first = hits & -hits
-            atom = self._atoms_of[(ak or bk)[0]][first.bit_length() - 1]
+            atom = self._atoms_of[(am or bm).bit_length() - 1][first.bit_length() - 1]
             return atom if positive & first else FoNot(atom)
         if kind == "lsplit":
-            _, u, v, c, cm, d, dm = move
+            _, u, v, cm, dm = move
             return FoOr(
-                self._extract(mode, u, c, cm, bk, bm, dom),
-                self._extract(mode, v, d, dm, bk, bm, dom),
+                self._extract(mode, u, cm, bm, dom),
+                self._extract(mode, v, dm, bm, dom),
             )
         if kind == "rsplit":
-            _, u, v, c, cm, d, dm = move
+            _, u, v, cm, dm = move
             return FoAnd(
-                self._extract(mode, u, ak, am, c, cm, dom),
-                self._extract(mode, v, ak, am, d, dm, dom),
+                self._extract(mode, u, am, cm, dom),
+                self._extract(mode, v, am, dm, dom),
             )
-        _, j, a2, am2, b2, bm2, dom2 = move
-        body = self._extract(mode, w - 1, a2, am2, b2, bm2, dom2)
+        _, j, am2, bm2, dom2 = move
+        body = self._extract(mode, w - 1, am2, bm2, dom2)
         return Exists(j, body) if kind == "lsupp" else Forall(j, body)

@@ -30,7 +30,7 @@ and in the same order as from the whole enumeration.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, ResourceCapError
@@ -167,8 +167,7 @@ class FoEnumerator:
     size m with j free outside variables is built only if m + j <= w_max,
     since binding them takes j quantifiers above it.  A dedup key carries
     the free set, so kept keys only ever meet kept keys and the legal
-    formulas, in order, match those of the whole enumeration.  That whole
-    enumeration is ``_layers``, built on first access for inspection only.
+    formulas, in order, match those of the whole enumeration.
     """
 
     def __init__(
@@ -231,11 +230,6 @@ class FoEnumerator:
                 if not ffree & self._outside and fmap not in legal:
                     legal[fmap] = f
         self._legal = list(legal.items())
-
-    @cached_property
-    def _layers(self) -> list[list[tuple[FoFormula, int, int]]]:
-        """Every layer without pruning, for inspection only."""
-        return self._enumerate(self.w_max, 0)
 
     def _masks_at(self, p: int) -> list[tuple[int, tuple[int, ...]]]:
         """Per universe size n: the assignments of every block of that size

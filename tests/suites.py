@@ -43,6 +43,7 @@ from efgames import (
     measure_M,
     measure_N,
 )
+from efgames.fo import check_comparable
 from efgames.fogame import _FULL
 from efgames.props import Literal, _strings_mask, var_mask
 
@@ -148,10 +149,53 @@ class ReferenceFoGame(FoGame):
     """The tuple-keyed search that ``FoGame`` replaced, kept verbatim as
     the reference for the bitset memo keys and the choice scan: a class is
     a tuple of ids sorted by ``sort_key``, and every choice function is
-    sorted into such a tuple and solved through ``_wins``.  Interning and
-    the atom folds are inherited; ``_first_atomic`` is a verbatim copy of
-    the atomic check ``FoGame`` kept beside ``_winning_move`` until that
-    became its one decision."""
+    sorted into such a tuple and solved through ``_wins``.  Only interning
+    and the extensions are inherited: ``_enter`` and ``_folds`` are the
+    tuple versions ``FoGame`` kept until a class became one bitset, and
+    ``_first_atomic`` is a verbatim copy of the atomic check ``FoGame``
+    kept beside ``_winning_move`` until that became its one decision."""
+
+    def _canon(self, members: Iterable[Structure]) -> tuple[int, ...]:
+        ids = {self._intern(st) for st in members}
+        return tuple(sorted(ids, key=self._keys.__getitem__))
+
+    def _bitset(self, ids: Iterable[int]) -> int:
+        return sum(map(self._bits.__getitem__, ids))
+
+    def _enter(
+        self, left: StructureClass, right: StructureClass, w: int
+    ) -> tuple[tuple[int, ...], int, tuple[int, ...], int, tuple[int, ...]]:
+        """The root of a rank-w query as (A, A bitset, B, B bitset, domain)."""
+        check_comparable(left, right)
+        # the cap bounds a single query; solved positions answer from the
+        # memo without counting
+        self.positions_visited = 0
+        if max(len(left.members), len(right.members)) > self.cap_class_size:
+            raise self._capped(
+                f"class size exceeds the cap {self.cap_class_size} "
+                "(--cap-class-size)",
+                w,
+            )
+        ak = self._canon(left.members)
+        bk = self._canon(right.members)
+        return ak, self._bitset(ak), bk, self._bitset(bk), tuple(sorted(left.domain))
+
+    def _folds(
+        self, ak: tuple[int, ...], bk: tuple[int, ...]
+    ) -> tuple[int, int, int, int]:
+        """Masks of the atoms true on every member of A, on some member of
+        A, on every member of B and on some member of B.  The position
+        needs a member to fix its atom list."""
+        masks = self._masks
+        every_a = every_b = (1 << len(self._atoms_of[(ak or bk)[0]])) - 1
+        some_a = some_b = 0
+        for sid in ak:
+            every_a &= masks[sid]
+            some_a |= masks[sid]
+        for sid in bk:
+            every_b &= masks[sid]
+            some_b |= masks[sid]
+        return every_a, some_a, every_b, some_b
 
     def _first_atomic(
         self, ak: tuple[int, ...], bk: tuple[int, ...], dom: tuple[int, ...]

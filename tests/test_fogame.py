@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -342,6 +343,42 @@ def test_every_visited_position_is_one_memo_entry(mode, positions):
     assert game.positions_visited == 0
 
 
+def _tiny_universe_answers(rng=None):
+    """One shared FoGame per mode answers every tiny-universe pair,
+    existential at ranks 1-4 and full at ranks 1-3: the positions visited
+    per mode, and the winner per (mode, left, right, rank).  With ``rng``
+    the pair order and each class's member order are shuffled."""
+    _, classes = suites.tiny_fo_universe()
+    pairs = list(itertools.product(range(len(classes)), repeat=2))
+    if rng is not None:
+        classes = [
+            StructureClass.of(
+                rng.sample(cls.members, len(cls.members)),
+                vocabulary=cls.vocabulary,
+                domain=cls.domain,
+            )
+            for cls in classes
+        ]
+        rng.shuffle(pairs)
+    positions, winners = {}, {}
+    for mode, ranks in ((FoMode.EXISTENTIAL, 4), (FoMode.FULL, 3)):
+        game, positions[mode] = FoGame(), 0
+        for i, k in pairs:
+            for w in range(1, ranks + 1):
+                winners[mode, i, k, w] = game.winner(w, classes[i], classes[k], mode)
+                positions[mode] += game.positions_visited
+    return positions, winners
+
+
+def test_tiny_universe_search_does_not_depend_on_query_or_member_order():
+    # members are tried in sort_key order whatever order the ids were
+    # interned in, so a shared solver visits the same positions in total
+    positions, winners = _tiny_universe_answers()
+    assert positions == {FoMode.EXISTENTIAL: 19_304, FoMode.FULL: 22_520}
+    for seed in (1, 2, 3):
+        assert _tiny_universe_answers(random.Random(seed)) == (positions, winners)
+
+
 def _order_three_answers(solver):
     """Per mode and rank 1..5 on the order-3 root: the winner, the
     positions visited and the synthesized text, or the cap flag hit and
@@ -382,7 +419,7 @@ def test_a_cap_leaves_the_solver_as_the_reference(caps):
     assert capped == _order_three_answers(ref)
     [flag] = [name.replace("_", "-") for name in caps]
     assert any(answer[0] == flag for answer in capped)
-    for _, _, halves in game._star.values():
+    for _, halves in game._star.values():
         if halves is not None:
             head, tail = halves
             assert len(head) * len(tail) <= game.cap_choice_functions

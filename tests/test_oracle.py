@@ -266,6 +266,12 @@ def test_enumerate_separator_needs_a_model():
         fo_enumerate_separator(empty, empty, 2)
 
 
+def _unpruned_layers(enum):
+    # the whole enumeration up to w_max: no formula is dropped for its free
+    # variables outside the domain
+    return enum._enumerate(enum.w_max, 0)
+
+
 def test_packed_bitmaps_match_evaluation():
     # mixed universe sizes give every model block its own strides; each
     # formula's bit for (model, pool assignment) must be its truth there
@@ -279,16 +285,16 @@ def test_packed_bitmaps_match_evaluation():
         ]
         bits = [enum._member_bit(st) for st in points]
         assert sorted(bits) == list(range(len(points)))
-        for layer in enum._layers:
+        for layer in _unpruned_layers(enum):
             for f, fmap, free in layer:
                 assert free == sum(1 << enum.pool.index(v) for v in fo_free_vars(f))
                 for st, bit in zip(points, bits):
                     assert bool(fmap >> bit & 1) == fo_eval(f, st), (f, st)
 
 
-def _layers_digest(enum):
+def _layers_digest(layers):
     h = hashlib.sha256()
-    for layer in enum._layers:
+    for layer in layers:
         for f, _, _ in layer:
             h.update(f"{f!r}\t{sorted(fo_free_vars(f))}\n".encode())
         h.update(b"\n")
@@ -306,16 +312,16 @@ def test_tiny_universe_layers_are_pinned():
          "a864f54d5fd1f570a9eb1fb864be411c8cc5c6f6461a46a8bb1bc21db91e2cc8"),
     ]
     for mode, w_max, sizes, digest in pinned:
-        enum = FoEnumerator(models, (), w_max, mode)
-        assert [len(layer) for layer in enum._layers] == sizes
-        assert _layers_digest(enum) == digest
+        layers = _unpruned_layers(FoEnumerator(models, (), w_max, mode))
+        assert [len(layer) for layer in layers] == sizes
+        assert _layers_digest(layers) == digest
 
 
 def _unpruned_legal(enum):
     # the legal formulas as the whole enumeration yields them: free
     # variables inside the domain, the first formula per bitmap
     legal = {}
-    for layer in enum._layers:
+    for layer in _unpruned_layers(enum):
         for f, fmap, free in layer:
             if not free & enum._outside and fmap not in legal:
                 legal[fmap] = f
@@ -346,10 +352,18 @@ def test_pruned_enumeration_keeps_every_legal_formula():
         assert len(enum._legal) == n_legal
 
 
-def test_separator_never_builds_the_unpruned_layers():
+def test_separator_never_builds_the_unpruned_layers(monkeypatch):
+    outsides = []
+    enumerate_layers = FoEnumerator._enumerate
+
+    def recording(self, w_max, outside):
+        outsides.append(outside)
+        return enumerate_layers(self, w_max, outside)
+
+    monkeypatch.setattr(FoEnumerator, "_enumerate", recording)
     models, classes = suites.tiny_fo_universe()
     enum = FoEnumerator(models, (), 4, FoMode.FULL)
     for a, b in itertools.product(classes[:4], repeat=2):
         f = enum.separator(a, b)
         assert f is None or fo_separates(f, a, b)
-    assert "_layers" not in vars(enum)
+    assert outsides == [enum._outside] and enum._outside
