@@ -46,16 +46,16 @@ the inner side's 2**k lanes, against a per-cell fold over the inner
 halves.  Lopsided roots run along their small side, balanced ones along
 the larger.
 
-The inner splits are folded per cell over each inner index's halves and
-their complements, read from a table of the index's subsets, held up to
-15 strings and built per index above that.  Sizes only grow with the
+The inner splits are folded per cell by walking the halves of the inner
+index (its subsets that hold its lowest member) as bit masks, from the
+largest down, each against its complement.  Sizes only grow with the
 sides, so no split of a cell sums below its one-member-smaller cells:
 the packed lines give the largest of those along the outer side at once,
 and the cell's own line gives the cells without its lowest and its
 highest inner member.  A cell is settled without the fold when the best
 split found so far (the outer one, or one cutting off the lowest or the
-highest inner member) meets that bound; when it is one above the bound,
-the fold stops at the first split that meets it.
+highest inner member) meets that bound, and the fold stops at the first
+split that meets it.
 
 Sizes count literal occurrences, so renaming or flipping variables
 leaves every size unchanged, and a hypercube map g (a permutation of the
@@ -92,7 +92,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, repeat
 from math import factorial
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import ContractError, InputError, ResourceCapError
@@ -296,12 +296,17 @@ def _symmetry_pays(width: int, n_strings: int) -> bool:
 def _outer_first(n1: int, n2: int) -> bool:
     """Whether _fill_lines should run its lines along the side of n1 indices
     rather than along the side of n2.  Its estimated time, in inner-fold
-    summands: one per cell and inner half, and per outer half a lane-wise
-    min that costs about 3 + n_in / 70 of them (measured on CPython 3.11)."""
+    summands: per outer half a lane-wise min that costs about 3 + n_in / 70
+    of them (measured on CPython 3.11), and an eighth of one per cell and
+    inner half.  One per cell and inner half is an upper bound on the
+    folds: the bounds settle most cells and a fold stops at the first split
+    that meets its bound, so 0-8 % of those summands are read at widths 3
+    and 4.  The eighth was fitted to fill times along either side of
+    seeded roots of every shape there up to 16 strings."""
 
     def cost(n_out: int, n_in: int) -> float:
         k_out, k_in = n_out.bit_length() - 1, n_in.bit_length() - 1
-        return 3**k_out * (3 + n_in / 70) + n_out * 3**k_in
+        return 3**k_out * (3 + n_in / 70) + n_out * 3**k_in / 8
 
     return cost(n1, n2) <= cost(n2, n1)
 
@@ -322,12 +327,12 @@ def _fill_lines(
     inner index, so the best outer split of a whole line is a lane-wise
     min, over the outer halves h of o, of packed[h] + packed[o ^ h]; the
     sum of two sizes up to ub must stay below the lanes' guard bit 2**15,
-    or ResourceCapError is raised.  The inner splits
-    are folded per cell over the halves in the inner index's subset table
-    (_subset_tables, held up to 15 strings and built per index above), and
-    only where no bound settles the cell: sizes only grow with the sides,
-    so no split sums below the largest of the one-member-smaller cells,
-    and a split that reaches it is minimal.
+    or ResourceCapError is raised.  The inner splits of cell (o, i) are
+    folded only where no bound settles the cell, walking the halves
+    low | y of i (low its lowest member, y a proper subset of the rest j)
+    against their complements j ^ y until a split meets the bound: sizes
+    only grow with the sides, so no split sums below the largest of the
+    one-member-smaller cells, and a split that reaches it is minimal.
 
     Each of maps is a symmetry of the root as a pair of member permutations,
     outer then inner (member j goes to member perm[j]); a line that one of
@@ -338,7 +343,6 @@ def _fill_lines(
     n_in = len(in_lits)
     lane_bytes, shift = 2 * n_in, 15
     guards, no_split = _lanes(1 << 15, n_in), _lanes((1 << 15) - 1, n_in)
-    tables = _subset_tables(n_in.bit_length() - 1)
     # i minus its highest member
     tops = array("L", [i ^ 1 << i.bit_length() - 1 if i else 0 for i in range(n_in)])
     cells = array("H", [1 if lit & out_lits[0] else 2 for lit in in_lits])
@@ -371,7 +375,6 @@ def _fill_lines(
         floor = array("H", acc.to_bytes(lane_bytes, _ORDER))
         o_lit = out_lits[o]
         line = [1 if in_lits[0] & o_lit else 2]
-        get = line.__getitem__
         for i in range(1, n_in):
             if in_lits[i] & o_lit:
                 best = 1
@@ -393,16 +396,18 @@ def _fill_lines(
                     if below_k > least:
                         least = below_k
                     if best > least:
-                        # the halves of i and their complements, pair by pair
-                        t = tables[i]
-                        sums = map(add, map(get, t[1:-1:2]), map(get, t[-2:0:-2]))
-                        if best == least + 1:
-                            if least in sums:  # stops at the first hit
-                                best = least
-                        else:
-                            cand = min(sums)
+                        # the halves low | y of i, y a nonempty proper subset
+                        # of j from the largest down, each against its
+                        # complement j ^ y (y = 0 cuts off low, tried above)
+                        low = i ^ j
+                        y = j & j - 1
+                        while y:
+                            cand = line[low | y] + line[j ^ y]
                             if cand < best:
                                 best = cand
+                                if cand == least:
+                                    break
+                            y = y - 1 & j
             line.append(best)
         done = array("H", line)
         cells += done
@@ -453,44 +458,6 @@ def _derived_lines(
                     gather = gathers[m] = itemgetter(*_index_perm(inverse))
                 derived[o] = r, gather
     return derived
-
-
-# Largest inner side whose subset tables are held for the whole fill: 3**k
-# two-byte entries, 29 MB at k = 15.  Larger sides, which the default
-# --cap-strings excludes, build each index's table when it is read.
-_TABLES_CACHE_MAX = 15
-
-
-def _subset_tables(k: int) -> Sequence[Sequence[int]]:
-    """Per compact index a < 2**k, every subset of a in the order of a's own
-    members: entry x of a's table holds the members of a whose rank in a is
-    a set bit of x.  The halves of a (the subsets that hold its lowest
-    member, a itself excluded) are then t[1:-1:2], and t[-2:0:-2] are their
-    complements in a, pair by pair.
-
-    With h the highest member of a and c = a ^ h, a's table is c's table
-    followed by c's table with h added."""
-    if k > _TABLES_CACHE_MAX:
-        return _LazyTables()
-    tables = [array("H", [0])]
-    for j in range(k):
-        h = 1 << j
-        # h in h two-byte lanes, as many as any index below h has subsets;
-        # adding it to entries below h ORs it in
-        lanes_h = _lanes(h, h)
-        for c in range(h):
-            t = tables[c]
-            n = len(t)
-            plus_h = int.from_bytes(t, _ORDER) + (lanes_h >> 16 * (h - n))
-            tables.append(t + array("H", plus_h.to_bytes(2 * n, _ORDER)))
-    return tables
-
-
-class _LazyTables:
-    """The tables of _subset_tables above its cache max, built when read."""
-
-    def __getitem__(self, a: int) -> list[int]:
-        return _index_perm([j for j in range(a.bit_length()) if a >> j & 1])
 
 
 class PropGame:

@@ -143,41 +143,7 @@ def test_size_table_matches_reference_on_random_pairs():
             assert suites.size_table_mismatches(width, [root]) == []
 
 
-def _half_pairs(k):
-    """Per index below 2**k: its (half, complement) pairs from its subset
-    table."""
-    tables = propgame._subset_tables(k)
-    return [list(zip(tables[a][1:-1:2], tables[a][-2:0:-2])) for a in range(1 << k)]
-
-
-def test_lazy_halves_match_the_cached_halves(monkeypatch):
-    cached = _half_pairs(6)
-    monkeypatch.setattr(propgame, "_TABLES_CACHE_MAX", 5)
-    assert _half_pairs(6) == cached
-
-
-@pytest.mark.parametrize("k", range(11))
-def test_halves_pair_each_half_with_its_complement(k):
-    for a, pairs in enumerate(_half_pairs(k)):
-        low = a & -a
-        want = sorted(x for x in range(1, a) if x & a == x and x & low)
-        assert sorted(h for h, _ in pairs) == want
-        assert all(c == a ^ h for h, c in pairs)
-
-
-def test_subset_tables_order_subsets_by_member_rank():
-    tables = propgame._subset_tables(6)
-    for a in range(1 << 6):
-        members = [1 << j for j in range(6) if a >> j & 1]
-        want = [
-            sum(m for r, m in enumerate(members) if x >> r & 1)
-            for x in range(1 << len(members))
-        ]
-        assert list(tables[a]) == want
-
-
-def test_size_table_matches_reference_with_lazy_halves(monkeypatch):
-    monkeypatch.setattr(propgame, "_TABLES_CACHE_MAX", 2)
+def test_size_table_matches_reference_on_seeded_width_four_roots():
     rng = random.Random(99)
     shapes = [(1, 13), (13, 1), (6, 6), (2, 3)]
     for root in _random_roots(rng, 4, shapes):
@@ -193,11 +159,106 @@ def test_size_table_matches_reference_along_either_side(monkeypatch, s_outer):
         assert suites.size_table_mismatches(4, [root]) == []
 
 
+def _positions_telling_apart(s, others):
+    """The fewest bit positions such that every string of others differs
+    from the width-4 string s at one of them, by brute force."""
+    for k in range(5):
+        for positions in itertools.combinations(range(4), k):
+            mask = sum(1 << p for p in positions)
+            if all((b ^ s) & mask for b in others):
+                return k
+
+
+def test_one_string_against_many_costs_the_positions_that_tell_them_apart():
+    """value({s}, B) is the fewest positions at which every string of B
+    differs from s.  Take a minimal separator in negation normal form, which
+    keeps the size.  A disjunct true on s separates alone, so it is no
+    disjunction; the two conjuncts of a conjunction are true on s and
+    separate s from the strings of B that each one falsifies, so by
+    induction a minimal separator is a conjunction of literals true on s.
+    Such a literal is false on b exactly when b differs from s at its
+    position, and one literal per position of a hitting set separates.
+    Mirrored, value(B, {s}) is the same, by negating the separator.  At
+    1 vs 15 strings this is the most lopsided root the default cap admits."""
+    rng = random.Random(92)
+    roots = [(s, [b for b in range(16) if b != s]) for s in (0, 9)]
+    for _ in range(12):
+        s, *others = rng.sample(range(16), rng.randint(2, 16))
+        roots.append((s, others))
+    for s, others in roots:
+        want = _positions_telling_apart(s, others)
+        if len(others) == 15:
+            assert want == 4
+        game = PropGame(4)
+        one, many = StringProperty(4, 1 << s), StringProperty(4, sum(1 << b for b in others))
+        assert game.minsize(one, many) == want
+        assert game.minsize(many, one) == want
+
+
+def _splits(m):
+    """The (half, complement) pairs of m, each half holding m's lowest member."""
+    low = m & -m
+    rest = m ^ low
+    return [(low | y, rest ^ y) for y in propgame._submasks(rest) if y != rest]
+
+
+def _fold_exits(cells, out_lits, in_lits):
+    """(met, scanned): the cells of a walked fill whose inner fold stops at a
+    split that meets the cell's bound, and those whose fold reads every
+    half, recomputed from the cells with the fill's bounds."""
+    n_in = len(in_lits)
+    met = scanned = 0
+    for o in range(1, len(out_lits)):
+        line = cells[o * n_in : (o + 1) * n_in]
+        members = [1 << t for t in range(o.bit_length()) if o >> t & 1]
+        for i in range(1, n_in):
+            j, k = i & i - 1, i ^ 1 << i.bit_length() - 1
+            if not j or out_lits[o] & in_lits[i]:
+                continue
+            column = cells[i::n_in]
+            best = min(
+                [column[h] + column[c] for h, c in _splits(o)]
+                + [line[j] + line[i ^ j], line[k] + line[i ^ k]]
+            )
+            least = max([column[o ^ m] for m in members] + [line[j], line[k]])
+            if best > least:
+                inner = min(line[h] + line[c] for h, c in _splits(i))
+                met += inner == least
+                scanned += inner > least
+    return met, scanned
+
+
+@pytest.mark.parametrize("s_outer", [True, False])
+def test_fill_lines_match_reference_where_folds_stop_early_or_read_every_half(s_outer):
+    # along either side, these roots have cells that a fold stopping one
+    # above the bound, or at its first split below the best, gets wrong
+    rng = random.Random(154)
+    game, ref = PropGame(4), suites.ReferenceSizeTable(4)
+    for smask, rmask in _random_roots(rng, 4, [(7, 6), (6, 9)]):
+        s_masks, s_lits = game._subsets(smask, 0)
+        r_masks, r_lits = game._subsets(rmask, (1 << 8) - 1)
+        ub = 4 * min(smask.bit_count(), rmask.bit_count())
+        if s_outer:
+            out_lits, in_lits = s_lits, r_lits
+            want = [ref.value(a, b) for a in s_masks for b in r_masks]
+        else:
+            out_lits, in_lits = r_lits, s_lits
+            want = [ref.value(a, b) for b in r_masks for a in s_masks]
+        cells, _ = propgame._fill_lines(out_lits, in_lits, ub)
+        assert list(cells) == want
+        # the roots exercise both ways out of the fold
+        met, scanned = _fold_exits(cells, out_lits, in_lits)
+        assert met > 0 and scanned > 0, (met, scanned)
+
+
 def test_lines_run_along_the_side_that_costs_less():
-    # 1 vs 13 strings: one fold per cell over the 13-string side's halves
-    # beats 3**13 / 2 lane-wise mins; balanced pairs run along the larger side
+    # 1 vs 13 strings: the cells' folds over the 13-string side's halves,
+    # which mostly stop early or never start, beat 3**13 / 2 lane-wise mins;
+    # so does 2 vs 6, and near-balanced pairs run along the larger side
     assert propgame._outer_first(1 << 1, 1 << 13)
     assert not propgame._outer_first(1 << 13, 1 << 1)
+    assert propgame._outer_first(1 << 2, 1 << 6)
+    assert not propgame._outer_first(1 << 6, 1 << 2)
     assert not propgame._outer_first(1 << 6, 1 << 7)
     assert propgame._outer_first(1 << 7, 1 << 6)
 
@@ -329,16 +390,12 @@ def test_stabilizer_matches_every_hypercube_map_on_random_roots():
     assert empty >= 30
 
 
-@pytest.mark.parametrize(
-    "s_outer, tables_max",
-    [(True, propgame._TABLES_CACHE_MAX), (False, propgame._TABLES_CACHE_MAX), (None, 2)],
-)
-def test_size_table_matches_reference_on_symmetric_roots(monkeypatch, s_outer, tables_max):
+@pytest.mark.parametrize("s_outer", [True, False, None])
+def test_size_table_matches_reference_on_symmetric_roots(monkeypatch, s_outer):
     # the search would not pay below 13 strings; run it on every root
     monkeypatch.setattr(propgame, "_symmetry_pays", lambda width, n_strings: True)
     if s_outer is not None:
         monkeypatch.setattr(propgame, "_outer_first", lambda n1, n2: s_outer)
-    monkeypatch.setattr(propgame, "_TABLES_CACHE_MAX", tables_max)
     for left, right in SYMMETRIC_ROOTS:
         assert suites.size_table_mismatches(left.width, [(left.mask, right.mask)]) == []
 
