@@ -143,7 +143,9 @@ def test_size_table_matches_reference_on_random_pairs():
             assert suites.size_table_mismatches(width, [root]) == []
 
 
-def test_size_table_matches_reference_on_seeded_width_four_roots():
+def test_size_table_matches_reference_with_lazy_halves():
+    # the fill walks each cell's halves as bit masks as it goes, with no
+    # table of halves; 1 vs 13 and 13 vs 1 walk the most of them
     rng = random.Random(99)
     shapes = [(1, 13), (13, 1), (6, 6), (2, 3)]
     for root in _random_roots(rng, 4, shapes):
@@ -157,6 +159,35 @@ def test_size_table_matches_reference_along_either_side(monkeypatch, s_outer):
     shapes = [(1, 13), (13, 1), (2, 11), (5, 7), (6, 6), (7, 7)]
     for root in _random_roots(rng, 4, shapes):
         assert suites.size_table_mismatches(4, [root]) == []
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_halves_pair_each_half_with_its_complement(k):
+    """Every cell (o, i) that _fill_lines fills along a side of k strings is
+    1 where a literal separates it, else the least sum over the splits of o
+    and of i, each half h (holding the lowest member) against its
+    complement ^ h, recomputed from the filled cells.  That recurrence
+    defines the size table, so the cells are right without a reference."""
+    rng = random.Random(k)
+    strings = rng.sample(range(16), k + 3)
+    game = PropGame(4)
+    few, many = sum(1 << e for e in strings[:3]), sum(1 << e for e in strings[3:])
+    # the k-string side is S at even k and R at odd k, inner either way
+    flips = (0, (1 << 8) - 1) if k % 2 else ((1 << 8) - 1, 0)
+    out_lits = game._subsets(few, flips[0])[1]
+    in_lits = game._subsets(many, flips[1])[1]
+    cells, _ = propgame._fill_lines(out_lits, in_lits, 4 * min(3, k))
+    n_in = len(in_lits)
+    for o in range(len(out_lits)):
+        for i in range(n_in):
+            if out_lits[o] & in_lits[i]:
+                want = 1
+            else:
+                want = min(
+                    [cells[h * n_in + i] + cells[c * n_in + i] for h, c in _splits(o)]
+                    + [cells[o * n_in + h] + cells[o * n_in + c] for h, c in _splits(i)]
+                )
+            assert cells[o * n_in + i] == want, (o, i)
 
 
 def _positions_telling_apart(s, others):
@@ -390,7 +421,15 @@ def test_stabilizer_matches_every_hypercube_map_on_random_roots():
     assert empty >= 30
 
 
-@pytest.mark.parametrize("s_outer", [True, False, None])
+# each id keeps a second part from a cache cap that the cases once also set
+@pytest.mark.parametrize(
+    "s_outer",
+    [
+        pytest.param(True, id="True-15"),
+        pytest.param(False, id="False-15"),
+        pytest.param(None, id="None-2"),
+    ],
+)
 def test_size_table_matches_reference_on_symmetric_roots(monkeypatch, s_outer):
     # the search would not pay below 13 strings; run it on every root
     monkeypatch.setattr(propgame, "_symmetry_pays", lambda width, n_strings: True)
