@@ -73,11 +73,13 @@ class FoGame:
     Structures are interned to small ints, and each id keeps ``1 << id``,
     so a class is an int bitset over ids, and that bitset is the one value
     that stands for it.  Interning also evaluates every atom over the
-    structure's assignment domain once and keeps the truth values as an int
-    mask (bit i for the i-th entry of ``atom_candidates``), so the atomic
-    win check and the literal splits are AND/OR folds of the members'
-    masks.  Each structure's extensions x_j -> a are interned once per
-    variable.
+    structure's assignment domain once and keeps the truth values twice:
+    as the id's int mask (bit i for the i-th entry of ``atom_candidates``),
+    whose AND/OR folds over the members decide the atomic win, and as bit
+    ``id`` of the atom's column, one id bitset per (atom list, atom index),
+    so the members of a class on which a literal holds are one AND of the
+    class with the column or its complement.  Each structure's extensions
+    x_j -> a are interned once per variable.
 
     The memo is one sub-table per (mode is FULL, rank, domain), keyed by
     the (A bitset, B bitset) pair: equal classes give equal keys without
@@ -119,7 +121,8 @@ class FoGame:
         self._bits: list[int] = []
         self._masks: list[int] = []
         self._atoms_of: list[list[FoFormula]] = []
-        self._atom_lists: dict[tuple, list[FoFormula]] = {}
+        self._cols_of: list[list[int]] = []
+        self._atom_lists: dict[tuple, tuple[list[FoFormula], list[int]]] = {}
         self._ext: dict[tuple[int, int], tuple[int, ...]] = {}
         self._memo: dict[tuple, dict[tuple[int, int], bool]] = {}
         self._star: dict[tuple[int, int], list] = {}
@@ -135,13 +138,18 @@ class FoGame:
             self._keys.append(st.sort_key())
             self._bits.append(1 << sid)
             key = (st.model.vocabulary, tuple(j for j, _ in st.assignment.items))
-            atoms = self._atom_lists.get(key)
-            if atoms is None:
-                atoms = self._atom_lists[key] = atom_candidates(*key)
+            if key not in self._atom_lists:
+                atoms = atom_candidates(*key)
+                self._atom_lists[key] = (atoms, [0] * len(atoms))
+            atoms, cols = self._atom_lists[key]
+            mask = 0
+            for i, atom in enumerate(atoms):
+                if fo_eval(atom, st):
+                    mask |= 1 << i
+                    cols[i] |= 1 << sid
             self._atoms_of.append(atoms)
-            self._masks.append(
-                sum(1 << i for i, atom in enumerate(atoms) if fo_eval(atom, st))
-            )
+            self._cols_of.append(cols)
+            self._masks.append(mask)
         return sid
 
     def _ordered(self, m: int) -> list[int]:
@@ -440,36 +448,24 @@ class FoGame:
     ) -> Optional[tuple]:
         """Splits whose first block is the full set of members one literal
         wins against the other side, paired with rank w - 1 on the rest;
-        ``folds`` are the position's atom folds."""
+        ``folds`` are the position's atom folds.  The members a literal
+        holds on are its atom's column, or the column's complement."""
         every_a, some_a, every_b, some_b = folds
-        split_a = some_a & ~every_a
-        split_b = some_b & ~every_b
-        # per literal polarity, the atoms whose literal holds on a proper
-        # part of one side and on all of A (right splits) or none of B
-        # (left splits)
-        lsplit_pos, rsplit_pos = split_a & ~some_b, every_a & split_b
-        lsplit_neg, rsplit_neg = split_a & every_b, split_b & ~some_a
-        cases = ((True, lsplit_pos, rsplit_pos), (False, lsplit_neg, rsplit_neg))
-        todo = lsplit_pos | rsplit_pos | lsplit_neg | rsplit_neg
+        cols = self._cols_of[(am or bm).bit_length() - 1]
+        # the atoms that hold on a proper part of one side.  As no literal
+        # separates the position, the block a literal takes from one side
+        # and the rest are then both nonempty, and of an atom's four splits
+        # (its literals, left and right) at most one is legal.
+        todo = some_a & ~every_a | some_b & ~every_b
         while todo:
-            bit = todo & -todo
-            todo ^= bit
-            for target, lsplit, rsplit in cases:  # the atom, then its negation
-                if lsplit & bit:
-                    dm = self._where(am, bit, not target)
-                    if self._wins(mode, w - 1, dm, bm, dom):
-                        return ("lsplit", 1, w - 1, am ^ dm, dm)
-                if rsplit & bit:
-                    dm = self._where(bm, bit, target)
-                    if self._wins(mode, w - 1, am, dm, dom):
-                        return ("rsplit", 1, w - 1, bm ^ dm, dm)
+            col = cols[(todo & -todo).bit_length() - 1]
+            todo &= todo - 1
+            for holds in (col, ~col):  # the atom, then its negation
+                if not bm & holds and self._wins(mode, w - 1, am & ~holds, bm, dom):
+                    return ("lsplit", 1, w - 1, am & holds, am & ~holds)
+                if not am & ~holds and self._wins(mode, w - 1, am, bm & holds, dom):
+                    return ("rsplit", 1, w - 1, bm & ~holds, bm & holds)
         return None
-
-    def _where(self, m: int, bit: int, value: bool) -> int:
-        """The bitset of the members of m on which the atom at ``bit`` has
-        the given value."""
-        masks, bits = self._masks, self._bits
-        return sum(bits[sid] for sid in _members(m) if bool(masks[sid] & bit) is value)
 
     # -- public API -----------------------------------------------------------
 

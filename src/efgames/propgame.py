@@ -553,25 +553,27 @@ class PropGame:
         # keep the positions a top-down search would reach (module docstring),
         # each written once; cell (a, b) sits at a * sa + b * sb.  First (A, B)
         # for A a proper subset of S, row by row, where no literal separates
-        # (S, B).
+        # (S, B); an S of one string has no such A, and no row is walked.
         table = self._value
         fa, fb = na - 1, nb - 1
         inner_s = s_masks[1:fa]
-        for b in range(1, nb):
-            if not s_lits[fa] & r_lits[b]:
-                row = cells[sa + b * sb : fa * sa + b * sb : sa]
-                table.update(zip(zip(inner_s, repeat(r_masks[b])), row))
+        if inner_s:
+            for b in range(1, nb):
+                if not s_lits[fa] & r_lits[b]:
+                    row = cells[sa + b * sb : fa * sa + b * sb : sa]
+                    table.update(zip(zip(inner_s, repeat(r_masks[b])), row))
         # Then (A, B) for B a proper subset of R, where no literal separates
         # (A, R): all of column S, and in the other columns the B whose
-        # rows were skipped.
+        # rows were skipped, if any (an R of one string has none).
         col = cells[fa * sa + sb : fa * sa + fb * sb : sb]
         table.update(zip(zip(repeat(smask), r_masks[1:fb]), col))
         skipped = [b for b in range(1, fb) if s_lits[fa] & r_lits[b]]
         skipped_masks, skipped_at = [r_masks[b] for b in skipped], [b * sb for b in skipped]
-        for a in range(1, fa):
-            if not s_lits[a] & r_lits[fb]:
-                at = map(cells.__getitem__, map((a * sa).__add__, skipped_at))
-                table.update(zip(zip(repeat(s_masks[a]), skipped_masks), at))
+        if skipped:
+            for a in range(1, fa):
+                if not s_lits[a] & r_lits[fb]:
+                    at = map(cells.__getitem__, map((a * sa).__add__, skipped_at))
+                    table.update(zip(zip(repeat(s_masks[a]), skipped_masks), at))
         best = cells[fa * sa + fb * sb]
         table[smask, rmask] = best
         return best

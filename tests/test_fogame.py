@@ -15,9 +15,11 @@ from efgames import (
     InputError,
     Model,
     Player,
+    PropGame,
     RelAtom,
     ResourceCapError,
     Structure,
+    StringProperty,
     StructureClass,
     Vocabulary,
     atomic_separators,
@@ -472,6 +474,65 @@ def test_atoms_are_evaluated_only_while_interning(monkeypatch):
     assert game.minsize(a, b, FoMode.FULL, w_max=4) is None
     assert game.synthesize(a, b, 5, FoMode.EXISTENTIAL) is not None
     assert calls == sum(len(atoms) for atoms in game._atoms_of)
+
+
+def test_atom_columns_transpose_the_atom_masks(tiny_fo_suite):
+    # bit sid of column i is bit i of the mask of sid, and a column holds
+    # only ids of its own atom list
+    a, b = linorder_instances(3)
+    order = FoGame()
+    for mode in FoMode:
+        assert order.minsize(a, b, mode, w_max=5) == 5
+    for game in (order, *(game for game, _ in tiny_fo_suite.values())):
+        assert len(game._cols_of) == len(game._masks) == len(game._by_id)
+        for atoms, cols in game._atom_lists.values():
+            assert len(cols) == len(atoms)
+            ids = sum(1 << sid for sid, got in enumerate(game._cols_of) if got is cols)
+            assert all(col & ~ids == 0 for col in cols)
+        for sid, (cols, mask) in enumerate(zip(game._cols_of, game._masks)):
+            for i, col in enumerate(cols):
+                assert col >> sid & 1 == mask >> i & 1
+
+
+def _one_point_class(prop):
+    """The strings of prop as one-point structures over unary P1..Pw, with
+    x0 bound to the element: P_i holds on it iff s_i = 1."""
+    names = [f"P{i}" for i in range(1, prop.width + 1)]
+    vocab = Vocabulary.make(*((name, 1) for name in names))
+    members = []
+    for s in prop.strings():
+        ones = {name: [(0,)] for i, name in enumerate(names, 1) if s.bit(i)}
+        members.append(Structure(Model.make(vocab, 1, ones), Assignment.make({0: 0})))
+    return StructureClass.of(members, vocabulary=vocab, domain={0})
+
+
+def test_the_games_agree_on_one_point_structures():
+    # a literal p_i is the atom P_i(x0), and a supplement only binds the one
+    # element again, so both first-order modes cost what the strings cost;
+    # PropGame is a solver of its own, which checks the literal splits
+    pairs = [
+        (StringProperty(2, s), StringProperty(2, r))
+        for s in range(1, 16)
+        for r in range(1, 16)
+        if not s & r
+    ]
+    rng = random.Random(21)
+    for _ in range(200):
+        strings = rng.sample(range(8), rng.randint(2, 8))
+        cut = rng.randint(1, len(strings) - 1)
+        pairs.append(
+            (
+                StringProperty(3, sum(1 << e for e in strings[:cut])),
+                StringProperty(3, sum(1 << e for e in strings[cut:])),
+            )
+        )
+    games = {width: PropGame(width) for width in (2, 3)}
+    fo_games = {mode: FoGame() for mode in FoMode}
+    for left, right in pairs:
+        size = games[left.width].minsize(left, right)
+        a, b = _one_point_class(left), _one_point_class(right)
+        for mode, game in fo_games.items():
+            assert game.minsize(a, b, mode, w_max=size) == size, (left, right, mode)
 
 
 # -- the bitset search against the tuple-keyed reference ----------------------

@@ -156,7 +156,8 @@ def test_size_table_matches_reference_with_lazy_halves():
 def test_size_table_matches_reference_along_either_side(monkeypatch, s_outer):
     monkeypatch.setattr(propgame, "_outer_first", lambda n1, n2: s_outer)
     rng = random.Random(96)
-    shapes = [(1, 13), (13, 1), (2, 11), (5, 7), (6, 6), (7, 7)]
+    # 1-vs-k and k-vs-1 roots skip one of the write loops of the fill
+    shapes = [(1, 13), (13, 1), (2, 11), (5, 7), (6, 6), (7, 7), (1, 3), (3, 1)]
     for root in _random_roots(rng, 4, shapes):
         assert suites.size_table_mismatches(4, [root]) == []
 
