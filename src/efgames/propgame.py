@@ -13,6 +13,9 @@ Two search modes share one solver:
 * EXACT plays the rules verbatim.  The split side may be covered by any
   ordered pair of blocks, overlapping or empty, which makes 3**k moves
   per side of k strings, so exact mode is capped to small positions.
+  Each rank split is tried once, with u <= v: the cover (c, d) at ranks
+  (u, v) offers player II the same two positions as (d, c) at (v, u), so
+  this drops no move and assumes nothing about the game.
 * REDUCED searches only two-block set partitions (disjoint, nonempty).
   Separating formulas survive shrinking either side of a position, so
   dropping covers that duplicate or drop strings never changes the
@@ -79,8 +82,12 @@ would visit: the root, every (A, B) with A a nonempty proper subset of
 S, B a nonempty subset of R and no literal separating (S, B), and every
 (A, B) with A a nonempty subset of S, B a nonempty proper subset of R
 and no literal separating (A, R).  A literal that separates a pair
-separates each of its sub-pairs, so every other cell has size 1 and is
-computed but not kept.
+separates each of its sub-pairs, so every other cell has size 1 or an
+empty side, and is computed but not kept.  The kept cells stay where the
+fill left them, in its one array, and the table answers a kept position
+by reading that array at the position's compact indices; synthesis walks
+those indices too.  Only single answers, a literal win or an empty side
+asked for directly, sit in a dict of their own.
 """
 
 from __future__ import annotations
@@ -88,9 +95,11 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, repeat
+from itertools import permutations
 from math import factorial
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Union
@@ -460,6 +469,116 @@ def _derived_lines(
     return derived
 
 
+class _Fill:
+    """The sizes of one root's sub-lattice, as _fill_lines left them: cell
+    (a, b), a and b compact indices over the members of S and of R, sits at
+    cells[a * sa + b * sb].  masks and lits are _subsets' lists of a side."""
+
+    __slots__ = ("s_masks", "r_masks", "s_lits", "r_lits", "cells", "sa", "sb", "kept")
+
+    def __init__(
+        self,
+        s_masks: list[int],
+        r_masks: list[int],
+        s_lits: list[int],
+        r_lits: list[int],
+        cells: array,
+        sa: int,
+        sb: int,
+    ) -> None:
+        self.s_masks, self.r_masks = s_masks, r_masks
+        self.s_lits, self.r_lits = s_lits, r_lits
+        self.cells, self.sa, self.sb = cells, sa, sb
+        # every cell with both sides nonempty is kept but a proper A against
+        # a proper B where literals separate both (S, B) and (A, R)
+        fa, fb = len(s_lits) - 1, len(r_lits) - 1
+        s_open = sum(1 for x in s_lits[1:fa] if not x & r_lits[fb])
+        r_open = sum(1 for y in r_lits[1:fb] if not s_lits[fa] & y)
+        self.kept = fa * fb - (fa - 1 - s_open) * (fb - 1 - r_open)
+
+    def size(self, a: int, b: int) -> int:
+        return self.cells[a * self.sa + b * self.sb]
+
+    def keeps(self, a: int, b: int) -> bool:
+        """Whether cell (a, b) is one of the positions the table keeps
+        (module docstring)."""
+        s_lits, r_lits = self.s_lits, self.r_lits
+        fa, fb = len(s_lits) - 1, len(r_lits) - 1
+        return bool(a and b) and (
+            a == fa
+            or b == fb
+            or not s_lits[fa] & r_lits[b]
+            or not s_lits[a] & r_lits[fb]
+        )
+
+    def locate(self, smask: int, rmask: int) -> Optional[tuple[int, int]]:
+        """The compact indices of (smask, rmask) when it is a kept cell.
+        Compact order is mask order, so each side's masks are sorted."""
+        a = bisect_left(self.s_masks, smask)
+        b = bisect_left(self.r_masks, rmask)
+        if (
+            a < len(self.s_masks)
+            and self.s_masks[a] == smask
+            and b < len(self.r_masks)
+            and self.r_masks[b] == rmask
+            and self.keeps(a, b)
+        ):
+            return a, b
+        return None
+
+
+class _SizeTable(Mapping):
+    """Minimal sizes by (smask, rmask): the kept cells of each fill, read
+    from the fill's array, and the single answers of value() (a literal win
+    or an empty side) in a dict.  No position is held twice: value() looks
+    up the fills before it stores a single answer, and a fill drops the
+    single answers it keeps."""
+
+    def __init__(self) -> None:
+        self.fills: list[_Fill] = []
+        self.singles: dict[tuple[int, int], int] = {}
+
+    def locate(self, smask: int, rmask: int) -> Optional[tuple[_Fill, int, int]]:
+        """The first fill that keeps (smask, rmask), with its compact indices."""
+        for fill in self.fills:
+            at = fill.locate(smask, rmask)
+            if at is not None:
+                return fill, *at
+        return None
+
+    def add(self, fill: _Fill) -> None:
+        self.fills.append(fill)
+        for key in [key for key in self.singles if fill.locate(*key)]:
+            del self.singles[key]
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        got = self.singles.get(key)
+        if got is not None:
+            return got
+        found = self.locate(*key)
+        if found is None:
+            raise KeyError(key)
+        fill, a, b = found
+        return fill.size(a, b)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for i, fill in enumerate(self.fills):
+            earlier = self.fills[:i]
+            for a, smask in enumerate(fill.s_masks):
+                for b, rmask in enumerate(fill.r_masks):
+                    if fill.keeps(a, b) and not any(
+                        f.locate(smask, rmask) for f in earlier
+                    ):
+                        yield smask, rmask
+        yield from self.singles
+
+    def __len__(self) -> int:
+        if len(self.fills) > 1:
+            # fills of a shared game may keep some of the same positions
+            return sum(1 for _ in self)
+        return sum(fill.kept for fill in self.fills) + len(self.singles)
+
+
 class PropGame:
     """Solver for one string width with shared memo tables."""
 
@@ -475,7 +594,7 @@ class PropGame:
         self.width = width
         self.cap_exact_strings = cap_exact_strings
         self.cap_strings = cap_strings
-        self._value: dict[tuple[int, int], int] = {}
+        self._value = _SizeTable()
         self._exact: dict[tuple[int, int, int], bool] = {}
         # outer lines of the size table copied from a symmetric line
         # rather than walked cell by cell
@@ -485,7 +604,8 @@ class PropGame:
 
     @property
     def table_entries(self) -> int:
-        """Number of entries in the size table."""
+        """Number of distinct positions the size table keeps: the kept cells
+        of every fill and the single answers, each position counted once."""
         return len(self._value)
 
     # -- minimal separating size over disjoint masks -----------------------
@@ -495,6 +615,8 @@ class PropGame:
         rmask.  Requires disjoint masks of this width; an empty side costs
         at most 2 (a contradiction or a tautology built from one variable)."""
         key = (smask, rmask)
+        # kept cells include some that a literal separates, so the fills are
+        # looked up before a single answer is computed
         got = self._value.get(key)
         if got is not None:
             return got
@@ -511,7 +633,7 @@ class PropGame:
             best = 2
         else:
             return self._fill(smask, rmask)
-        self._value[key] = best
+        self._value.singles[key] = best
         return best
 
     def _subsets(self, mask: int, flip: int) -> tuple[list[int], list[int]]:
@@ -550,33 +672,9 @@ class PropGame:
             swapped = [(r_perm, s_perm) for s_perm, r_perm in maps]
             (cells, derived), sa, sb = _fill_lines(r_lits, s_lits, ub, swapped), 1, na
         self.derived_lines += derived
-        # keep the positions a top-down search would reach (module docstring),
-        # each written once; cell (a, b) sits at a * sa + b * sb.  First (A, B)
-        # for A a proper subset of S, row by row, where no literal separates
-        # (S, B); an S of one string has no such A, and no row is walked.
-        table = self._value
-        fa, fb = na - 1, nb - 1
-        inner_s = s_masks[1:fa]
-        if inner_s:
-            for b in range(1, nb):
-                if not s_lits[fa] & r_lits[b]:
-                    row = cells[sa + b * sb : fa * sa + b * sb : sa]
-                    table.update(zip(zip(inner_s, repeat(r_masks[b])), row))
-        # Then (A, B) for B a proper subset of R, where no literal separates
-        # (A, R): all of column S, and in the other columns the B whose
-        # rows were skipped, if any (an R of one string has none).
-        col = cells[fa * sa + sb : fa * sa + fb * sb : sb]
-        table.update(zip(zip(repeat(smask), r_masks[1:fb]), col))
-        skipped = [b for b in range(1, fb) if s_lits[fa] & r_lits[b]]
-        skipped_masks, skipped_at = [r_masks[b] for b in skipped], [b * sb for b in skipped]
-        if skipped:
-            for a in range(1, fa):
-                if not s_lits[a] & r_lits[fb]:
-                    at = map(cells.__getitem__, map((a * sa).__add__, skipped_at))
-                    table.update(zip(zip(repeat(s_masks[a]), skipped_masks), at))
-        best = cells[fa * sa + fb * sb]
-        table[smask, rmask] = best
-        return best
+        fill = _Fill(s_masks, r_masks, s_lits, r_lits, cells, sa, sb)
+        self._value.add(fill)
+        return fill.size(na - 1, nb - 1)
 
     # -- public API ---------------------------------------------------------
 
@@ -627,8 +725,9 @@ class PropGame:
             return True
         if w == 1:
             return False
-        # ordered covers c | d = side, blocks may repeat strings or be empty
-        for u in range(1, w):
+        # ordered covers c | d = side, blocks may repeat strings or be empty;
+        # (c, d) at ranks (u, v) and (d, c) at (v, u) are one move, so u <= v
+        for u in range(1, w // 2 + 1):
             v = w - u
             for c in _submasks(smask):
                 rest = smask ^ c
@@ -661,41 +760,57 @@ class PropGame:
         k = self.minsize(left, right)
         if k is None or k > budget:
             return None
-        return self._build(left.mask, right.mask)
-
-    def _build(self, smask: int, rmask: int) -> PropFormula:
-        lit = _first_literal(self._literals, smask, rmask)
+        found = self._value.locate(left.mask, right.mask)
+        if found is not None:
+            return _build(*found)
+        # value() stored a single answer: a literal win or an empty side
+        lit = _first_literal(self._literals, left.mask, right.mask)
         if lit is not None:
             return lit.formula()
-        if smask == 0:
+        if not left.mask:
             return And(Var(1), Not(Var(1)))
-        if rmask == 0:
-            return Or(Var(1), Not(Var(1)))
-        target = self.value(smask, rmask)
-        best: Optional[tuple[int, int]] = None  # (u, cmask)
-        # the nonempty proper blocks c; the least (u, c) wins, whatever the
-        # scan order
-        for c in _submasks(smask):
-            d = smask ^ c
-            if c and d:
-                u = self.value(c, rmask)
-                if u + self.value(d, rmask) == target:
-                    if best is None or (u, c) < best:
-                        best = (u, c)
-        if best is not None:
-            _, c = best
-            return Or(self._build(c, rmask), self._build(smask ^ c, rmask))
-        for c in _submasks(rmask):
-            d = rmask ^ c
-            if c and d:
-                u = self.value(smask, c)
-                if u + self.value(smask, d) == target:
-                    if best is None or (u, c) < best:
-                        best = (u, c)
-        if best is None:
-            raise ContractError("size table admits no optimal split")  # unreachable
+        return Or(Var(1), Not(Var(1)))
+
+
+def _build(fill: _Fill, a: int, b: int) -> PropFormula:
+    """The formula synthesize gives for cell (a, b) of fill, both sides
+    nonempty: a separating literal, else the optimal split with the least
+    (u, c), left splits first.  Compact order is mask order, so the least
+    compact block c is the least block mask too."""
+    s_lits, r_lits, cells, sa, sb = fill.s_lits, fill.r_lits, fill.cells, fill.sa, fill.sb
+    sep = s_lits[a] & r_lits[b]
+    if sep:
+        # p_i is bit 2(i-1) and !p_i bit 2(i-1)+1, so the lowest bit is the
+        # first literal in _first_literal's order
+        bit = (sep & -sep).bit_length() - 1
+        return Literal(bit // 2 + 1, not bit & 1).formula()
+    target = cells[a * sa + b * sb]
+    best: Optional[tuple[int, int]] = None  # (u, c)
+    # the nonempty proper blocks c; the least (u, c) wins, whatever the
+    # scan order
+    at = b * sb
+    for c in _submasks(a):
+        d = a ^ c
+        if c and d:
+            u = cells[c * sa + at]
+            if u + cells[d * sa + at] == target:
+                if best is None or (u, c) < best:
+                    best = (u, c)
+    if best is not None:
         _, c = best
-        return And(self._build(smask, c), self._build(smask, rmask ^ c))
+        return Or(_build(fill, c, b), _build(fill, a ^ c, b))
+    at = a * sa
+    for c in _submasks(b):
+        d = b ^ c
+        if c and d:
+            u = cells[at + c * sb]
+            if u + cells[at + d * sb] == target:
+                if best is None or (u, c) < best:
+                    best = (u, c)
+    if best is None:
+        raise ContractError("size table admits no optimal split")  # unreachable
+    _, c = best
+    return And(_build(fill, a, c), _build(fill, a, b ^ c))
 
 
 def formula_strategy_move(f: PropFormula, pos: PropPosition) -> PropMove:

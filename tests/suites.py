@@ -518,6 +518,12 @@ def size_table_mismatches(width: int, roots: list[tuple[int, int]]) -> list[str]
                 f"width {width} after root {smask:#x}/{rmask:#x}: {len(extra)} extra, "
                 f"{len(missing)} missing, {wrong} wrong table entries"
             )
+        counts = (game.table_entries, len(game._value), len(ref._value))
+        if len(set(counts)) > 1:
+            violations.append(
+                f"width {width} after root {smask:#x}/{rmask:#x}: table_entries, "
+                f"table length and reference length read {counts}"
+            )
     return violations
 
 

@@ -519,6 +519,28 @@ def test_parity_synthesis_and_table_size_are_pinned(n):
     assert game.table_entries == entries
 
 
+def test_synthesis_from_a_kept_cell_matches_a_fresh_game():
+    # synthesis of a position that an earlier fill keeps, but that is not
+    # its root, walks that fill's cells and adds nothing to the table
+    rng = random.Random(155)
+    even, odd = parity_property(4)
+    roots = [(even.mask, odd.mask), *_random_roots(rng, 4, [(6, 5)])]
+    game = PropGame(4)
+    assert all(game.value(*root) > 1 for root in roots)
+    entries, derived = game.table_entries, game.derived_lines
+    picks = rng.sample(sorted(set(game._value) - set(roots)), 10)
+    for smask, rmask in roots:
+        # one string short of the root on either side
+        picks += [(smask & smask - 1, rmask), (smask, rmask & rmask - 1)]
+    for smask, rmask in picks:
+        left, right = StringProperty(4, smask), StringProperty(4, rmask)
+        k = game.minsize(left, right)
+        assert PropGame(4).minsize(left, right) == k
+        text = format_formula(game.synthesize(left, right, k))
+        assert text == format_formula(PropGame(4).synthesize(left, right, k))
+        assert (game.table_entries, game.derived_lines) == (entries, derived)
+
+
 def test_synthesize_single_literal_tie_break():
     # both variables work; the lowest index with positive polarity wins
     f = PropGame(2).synthesize(prop(2, ["11"]), prop(2, ["00"]), 1)
