@@ -93,7 +93,7 @@ class Model:
         return cls(vocabulary, universe_size, rels)
 
     def relation(self, name: str) -> frozenset[tuple[int, ...]]:
-        for sym, rel in zip(self.vocabulary.names, self.relations):
+        for (sym, _), rel in zip(self.vocabulary.symbols, self.relations):
             if sym == name:
                 return rel
         raise InputError(f"unknown relation symbol {name!r}")
@@ -409,7 +409,9 @@ def extend_choice(
 def atom_candidates(vocabulary: Vocabulary, variables: Sequence[int]) -> list[Formula]:
     """All atoms over the given variables, in a fixed deterministic order:
     relation atoms in vocabulary order with argument tuples in
-    lexicographic order over the variables as given, then equalities."""
+    ``itertools.product(variables, repeat=arity)`` order, then equalities in
+    ``itertools.combinations_with_replacement(variables, 2)`` order.
+    ``atom_mask`` reads a structure's truth values in this same order."""
     atoms: list[Formula] = []
     for name, arity in vocabulary.symbols:
         for args in itertools.product(variables, repeat=arity):
@@ -419,6 +421,28 @@ def atom_candidates(vocabulary: Vocabulary, variables: Sequence[int]) -> list[Fo
     for a, b in itertools.combinations_with_replacement(variables, 2):
         atoms.append(EqAtom(a, b))
     return atoms
+
+
+def atom_mask(st: Structure) -> int:
+    """The truth values of ``atom_candidates(vocabulary, variables)`` in
+    the structure, bit i for atom i, where the variables are the sorted
+    assignment domain.  One pass over the assigned values in variable
+    order: for each relation, one bit per ``itertools.product`` tuple of
+    its arity, set when the tuple is in the relation; then one bit per
+    ``itertools.combinations_with_replacement`` pair, set when the two
+    values are equal.  That is the order of ``atom_candidates``."""
+    vals = tuple(a for _, a in st.assignment.items)
+    mask, bit = 0, 1
+    for (_, arity), rel in zip(st.model.vocabulary.symbols, st.model.relations):
+        for row in itertools.product(vals, repeat=arity):
+            if row in rel:
+                mask |= bit
+            bit <<= 1
+    for a, b in itertools.combinations_with_replacement(vals, 2):
+        if a == b:
+            mask |= bit
+        bit <<= 1
+    return mask
 
 
 def atomic_separators(

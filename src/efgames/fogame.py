@@ -39,8 +39,8 @@ from .fo import (
     Structure,
     StructureClass,
     atom_candidates,
+    atom_mask,
     check_comparable,
-    fo_eval,
 )
 from .propgame import Player
 
@@ -72,14 +72,15 @@ class FoGame:
 
     Structures are interned to small ints, and each id keeps ``1 << id``,
     so a class is an int bitset over ids, and that bitset is the one value
-    that stands for it.  Interning also evaluates every atom over the
-    structure's assignment domain once and keeps the truth values twice:
-    as the id's int mask (bit i for the i-th entry of ``atom_candidates``),
-    whose AND/OR folds over the members decide the atomic win, and as bit
-    ``id`` of the atom's column, one id bitset per (atom list, atom index),
-    so the members of a class on which a literal holds are one AND of the
-    class with the column or its complement.  Each structure's extensions
-    x_j -> a are interned once per variable.
+    that stands for it.  Interning also makes one ``atom_mask`` pass over
+    the structure, which gives the truth of every atom over its assignment
+    domain, and keeps the truth values twice: as the id's int mask (bit i
+    for the i-th entry of ``atom_candidates``), whose AND/OR folds over the
+    members decide the atomic win, and as bit ``id`` of the atom's column,
+    one id bitset per (atom list, atom index), so the members of a class
+    on which a literal holds are one AND of the class with the column or
+    its complement.  Each structure's extensions x_j -> a are interned
+    once per variable.
 
     The memo is one sub-table per (mode is FULL, rank, domain), keyed by
     the (A bitset, B bitset) pair: equal classes give equal keys without
@@ -142,11 +143,12 @@ class FoGame:
                 atoms = atom_candidates(*key)
                 self._atom_lists[key] = (atoms, [0] * len(atoms))
             atoms, cols = self._atom_lists[key]
-            mask = 0
-            for i, atom in enumerate(atoms):
-                if fo_eval(atom, st):
-                    mask |= 1 << i
-                    cols[i] |= 1 << sid
+            mask = atom_mask(st)
+            rest = mask
+            while rest:
+                low = rest & -rest
+                cols[low.bit_length() - 1] |= 1 << sid
+                rest ^= low
             self._atoms_of.append(atoms)
             self._cols_of.append(cols)
             self._masks.append(mask)

@@ -22,6 +22,7 @@ from efgames import (
     StringProperty,
     StructureClass,
     Vocabulary,
+    atom_candidates,
     atomic_separators,
     fo_eval,
     fo_separates,
@@ -31,7 +32,9 @@ from efgames import (
     linear_order,
     linorder_instances,
     boolcomb_instances,
+    parity_property,
 )
+from efgames.fo import atom_mask
 
 
 def order_class(k, assignment=()):
@@ -463,17 +466,74 @@ def test_atom_masks_pick_the_first_atomic_separator():
 def test_atoms_are_evaluated_only_while_interning(monkeypatch):
     calls = 0
 
-    def counting_eval(f, st):
+    def counting_mask(st):
         nonlocal calls
         calls += 1
-        return fo_eval(f, st)
+        return atom_mask(st)
 
-    monkeypatch.setattr("efgames.fogame.fo_eval", counting_eval)
+    monkeypatch.setattr("efgames.fogame.atom_mask", counting_mask)
     a, b = linorder_instances(3)
     game = FoGame()
     assert game.minsize(a, b, FoMode.FULL, w_max=4) is None
     assert game.synthesize(a, b, 5, FoMode.EXISTENTIAL) is not None
-    assert calls == sum(len(atoms) for atoms in game._atoms_of)
+    assert calls == len(game._by_id)
+
+
+def _reference_mask(st):
+    """The atom mask of st read atom by atom through the general evaluator."""
+    variables = [j for j, _ in st.assignment.items]
+    atoms = atom_candidates(st.model.vocabulary, variables)
+    return sum(1 << i for i, atom in enumerate(atoms) if fo_eval(atom, st))
+
+
+def _random_structures(rng, vocab, count):
+    """Seeded models over vocab with up to three elements, each under an
+    assignment to a random set of variables (non-contiguous, possibly
+    empty), whose values may repeat."""
+    for _ in range(count):
+        size = rng.randint(1, 3)
+        rels = {}
+        for name, arity in vocab.symbols:
+            rows = list(itertools.product(range(size), repeat=arity))
+            rels[name] = rng.sample(rows, rng.randint(0, len(rows)))
+        model = Model.make(vocab, size, rels)
+        variables = rng.sample(range(6), rng.randint(0, 3))
+        yield Structure(model, Assignment.make({j: rng.randrange(size) for j in variables}))
+
+
+def test_atom_mask_matches_fo_eval(tiny_fo_suite):
+    games = []
+    for n in (2, 3):
+        a, b = linorder_instances(n)
+        for mode in FoMode:
+            game = FoGame()
+            game.minsize(a, b, mode, w_max=2 * n - 1)
+            games.append(game)
+    games.extend(game for game, _ in tiny_fo_suite.values())
+    for width in (2, 3):
+        even, odd = (_one_point_class(prop) for prop in parity_property(width))
+        for mode in FoMode:
+            game = FoGame()
+            game.minsize(even, odd, mode, w_max=3)
+            games.append(game)
+    vocab = Vocabulary.make(("U", 1), ("E", 2), ("T", 3))
+    structures = list(_random_structures(random.Random(23), vocab, 300))
+    assert {len(st.assignment.items) for st in structures} == {0, 1, 2, 3}
+    values = [[a for _, a in st.assignment.items] for st in structures]
+    assert any(len(set(vals)) < len(vals) for vals in values)
+    assert any(st.assignment.domain == {0, 2, 5} for st in structures)
+    for st in structures:
+        if not st.assignment.items:
+            assert atom_mask(st) == 0
+    game = FoGame()
+    for st in structures:
+        game._intern(st)
+    games.append(game)
+    for game in games:
+        for sid, st in enumerate(game._by_id):
+            want = _reference_mask(st)
+            assert atom_mask(st) == want, st
+            assert game._masks[sid] == want, st
 
 
 def test_atom_columns_transpose_the_atom_masks(tiny_fo_suite):
