@@ -103,6 +103,18 @@ class FoGame:
     ``itertools.product`` order over the two halves.  A rank-1 child is
     decided from those folds against the other side's folds, without a
     call (it is still looked up, counted and recorded like any position).
+
+    Three more records are built once and read on every later visit.
+    ``_folded`` keeps ``_fold`` of each class bitset: a bitset names a
+    fixed set of ids, and an id's atom mask is fixed when it is interned.
+    ``_classes`` keeps the bitset and sorted domain of each
+    ``StructureClass`` object a query enters, and holds the object so that
+    its ``id`` keys it while the entry lives: a class is frozen, and the
+    ids its members intern to never change.  ``_supps`` keeps, per domain,
+    the (variable, domain after binding it) pairs of ``_supp_vars``, which
+    reads nothing but the domain.  The checks of a query (comparable
+    classes, the class-size cap, the reset of ``positions_visited``) still
+    run on every call, since the caps may change between queries.
     """
 
     def __init__(
@@ -127,6 +139,9 @@ class FoGame:
         self._ext: dict[tuple[int, int], tuple[int, ...]] = {}
         self._memo: dict[tuple, dict[tuple[int, int], bool]] = {}
         self._star: dict[tuple[int, int], list] = {}
+        self._folded: dict[int, tuple[int, int]] = {}
+        self._classes: dict[int, tuple[StructureClass, int, tuple[int, ...]]] = {}
+        self._supps: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
 
     # -- interning ----------------------------------------------------------
 
@@ -179,15 +194,18 @@ class FoGame:
 
     def _fold(self, m: int) -> tuple[int, int]:
         """The AND (-1 for no member) and the OR of the atom masks of the
-        members of m."""
-        masks, bits = self._masks, self._bits
-        every, some = -1, 0
-        while m:
-            sid = m.bit_length() - 1
-            every &= masks[sid]
-            some |= masks[sid]
-            m ^= bits[sid]
-        return every, some
+        members of m, walked once per bitset."""
+        got = self._folded.get(m)
+        if got is None:
+            masks, bits = self._masks, self._bits
+            every, some, rest = -1, 0, m
+            while rest:
+                sid = rest.bit_length() - 1
+                every &= masks[sid]
+                some |= masks[sid]
+                rest ^= bits[sid]
+            got = self._folded[m] = (every, some)
+        return got
 
     # -- move generation ----------------------------------------------------
 
@@ -198,6 +216,17 @@ class FoGame:
         while fresh in dom:
             fresh += 1
         return [fresh]
+
+    def _supplements(self, dom: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+        """Per variable of ``_supp_vars(dom)``, in its order, the variable
+        and the sorted domain that binding it gives; built once per
+        domain."""
+        got = self._supps.get(dom)
+        if got is None:
+            got = self._supps[dom] = [
+                (j, tuple(sorted(set(dom) | {j}))) for j in self._supp_vars(dom)
+            ]
+        return got
 
     def _extensions(self, sid: int, j: int) -> tuple[int, ...]:
         """Ids of the structure extended by x_j -> a, for every element a."""
@@ -426,8 +455,7 @@ class FoGame:
                     ):
                         return (side, u, w - u, cm, dm)
         # supplementing moves bind a variable and cost one rank
-        for j in self._supp_vars(dom):
-            dom2 = tuple(sorted(set(dom) | {j}))
+        for j, dom2 in self._supplements(dom):
             bsm = self._branching(w, bm, j)
             cm = self._choice_scan(mode, w, True, am, bsm, dom2, j)
             if cm is not None:
@@ -485,12 +513,23 @@ class FoGame:
                 "(--cap-class-size)",
                 w,
             )
-        am = bm = 0
-        for st in left.members:
-            am |= self._bits[self._intern(st)]
-        for st in right.members:
-            bm |= self._bits[self._intern(st)]
-        return am, bm, tuple(sorted(left.domain))
+        _, am, dom = self._class(left)
+        return am, self._class(right)[1], dom
+
+    def _class(
+        self, cls: StructureClass
+    ) -> tuple[StructureClass, int, tuple[int, ...]]:
+        """The record of a class object: the object itself, its bitset and
+        its sorted domain.  The members are interned when the object is
+        first entered; an equal class that is another object gets its own
+        record with the same bitset."""
+        got = self._classes.get(id(cls))
+        if got is None:
+            m = 0
+            for st in cls.members:
+                m |= self._bits[self._intern(st)]
+            got = self._classes[id(cls)] = (cls, m, tuple(sorted(cls.domain)))
+        return got
 
     def winner(
         self,

@@ -532,11 +532,15 @@ class _SizeTable(Mapping):
     from the fill's array, and the single answers of value() (a literal win
     or an empty side) in a dict.  No position is held twice: value() looks
     up the fills before it stores a single answer, and a fill drops the
-    single answers it keeps."""
+    single answers it keeps.  Fills of a shared game may keep some of the
+    same positions, so ``add`` counts once the kept cells of a new fill that
+    no earlier fill keeps, and ``len`` is the sum of those counts and the
+    single answers."""
 
     def __init__(self) -> None:
         self.fills: list[_Fill] = []
         self.singles: dict[tuple[int, int], int] = {}
+        self.kept = 0
 
     def locate(self, smask: int, rmask: int) -> Optional[tuple[_Fill, int, int]]:
         """The first fill that keeps (smask, rmask), with its compact indices."""
@@ -547,6 +551,10 @@ class _SizeTable(Mapping):
         return None
 
     def add(self, fill: _Fill) -> None:
+        if self.fills:
+            self.kept += sum(1 for _ in self._fresh_cells(fill, self.fills))
+        else:
+            self.kept += fill.kept
         self.fills.append(fill)
         for key in [key for key in self.singles if fill.locate(*key)]:
             del self.singles[key]
@@ -561,22 +569,25 @@ class _SizeTable(Mapping):
         fill, a, b = found
         return fill.size(a, b)
 
+    @staticmethod
+    def _fresh_cells(
+        fill: _Fill, earlier: list[_Fill]
+    ) -> Iterator[tuple[int, int]]:
+        """The kept cells of fill that no fill of earlier keeps."""
+        for a, smask in enumerate(fill.s_masks):
+            for b, rmask in enumerate(fill.r_masks):
+                if fill.keeps(a, b) and not any(
+                    f.locate(smask, rmask) for f in earlier
+                ):
+                    yield smask, rmask
+
     def __iter__(self) -> Iterator[tuple[int, int]]:
         for i, fill in enumerate(self.fills):
-            earlier = self.fills[:i]
-            for a, smask in enumerate(fill.s_masks):
-                for b, rmask in enumerate(fill.r_masks):
-                    if fill.keeps(a, b) and not any(
-                        f.locate(smask, rmask) for f in earlier
-                    ):
-                        yield smask, rmask
+            yield from self._fresh_cells(fill, self.fills[:i])
         yield from self.singles
 
     def __len__(self) -> int:
-        if len(self.fills) > 1:
-            # fills of a shared game may keep some of the same positions
-            return sum(1 for _ in self)
-        return sum(fill.kept for fill in self.fills) + len(self.singles)
+        return self.kept + len(self.singles)
 
 
 class PropGame:

@@ -32,9 +32,12 @@ from efgames import (
     linear_order,
     linorder_instances,
     boolcomb_instances,
+    class_from_json,
+    class_to_json,
     parity_property,
 )
 from efgames.fo import atom_mask
+from efgames.fogame import _members
 
 
 def order_class(k, assignment=()):
@@ -346,6 +349,87 @@ def test_every_visited_position_is_one_memo_entry(mode, positions):
     assert sum(map(len, game._memo.values())) == positions
     assert game.minsize(a, b, mode, w_max=5) == 5
     assert game.positions_visited == 0
+
+
+def test_kept_folds_classes_and_supplements_match_fresh_ones(tiny_fo_suite):
+    # each record is built once and read on every later visit, so each must
+    # still equal what a fresh walk gives
+    games = []
+    for mode in FoMode:
+        game = FoGame()
+        assert game.minsize(*linorder_instances(3), mode, w_max=5) == 5
+        games.append((game, linorder_instances(3)))
+    reuse = suites.ReusingFoGame()  # several variables per supplement
+    for mode in FoMode:
+        reuse.minsize(*linorder_instances(2), mode, w_max=3)
+    games.append((reuse, linorder_instances(2)))
+    for game, records in tiny_fo_suite.values():
+        games.append((game, [c for rec in records for c in (rec.left, rec.right)]))
+    for game, entered in games:
+        assert game._folded and game._classes and game._supps
+        # the records as built, and as read for every class and domain of a
+        # decided position
+        sides = set(game._folded)
+        doms = set(game._supps)
+        for (_, _, dom), table in game._memo.items():
+            doms.add(dom)
+            for am, bm in table:
+                sides.update((am, bm))
+        for m in sides:
+            every, some = -1, 0
+            for sid in _members(m):
+                every &= game._masks[sid]
+                some |= game._masks[sid]
+            assert game._fold(m) == (every, some)
+        for key, (cls, _, _) in game._classes.items():
+            assert key == id(cls)
+        for cls in entered:
+            bits = 0
+            for st in cls.members:
+                bits |= 1 << game._ids[st]
+            assert game._class(cls) == (cls, bits, tuple(sorted(cls.domain)))
+        for dom in doms:
+            assert game._supplements(dom) == [
+                (j, tuple(sorted({*dom, j}))) for j in game._supp_vars(dom)
+            ]
+    assert any(len(supps) > 1 for supps in reuse._supps.values())
+
+
+def test_entered_classes_still_pass_the_query_checks():
+    a, b = linorder_instances(3)
+    game = FoGame()
+    assert game.minsize(a, b, FoMode.EXISTENTIAL, w_max=5) == 5
+    game.cap_class_size = len(a.members) - 1
+    for query in (
+        lambda: game.winner(5, a, b, FoMode.EXISTENTIAL),
+        lambda: game.minsize(a, b, FoMode.EXISTENTIAL),
+        lambda: game.synthesize(a, b, 5, FoMode.EXISTENTIAL),
+    ):
+        with pytest.raises(ResourceCapError, match="cap-class-size"):
+            query()
+    game.cap_class_size = len(a.members)
+    # both sides of each mixed pair below have been entered before
+    _, tiny = suites.tiny_fo_universe()
+    game.winner(1, tiny[0], tiny[1])
+    for left, right in ((a, tiny[0]), (tiny[1], b)):
+        with pytest.raises(InputError, match="vocabularies"):
+            game.winner(1, left, right)
+    # a class read back from its JSON is another object with the same
+    # bitset, and a solver fed such copies visits the same positions
+    originals, copies = FoGame(), FoGame()
+    seen = []
+    for x, y in itertools.product(tiny[:6], repeat=2):
+        for w in (1, 2, 3):
+            assert originals.winner(w, x, y) is copies.winner(
+                w, *(class_from_json(class_to_json(c)) for c in (x, y))
+            )
+            seen.append((originals.positions_visited, copies.positions_visited))
+    assert any(got for got, _ in seen)
+    assert all(got == want for got, want in seen)
+    for x in tiny[:6]:
+        twin = class_from_json(class_to_json(x))
+        assert twin == x and twin is not x
+        assert copies._class(twin)[1] == copies._class(x)[1] == originals._class(x)[1]
 
 
 def _tiny_universe_answers(rng=None):

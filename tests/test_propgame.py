@@ -332,6 +332,37 @@ def test_shared_size_table_matches_reference_over_several_roots():
         assert suites.size_table_mismatches(width, roots) == []
 
 
+def test_shared_table_count_is_kept_when_a_fill_is_added(monkeypatch):
+    # each fill's cells that no earlier fill keeps are counted when it is
+    # added, so reading the count locates no cell
+    calls = 0
+    locate = propgame._Fill.locate
+
+    def counting_locate(self, smask, rmask):
+        nonlocal calls
+        calls += 1
+        return locate(self, smask, rmask)
+
+    monkeypatch.setattr(propgame._Fill, "locate", counting_locate)
+    rng = random.Random(98)
+    for width, shapes in ((3, [(2, 2), (4, 4), (3, 3)]), (4, [(3, 3), (6, 5), (4, 8)])):
+        roots = _random_roots(rng, width, shapes)
+        smask, rmask = roots[1]
+        roots.append((smask & (smask - 1), rmask))
+        roots.append((smask, rmask | roots[0][1] & ~smask))
+        game = PropGame(width)
+        for root in roots:
+            game.value(*root)
+            calls = 0
+            entries = game.table_entries
+            assert calls == 0
+            assert entries == sum(1 for _ in game._value)
+        fills = game._value.fills
+        assert len(fills) > 1
+        # the count is not the plain sum: later fills keep earlier cells
+        assert game._value.kept < sum(fill.kept for fill in fills)
+
+
 # roots fixed by hypercube maps other than the identity, whose fills gather
 # lines from symmetric ones
 SYMMETRIC_ROOTS = [
