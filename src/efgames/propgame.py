@@ -36,29 +36,37 @@ when ``lit_s[a] & lit_r[b]`` is nonzero.
 One side is the outer one, and cells are filled one line of fixed outer
 index at a time, in increasing order; a proper subset's index is
 smaller, so every summand is already filled.  Each finished line is
-packed into one int, with one lane per inner index, so the best outer
-split of every cell of a line is a single lane-wise (SWAR) min over the
-outer halves: the subsets h of the outer index o that hold its lowest
-member, each adding the packed lines of h and o ^ h.  A lane is 16 bits
-with its top bit as the guard, so the sum of two sizes must stay below
-2**15; the bound width * min(|S|, |R|) on every size (a DNF or CNF of
-full-length terms) is checked against that, and a larger bound raises
-ResourceCapError.  The outer side is the one with the lower
-estimated cost: a lane-wise min per outer half, whose cost grows with
-the inner side's 2**k lanes, against a per-cell fold over the inner
-halves.  Lopsided roots run along their small side, balanced ones along
-the larger.
+packed into one int, with one 16-bit lane per inner index, and lines are
+built from packed ints (SWAR) wherever they can be.  A lane's top bit is
+its guard, so the sum of two sizes must stay below 2**15; the bound
+width * min(|S|, |R|) on every size (a DNF or CNF of full-length terms)
+is checked against that, and a larger bound raises ResourceCapError.
+Each literal has its lanes: the inner subsets on every member of which
+it holds.
 
-The inner splits are folded per cell by walking the halves of the inner
-index (its subsets that hold its lowest member) as bit masks, from the
-largest down, each against its complement.  Sizes only grow with the
-sides, so no split of a cell sums below its one-member-smaller cells:
-the packed lines give the largest of those along the outer side at once,
-and the cell's own line gives the cells without its lowest and its
-highest inner member.  A cell is settled without the fold when the best
-split found so far (the outer one, or one cutting off the lowest or the
-highest inner member) meets that bound, and the fold stops at the first
-split that meets it.
+A line whose outer index has one member s is a hitting set: the size of
+({s}, B), or of (B, {s}), is the fewest literals that each tell s apart
+from some members of B and together from all of them, since a minimal
+separator of one string is a conjunction of literals (a disjunction,
+mirrored).  It is built by levels, the lanes that k literals reach
+giving those that k + 1 reach, with no per-cell work.
+
+On any other line, the best outer split of every cell is one lane-wise
+min over the outer halves (the subsets h of the outer index o that hold
+its lowest member, each adding the packed lines of h and o ^ h), and
+the floor of every cell is one lane-wise max over the lines of o minus
+one member: sizes only grow with the sides, so no split sums below it.
+A lane is settled by those two ints when a literal separates it, when
+its inner subset has at most one member (so no inner split), or when
+its outer split meets its floor.  Only the open lanes are walked cell by
+cell: each folds the halves of its inner index (its subsets that hold
+its lowest member) as bit masks, from the largest down, each against
+its complement, and stops at the first split that meets its bound (the
+floor, or the line's own cells without its lowest or highest inner
+member).  The outer side is the one with the lower estimated cost: a
+lane-wise min per outer half, whose cost grows with the inner side's
+2**k lanes, against a per-cell fold over the inner halves.  Lopsided
+roots run along their small side, balanced ones along the larger.
 
 Sizes count literal occurrences, so renaming or flipping variables
 leaves every size unchanged, and a hypercube map g (a permutation of the
@@ -96,10 +104,11 @@ import enum
 import sys
 from array import array
 from bisect import bisect_left
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import compress, permutations
 from math import factorial
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Union
@@ -257,9 +266,14 @@ def _submasks(m: int) -> Iterator[int]:
 _ORDER = sys.byteorder  # lines are packed into ints and back in native order
 
 
-def _lanes(value: int, n: int) -> int:
-    """n 16-bit lanes packed into one int, each holding value."""
-    return int.from_bytes(array("H", [value]).tobytes() * n, _ORDER)
+@lru_cache(maxsize=1 << 12)
+def _bits(m: int) -> tuple[int, ...]:
+    """The set bits of m, each as a one-bit int, lowest first."""
+    bits = []
+    while m:
+        bits.append(m & -m)
+        m &= m - 1
+    return tuple(bits)
 
 
 def _stabilizer(
@@ -320,6 +334,28 @@ def _outer_first(n1: int, n2: int) -> bool:
     return cost(n1, n2) <= cost(n2, n1)
 
 
+@lru_cache(maxsize=None)
+def _lane_masks(n_in: int) -> tuple[int, int, int, tuple[tuple[int, int], ...], array]:
+    """The constants of a line of n_in 16-bit lanes, lane i for inner index
+    i: the guard bits; the lanes set to 1; the guard bits of the lanes where
+    i has two or more members; per member x, its step (the lanes set to 1
+    where i lacks x, and the shift that adds x to them); and per lane, i
+    minus its highest member."""
+
+    def packed(values: Iterator[int]) -> int:
+        return int.from_bytes(array("H", values).tobytes(), _ORDER)
+
+    lanes = range(n_in)
+    ones = packed(1 for i in lanes)
+    multi = packed(1 << 15 if i & i - 1 else 0 for i in lanes)
+    steps = tuple(
+        (packed(~i >> x & 1 for i in lanes), 16 << x)
+        for x in range(n_in.bit_length() - 1)
+    )
+    tops = array("L", [i ^ 1 << i.bit_length() - 1 if i else 0 for i in lanes])
+    return ones << 15, ones, multi, steps, tops
+
+
 def _fill_lines(
     out_lits: list[int],
     in_lits: list[int],
@@ -330,18 +366,33 @@ def _fill_lines(
     o * len(in_lits) + i of one flat array, filled one line of fixed outer
     index o at a time, and the number of lines derived rather than walked.
     A literal separates the cell when out_lits[o] & in_lits[i] is nonzero,
-    and ub bounds every size.
+    in_lits[0] holds every literal, and ub bounds every size.
 
     Each finished line is also packed into one int with a 16-bit lane per
-    inner index, so the best outer split of a whole line is a lane-wise
-    min, over the outer halves h of o, of packed[h] + packed[o ^ h]; the
-    sum of two sizes up to ub must stay below the lanes' guard bit 2**15,
-    or ResourceCapError is raised.  The inner splits of cell (o, i) are
-    folded only where no bound settles the cell, walking the halves
-    low | y of i (low its lowest member, y a proper subset of the rest j)
-    against their complements j ^ y until a split meets the bound: sizes
-    only grow with the sides, so no split sums below the largest of the
-    one-member-smaller cells, and a split that reaches it is minimal.
+    inner index; the sum of two sizes up to ub must stay below the lanes'
+    guard bit 2**15, or ResourceCapError is raised.  A walked line is one
+    of two kinds, and both are built lane-wise from the lanes of each
+    literal: the inner subsets on all of whose members it holds.
+
+    * When o has one member, the cell (o, i) is the fewest literals of
+      out_lits[o] such that every member of i holds one of them (or 1 for
+      i empty): a minimal separator of one string is a conjunction of
+      literals (a disjunction, mirrored).  The line is built by levels:
+      the lanes reached with k literals, closed under adding the members
+      on which one literal holds and united over the literals, are those
+      reached with k + 1, and a cell is the number of levels that leave it
+      unreached.
+    * Otherwise the best outer split of the whole line is a lane-wise min,
+      over the outer halves h of o, of packed[h] + packed[o ^ h], and the
+      floor is a lane-wise max over the lines of o minus one member: sizes
+      only grow with the sides, so every cell lies between the two.  A lane
+      is settled by these when a literal separates it (size 1), when i has
+      at most one member (no inner split, so its outer split), or when its
+      outer split meets its floor.  Only the open lanes are walked one by
+      one, folding the halves low | y of i (low its lowest member, y a
+      proper subset of the rest j) against their complements j ^ y until a
+      split meets the cell's bound: the floor, or a one-member-smaller cell
+      of the line.
 
     Each of maps is a symmetry of the root as a pair of member permutations,
     outer then inner (member j goes to member perm[j]); a line that one of
@@ -351,11 +402,27 @@ def _fill_lines(
         raise ResourceCapError(f"sizes up to {ub} do not fit the fill's 16-bit lanes")
     n_in = len(in_lits)
     lane_bytes, shift = 2 * n_in, 15
-    guards, no_split = _lanes(1 << 15, n_in), _lanes((1 << 15) - 1, n_in)
-    # i minus its highest member
-    tops = array("L", [i ^ 1 << i.bit_length() - 1 if i else 0 for i in range(n_in)])
-    cells = array("H", [1 if lit & out_lits[0] else 2 for lit in in_lits])
-    packed = [int.from_bytes(cells.tobytes(), _ORDER)]
+    guards, ones, multi, steps, tops = _lane_masks(n_in)
+    # per literal t (a one-bit int): its path, the steps of the inner members
+    # on which t holds, and its lanes, the inner subsets that lack every
+    # member on which t fails.  Walking a path closes a packed set of lanes
+    # under adding its members.
+    every = in_lits[0]
+    paths: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    held = dict.fromkeys(_bits(every), ones)
+    for x, step in enumerate(steps):
+        unit = in_lits[1 << x]
+        for t in _bits(unit):
+            paths[t].append(step)
+        for t in _bits(every & ~unit):
+            held[t] &= step[0]
+    # the empty outer side: 1 where a literal holds on the inner subset, else 2
+    lit = 0
+    for t in _bits(out_lits[0]):
+        lit |= held[t]
+    line = 2 * ones - lit
+    cells = array("H", line.to_bytes(lane_bytes, _ORDER))
+    packed = [line]
     derived = _derived_lines(len(out_lits), maps)
     for o in range(1, len(out_lits)):
         if o in derived:
@@ -364,60 +431,96 @@ def _fill_lines(
             cells += done
             packed.append(int.from_bytes(done.tobytes(), _ORDER))
             continue
-        # lane-wise min over the outer halves: a lane's guard bit survives
-        # acc - s exactly when acc >= s
-        acc, low = no_split, o & -o
-        rest = y = o ^ low
+        if not o & o - 1:
+            # a hitting-set line: no literal reaches lane 0, one literal
+            # reaches reach, and each level from there adds 1 to the lanes it
+            # leaves unreached, so the line starts at 1 in every lane.  On
+            # disjoint sides every inner member differs from o's member at a
+            # position whose literal it holds, so a level adds no lane only
+            # once every lane is reached.
+            walk, reach = [], 1
+            for t in _bits(out_lits[o]):
+                if t in paths:
+                    walk.append(paths[t])
+                    reach |= held[t]
+            line = ones
+            while reach != ones:
+                line += ones ^ reach
+                grown = reach
+                for path in walk:
+                    r = reach
+                    for w, s in path:
+                        r |= (r & w) << s
+                    grown |= r
+                if grown == reach:
+                    break
+                reach = grown
+            cells.frombytes(line.to_bytes(lane_bytes, _ORDER))
+            packed.append(line)
+            continue
+        # lane-wise min over the outer halves, from the one that is low
+        # alone: a lane's guard bit survives acc - s exactly when acc >= s
+        low = o & -o
+        rest = o ^ low
+        acc = packed[low] + packed[rest]
+        y = (rest - 1) & rest
         while y:
-            y = (y - 1) & rest
             s = packed[low | y] + packed[rest ^ y]
             g = ((acc | guards) - s) & guards
             acc ^= (acc ^ s) & (g - (g >> shift))
-        outer = array("H", acc.to_bytes(lane_bytes, _ORDER))
+            y = (y - 1) & rest
+        outer = acc
         # lane-wise max over the lines of o minus one member
-        acc, y = 0, o
+        acc, y = packed[rest], rest
         while y:
             s = packed[o ^ (y & -y)]
             y &= y - 1
             g = ((acc | guards) - s) & guards ^ guards
             acc ^= (acc ^ s) & (g - (g >> shift))
-        floor = array("H", acc.to_bytes(lane_bytes, _ORDER))
-        o_lit = out_lits[o]
-        line = [1 if in_lits[0] & o_lit else 2]
-        for i in range(1, n_in):
-            if in_lits[i] & o_lit:
-                best = 1
-            else:
-                best = outer[i]
-                # i minus its lowest and its highest member; j = 0 when i
-                # has one member and so no inner split
-                j, k = i & i - 1, tops[i]
-                if j:
-                    least, below_j, below_k = floor[i], line[j], line[k]
-                    cand = below_j + line[i ^ j]
+        floor = acc
+        lit = 0
+        for t in _bits(out_lits[o]):
+            lit |= held[t]
+        # the outer split, 1 where a literal separates (so is the floor
+        # there); a lane of two or more members is open where this exceeds
+        # the floor, which keeps its guard bit through the subtraction of 1
+        line = outer & ~((lit << 16) - lit) | lit
+        g = ((line - floor | guards) - ones) & multi
+        if not g:
+            cells.frombytes(line.to_bytes(lane_bytes, _ORDER))
+            packed.append(line)
+            continue
+        line = array("H", line.to_bytes(lane_bytes, _ORDER)).tolist()
+        # the floors of the open lanes, and 0 on the lanes that compress skips
+        floor = array("H", (floor & g - (g >> shift)).to_bytes(lane_bytes, _ORDER))
+        for i in compress(range(n_in), floor):
+            # i minus its lowest and its highest member, each nonempty
+            j, k = i & i - 1, tops[i]
+            best, least, below_j, below_k = line[i], floor[i], line[j], line[k]
+            cand = below_j + line[i ^ j]
+            if cand < best:
+                best = cand
+            cand = below_k + line[i ^ k]
+            if cand < best:
+                best = cand
+            if below_j > least:
+                least = below_j
+            if below_k > least:
+                least = below_k
+            if best > least:
+                # the halves low | y of i, y a nonempty proper subset of j
+                # from the largest down, each against its complement j ^ y
+                # (y = 0 cuts off low, tried above)
+                low = i ^ j
+                y = j & j - 1
+                while y:
+                    cand = line[low | y] + line[j ^ y]
                     if cand < best:
                         best = cand
-                    cand = below_k + line[i ^ k]
-                    if cand < best:
-                        best = cand
-                    if below_j > least:
-                        least = below_j
-                    if below_k > least:
-                        least = below_k
-                    if best > least:
-                        # the halves low | y of i, y a nonempty proper subset
-                        # of j from the largest down, each against its
-                        # complement j ^ y (y = 0 cuts off low, tried above)
-                        low = i ^ j
-                        y = j & j - 1
-                        while y:
-                            cand = line[low | y] + line[j ^ y]
-                            if cand < best:
-                                best = cand
-                                if cand == least:
-                                    break
-                            y = y - 1 & j
-            line.append(best)
+                        if cand == least:
+                            break
+                    y = y - 1 & j
+            line[i] = best
         done = array("H", line)
         cells += done
         packed.append(int.from_bytes(done.tobytes(), _ORDER))

@@ -191,14 +191,20 @@ def test_halves_pair_each_half_with_its_complement(k):
             assert cells[o * n_in + i] == want, (o, i)
 
 
-def _positions_telling_apart(s, others):
-    """The fewest bit positions such that every string of others differs
-    from the width-4 string s at one of them, by brute force."""
-    for k in range(5):
-        for positions in itertools.combinations(range(4), k):
+def _positions_telling_apart(width, s, members):
+    """Per subset of members (bit j for members[j]), the fewest bit positions
+    such that every string of the subset differs from the width-bit string s
+    at one of them, by brute force over position sets in order of size."""
+    fewest = [None] * (1 << len(members))
+    for k in range(width + 1):
+        for positions in itertools.combinations(range(width), k):
             mask = sum(1 << p for p in positions)
-            if all((b ^ s) & mask for b in others):
-                return k
+            told = sum(1 << j for j, b in enumerate(members) if (b ^ s) & mask)
+            for i in propgame._submasks(told):
+                if fewest[i] is None:
+                    fewest[i] = k
+        if None not in fewest:
+            return fewest
 
 
 def test_one_string_against_many_costs_the_positions_that_tell_them_apart():
@@ -218,13 +224,46 @@ def test_one_string_against_many_costs_the_positions_that_tell_them_apart():
         s, *others = rng.sample(range(16), rng.randint(2, 16))
         roots.append((s, others))
     for s, others in roots:
-        want = _positions_telling_apart(s, others)
+        want = _positions_telling_apart(4, s, others)[-1]
         if len(others) == 15:
             assert want == 4
         game = PropGame(4)
         one, many = StringProperty(4, 1 << s), StringProperty(4, sum(1 << b for b in others))
         assert game.minsize(one, many) == want
         assert game.minsize(many, one) == want
+
+
+@pytest.mark.parametrize("s_outer", [True, False])
+def test_one_member_lines_cost_the_positions_that_tell_them_apart(monkeypatch, s_outer):
+    """Every cell of a line whose outer index holds one string s is
+    value({s}, B) or value(B, {s}) for the inner subset B: by the test
+    above, the fewest positions at which every string of B differs from s,
+    counted here from the strings, and 1 for B empty (one literal)."""
+    monkeypatch.setattr(propgame, "_outer_first", lambda n1, n2: s_outer)
+    rng = random.Random(93)
+    shapes = {
+        2: [(1, 2), (2, 2), (1, 3), (3, 1)],
+        3: [(1, 7), (2, 5), (4, 4), (6, 2)],
+        4: [(1, 13), (13, 1), (3, 6), (7, 5)],
+        5: [(1, 11), (4, 7), (9, 3)],
+        16: [(3, 5)],
+    }
+    for width, sizes in shapes.items():
+        for smask, rmask in _random_roots(rng, width, sizes):
+            game = PropGame(width)
+            game.value(smask, rmask)
+            (fill,) = game._value.fills
+            outer, inner = fill.s_masks, fill.r_masks
+            if not s_outer:
+                outer, inner = inner, outer
+            # a side's members, in the order of their bits in its indices
+            members = [inner[1 << j].bit_length() - 1 for j in range(len(inner).bit_length() - 1)]
+            for m in range(len(outer).bit_length() - 1):
+                s = outer[1 << m].bit_length() - 1
+                want = _positions_telling_apart(width, s, members)
+                cells = [(1 << m, i) if s_outer else (i, 1 << m) for i in range(len(inner))]
+                got = [fill.size(*cell) for cell in cells]
+                assert got == [max(1, k) for k in want], (width, smask, rmask, m)
 
 
 def _splits(m):
@@ -284,9 +323,10 @@ def test_fill_lines_match_reference_where_folds_stop_early_or_read_every_half(s_
 
 
 def test_lines_run_along_the_side_that_costs_less():
-    # 1 vs 13 strings: the cells' folds over the 13-string side's halves,
-    # which mostly stop early or never start, beat 3**13 / 2 lane-wise mins;
-    # so does 2 vs 6, and near-balanced pairs run along the larger side
+    # 1 vs 13 strings: along the 1-string side the one line is a hitting
+    # set built lane-wise with no fold, against 3**13 / 2 lane-wise mins
+    # along the other; 2 vs 6 also runs along its small side, and
+    # near-balanced pairs run along the larger side
     assert propgame._outer_first(1 << 1, 1 << 13)
     assert not propgame._outer_first(1 << 13, 1 << 1)
     assert propgame._outer_first(1 << 2, 1 << 6)
