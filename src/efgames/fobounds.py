@@ -282,8 +282,9 @@ def _linear_order_size(model: Model) -> int:
     if model.vocabulary != linorder_vocabulary():
         raise InputError("linear-order models need exactly the vocabulary ('<', 2)")
     k = model.universe_size
-    expected = frozenset((i, j) for i in range(k) for j in range(i + 1, k))
-    if model.relation("<") != expected:
+    # Model keeps elements in range, so k(k-1)/2 pairs i < j are all of them
+    rel = model.relation("<")
+    if len(rel) != k * (k - 1) // 2 or any(i >= j for i, j in rel):
         raise InputError("'<' must be the natural strict order on 0..k-1")
     return k
 

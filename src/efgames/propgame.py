@@ -85,17 +85,20 @@ indices.  Parity 4, with 191 maps besides the identity, walks 15 of its
 255 lines after the first and derives 240 (PropGame.derived_lines); the
 cells are the same as without the maps.
 
-The table keeps exactly the positions a top-down search from the root
-would visit: the root, every (A, B) with A a nonempty proper subset of
-S, B a nonempty subset of R and no literal separating (S, B), and every
-(A, B) with A a nonempty subset of S, B a nonempty proper subset of R
-and no literal separating (A, R).  A literal that separates a pair
-separates each of its sub-pairs, so every other cell has size 1 or an
-empty side, and is computed but not kept.  The kept cells stay where the
-fill left them, in its one array, and the table answers a kept position
-by reading that array at the position's compact indices; synthesis walks
-those indices too.  Only single answers, a literal win or an empty side
-asked for directly, sit in a dict of their own.
+A fill answers every cell of its sub-lattice whose two sides are both
+nonempty, by reading its one array at the position's compact indices;
+synthesis walks those indices too.  Only single answers, a literal win
+or an empty side asked for directly, sit in a dict of their own, and a
+fill drops the single answers it holds.
+
+table_entries counts, for each fill, the positions a top-down search
+from its root would visit: the root, every (A, B) with A a nonempty
+proper subset of S, B a nonempty subset of R and no literal separating
+(S, B), and every (A, B) with A a nonempty subset of S, B a nonempty
+proper subset of R and no literal separating (A, R).  A literal that
+separates a pair separates each of its sub-pairs, so every other cell
+has size 1 or an empty side.  The single answers are added, and a
+position that two fills of a shared game hold is counted twice.
 """
 
 from __future__ import annotations
@@ -105,7 +108,6 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import defaultdict
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, permutations
@@ -592,8 +594,9 @@ class _Fill:
         self.s_masks, self.r_masks = s_masks, r_masks
         self.s_lits, self.r_lits = s_lits, r_lits
         self.cells, self.sa, self.sb = cells, sa, sb
-        # every cell with both sides nonempty is kept but a proper A against
-        # a proper B where literals separate both (S, B) and (A, R)
+        # the positions a top-down search from the root visits (module
+        # docstring): every cell with both sides nonempty but a proper A
+        # against a proper B where literals separate both (S, B) and (A, R)
         fa, fb = len(s_lits) - 1, len(r_lits) - 1
         s_open = sum(1 for x in s_lits[1:fa] if not x & r_lits[fb])
         r_open = sum(1 for y in r_lits[1:fb] if not s_lits[fa] & y)
@@ -602,51 +605,36 @@ class _Fill:
     def size(self, a: int, b: int) -> int:
         return self.cells[a * self.sa + b * self.sb]
 
-    def keeps(self, a: int, b: int) -> bool:
-        """Whether cell (a, b) is one of the positions the table keeps
-        (module docstring)."""
-        s_lits, r_lits = self.s_lits, self.r_lits
-        fa, fb = len(s_lits) - 1, len(r_lits) - 1
-        return bool(a and b) and (
-            a == fa
-            or b == fb
-            or not s_lits[fa] & r_lits[b]
-            or not s_lits[a] & r_lits[fb]
-        )
-
     def locate(self, smask: int, rmask: int) -> Optional[tuple[int, int]]:
-        """The compact indices of (smask, rmask) when it is a kept cell.
-        Compact order is mask order, so each side's masks are sorted."""
+        """The compact indices of (smask, rmask) when it is a cell with both
+        sides nonempty.  Compact order is mask order, so each side's masks
+        are sorted."""
         a = bisect_left(self.s_masks, smask)
         b = bisect_left(self.r_masks, rmask)
         if (
-            a < len(self.s_masks)
+            0 < a < len(self.s_masks)
             and self.s_masks[a] == smask
-            and b < len(self.r_masks)
+            and 0 < b < len(self.r_masks)
             and self.r_masks[b] == rmask
-            and self.keeps(a, b)
         ):
             return a, b
         return None
 
 
-class _SizeTable(Mapping):
-    """Minimal sizes by (smask, rmask): the kept cells of each fill, read
-    from the fill's array, and the single answers of value() (a literal win
-    or an empty side) in a dict.  No position is held twice: value() looks
-    up the fills before it stores a single answer, and a fill drops the
-    single answers it keeps.  Fills of a shared game may keep some of the
-    same positions, so ``add`` counts once the kept cells of a new fill that
-    no earlier fill keeps, and ``len`` is the sum of those counts and the
-    single answers."""
+class _SizeTable:
+    """Minimal sizes by (smask, rmask): the cells of each fill with both
+    sides nonempty, read from the fill's array, and the single answers of
+    value() (a literal win or an empty side) in a dict.  value() looks up
+    the fills before it stores a single answer, and a fill drops the single
+    answers it holds.  ``len`` is the sum of each fill's ``kept`` and the
+    single answers (module docstring)."""
 
     def __init__(self) -> None:
         self.fills: list[_Fill] = []
         self.singles: dict[tuple[int, int], int] = {}
-        self.kept = 0
 
     def locate(self, smask: int, rmask: int) -> Optional[tuple[_Fill, int, int]]:
-        """The first fill that keeps (smask, rmask), with its compact indices."""
+        """The first fill that holds (smask, rmask), with its compact indices."""
         for fill in self.fills:
             at = fill.locate(smask, rmask)
             if at is not None:
@@ -654,43 +642,22 @@ class _SizeTable(Mapping):
         return None
 
     def add(self, fill: _Fill) -> None:
-        if self.fills:
-            self.kept += sum(1 for _ in self._fresh_cells(fill, self.fills))
-        else:
-            self.kept += fill.kept
         self.fills.append(fill)
         for key in [key for key in self.singles if fill.locate(*key)]:
             del self.singles[key]
 
-    def __getitem__(self, key: tuple[int, int]) -> int:
+    def get(self, key: tuple[int, int]) -> Optional[int]:
         got = self.singles.get(key)
         if got is not None:
             return got
         found = self.locate(*key)
         if found is None:
-            raise KeyError(key)
+            return None
         fill, a, b = found
         return fill.size(a, b)
 
-    @staticmethod
-    def _fresh_cells(
-        fill: _Fill, earlier: list[_Fill]
-    ) -> Iterator[tuple[int, int]]:
-        """The kept cells of fill that no fill of earlier keeps."""
-        for a, smask in enumerate(fill.s_masks):
-            for b, rmask in enumerate(fill.r_masks):
-                if fill.keeps(a, b) and not any(
-                    f.locate(smask, rmask) for f in earlier
-                ):
-                    yield smask, rmask
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        for i, fill in enumerate(self.fills):
-            yield from self._fresh_cells(fill, self.fills[:i])
-        yield from self.singles
-
     def __len__(self) -> int:
-        return self.kept + len(self.singles)
+        return sum(fill.kept for fill in self.fills) + len(self.singles)
 
 
 class PropGame:
@@ -718,8 +685,9 @@ class PropGame:
 
     @property
     def table_entries(self) -> int:
-        """Number of distinct positions the size table keeps: the kept cells
-        of every fill and the single answers, each position counted once."""
+        """The positions a top-down search from each filled root would
+        visit, summed over the fills, plus the single answers: a position
+        that two fills of a shared game hold is counted twice."""
         return len(self._value)
 
     # -- minimal separating size over disjoint masks -----------------------
@@ -729,7 +697,7 @@ class PropGame:
         rmask.  Requires disjoint masks of this width; an empty side costs
         at most 2 (a contradiction or a tautology built from one variable)."""
         key = (smask, rmask)
-        # kept cells include some that a literal separates, so the fills are
+        # a fill holds the literal wins of its sub-lattice, so the fills are
         # looked up before a single answer is computed
         got = self._value.get(key)
         if got is not None:

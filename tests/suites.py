@@ -497,32 +497,55 @@ def fo_search_mismatches(
 
 
 def size_table_mismatches(width: int, roots: list[tuple[int, int]]) -> list[str]:
-    """Answer the roots in order on one PropGame and on the reference; after
-    each root the two size tables must agree key for key and value for
-    value, and so must the returned sizes."""
+    """Answer the roots in order on one PropGame and on the reference.
+    After each root the returned sizes must agree, and the game must answer
+    every position the reference holds with the reference's size.  Each
+    new fill is read once, when it appears: every cell must hold the
+    reference's size (from the reference's table, else 1 where a literal
+    separates the cell, else the reference's value), and its ``kept`` must
+    equal the table length of a fresh reference after the fill's root.
+    Every single answer must agree with the reference, and table_entries
+    must read the table's length."""
     game, ref = PropGame(width), ReferenceSizeTable(width)
+    # a cell the reference never visits is a literal win or has an empty
+    # side; a second reference sizes the latter, so ref holds what it visited
+    spare = ReferenceSizeTable(width)
+    table = game._value
     violations = []
     for smask, rmask in roots:
+        where = f"width {width} after root {smask:#x}/{rmask:#x}"
+        seen = len(table.fills)
+        # an empty reference is as good as a fresh one
+        fresh = ReferenceSizeTable(width) if ref._value else ref
         got, want = game.value(smask, rmask), ref.value(smask, rmask)
         if got != want:
             violations.append(
                 f"width {width} root {smask:#x}/{rmask:#x}: {got} != {want}"
             )
-        if game._value != ref._value:
-            extra = game._value.keys() - ref._value.keys()
-            missing = ref._value.keys() - game._value.keys()
-            wrong = sum(
-                game._value[k] != v for k, v in ref._value.items() if k in game._value
-            )
+        wrong = sum(table.get(key) != v for key, v in ref._value.items())
+        if wrong:
+            violations.append(f"{where}: {wrong} reference positions answered wrong")
+        for fill in table.fills[seen:]:
+            wrong = 0
+            for a, s in enumerate(fill.s_masks):
+                for b, r in enumerate(fill.r_masks):
+                    v = ref._value.get((s, r))
+                    if v is None:
+                        v = 1 if ref._literal(s, r) is not None else spare.value(s, r)
+                    wrong += fill.size(a, b) != v
+            fresh.value(smask, rmask)  # the fill's root
+            if wrong or fill.kept != len(fresh._value):
+                violations.append(
+                    f"{where}: {wrong} wrong cells in its fill, kept {fill.kept} "
+                    f"against {len(fresh._value)} positions visited"
+                )
+        wrong = sum(ref._value.get(key) != v for key, v in table.singles.items())
+        if wrong:
+            violations.append(f"{where}: {wrong} wrong single answers")
+        if game.table_entries != len(table):
             violations.append(
-                f"width {width} after root {smask:#x}/{rmask:#x}: {len(extra)} extra, "
-                f"{len(missing)} missing, {wrong} wrong table entries"
-            )
-        counts = (game.table_entries, len(game._value), len(ref._value))
-        if len(set(counts)) > 1:
-            violations.append(
-                f"width {width} after root {smask:#x}/{rmask:#x}: table_entries, "
-                f"table length and reference length read {counts}"
+                f"{where}: table_entries reads {game.table_entries}, "
+                f"the table's length {len(table)}"
             )
     return violations
 

@@ -354,6 +354,17 @@ def test_fo_measure_needs_consistent_inputs(order_classes):
     assert code == 1
 
 
+def test_fo_measure_rejects_a_large_universe_without_its_order(tmp_path):
+    # 60,000 elements and an empty '<': the check compares the pair count
+    # and never lists the 1.8e9 pairs of the natural order
+    member = {"vocabulary": [["<", 2]], "universe": 60000, "relations": {"<": []}}
+    big = write_json(tmp_path, "big.json", [{**member, "assignment": {}}])
+    two = write_json(tmp_path, "two.json", class_to_json(linorder_instances(2)[0]))
+    code, out, err = run_cli("fo", "measure", "--family", "linorder", big, two)
+    assert (code, out) == (1, "")
+    assert err == "error: '<' must be the natural strict order on 0..k-1\n"
+
+
 def test_fo_measure_takes_either_n_or_two_class_files(order_classes):
     left, right = order_classes
     both = run_cli("fo", "measure", "--family", "linorder", "--n", "5", left, right)

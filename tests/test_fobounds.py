@@ -273,6 +273,11 @@ def test_classify_order_validates_input():
     reversed_order = Model.make(linorder_vocabulary(), 2, {"<": [(1, 0)]})
     with pytest.raises(InputError, match="natural strict order"):
         classify_linorder(Structure(reversed_order), order_struct(3))
+    # as many pairs as the natural order on 0..2, but not all of them i < j
+    for pairs in ([(0, 1), (1, 2), (2, 1)], [(0, 1), (0, 2), (1, 1)]):
+        model = Model.make(linorder_vocabulary(), 3, {"<": pairs})
+        with pytest.raises(InputError, match="natural strict order"):
+            classify_linorder(Structure(model), order_struct(3))
 
 
 def test_measure_n_on_fresh_instances():

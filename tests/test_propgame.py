@@ -373,34 +373,44 @@ def test_shared_size_table_matches_reference_over_several_roots():
 
 
 def test_shared_table_count_is_kept_when_a_fill_is_added(monkeypatch):
-    # each fill's cells that no earlier fill keeps are counted when it is
-    # added, so reading the count locates no cell
+    # the count is each fill's kept cells plus the single answers, so reading
+    # it locates no cell, and adding a fill locates only the single answers
     calls = 0
-    locate = propgame._Fill.locate
+    locate, add = propgame._Fill.locate, propgame._SizeTable.add
 
     def counting_locate(self, smask, rmask):
         nonlocal calls
         calls += 1
         return locate(self, smask, rmask)
 
+    def counting_add(self, fill):
+        nonlocal calls
+        calls, singles = 0, len(self.singles)
+        add(self, fill)
+        assert calls == singles
+
     monkeypatch.setattr(propgame._Fill, "locate", counting_locate)
+    monkeypatch.setattr(propgame._SizeTable, "add", counting_add)
     rng = random.Random(98)
     for width, shapes in ((3, [(2, 2), (4, 4), (3, 3)]), (4, [(3, 3), (6, 5), (4, 8)])):
         roots = _random_roots(rng, width, shapes)
         smask, rmask = roots[1]
+        # single answers asked first: a literal win inside a later root,
+        # which that root's fill drops, and an empty side, which stays
+        lit_win = (smask & -smask, rmask & -rmask)
+        roots[:0] = [lit_win, (0, rmask)]
         roots.append((smask & (smask - 1), rmask))
-        roots.append((smask, rmask | roots[0][1] & ~smask))
+        roots.append((smask, rmask | roots[2][1] & ~smask))
         game = PropGame(width)
+        table = game._value
         for root in roots:
             game.value(*root)
             calls = 0
             entries = game.table_entries
             assert calls == 0
-            assert entries == sum(1 for _ in game._value)
-        fills = game._value.fills
-        assert len(fills) > 1
-        # the count is not the plain sum: later fills keep earlier cells
-        assert game._value.kept < sum(fill.kept for fill in fills)
+            assert entries == sum(fill.kept for fill in table.fills) + len(table.singles)
+        assert len(table.fills) > 1
+        assert lit_win not in table.singles and (0, rmask) in table.singles
 
 
 # roots fixed by hypercube maps other than the identity, whose fills gather
@@ -591,7 +601,7 @@ def test_parity_synthesis_and_table_size_are_pinned(n):
 
 
 def test_synthesis_from_a_kept_cell_matches_a_fresh_game():
-    # synthesis of a position that an earlier fill keeps, but that is not
+    # synthesis of a position that an earlier fill holds, but that is not
     # its root, walks that fill's cells and adds nothing to the table
     rng = random.Random(155)
     even, odd = parity_property(4)
@@ -599,7 +609,13 @@ def test_synthesis_from_a_kept_cell_matches_a_fresh_game():
     game = PropGame(4)
     assert all(game.value(*root) > 1 for root in roots)
     entries, derived = game.table_entries, game.derived_lines
-    picks = rng.sample(sorted(set(game._value) - set(roots)), 10)
+    cells = {
+        (smask, rmask)
+        for fill in game._value.fills
+        for smask in fill.s_masks[1:]
+        for rmask in fill.r_masks[1:]
+    }
+    picks = rng.sample(sorted(cells - set(roots)), 10)
     for smask, rmask in roots:
         # one string short of the root on either side
         picks += [(smask & smask - 1, rmask), (smask, rmask & rmask - 1)]
@@ -610,6 +626,26 @@ def test_synthesis_from_a_kept_cell_matches_a_fresh_game():
         text = format_formula(game.synthesize(left, right, k))
         assert text == format_formula(PropGame(4).synthesize(left, right, k))
         assert (game.table_entries, game.derived_lines) == (entries, derived)
+
+
+def test_literal_sub_pair_of_a_fill_is_answered_from_it():
+    # a proper sub-pair of the root that a literal separates, though not
+    # (S, B) or (A, R), so a top-down search from the root never visits it
+    left = prop(3, ["000", "011", "101"])
+    right = prop(3, ["001", "110", "111"])
+    sub_left, sub_right = prop(3, ["000", "011"]), prop(3, ["111"])
+    assert literal_win(left, sub_right) is None
+    assert literal_win(sub_left, right) is None
+    assert literal_win(sub_left, sub_right) is not None
+    game = PropGame(3)
+    game.minsize(left, right)
+    entries = game.table_entries
+    assert game._value.locate(sub_left.mask, sub_right.mask) is not None
+    assert game.minsize(sub_left, sub_right) == PropGame(3).minsize(sub_left, sub_right) == 1
+    text = format_formula(game.synthesize(sub_left, sub_right, 1))
+    assert text == format_formula(PropGame(3).synthesize(sub_left, sub_right, 1))
+    assert game.table_entries == entries
+    assert not game._value.singles
 
 
 def test_synthesize_single_literal_tie_break():
