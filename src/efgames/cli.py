@@ -423,7 +423,7 @@ def _cmd_repro(args) -> tuple[str, dict]:
 # the solver takes, so _caps(args) hands the parsed values straight over.
 _PROP_CAPS = (
     ("--cap-strings", DEFAULT_CAP_STRINGS,
-     "largest |S| + |R| the size table accepts"),
+     "largest |S| + |R| the size table fills"),
 )
 # only exact mode reads --cap-exact-strings
 _PROP_EXACT_CAPS = _PROP_CAPS + (
@@ -607,6 +607,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the searches recurse deeper with the rank, so a rank far past the
+        # answer can outrun the stack before any cap is reached
+        print(
+            "resource cap: the search went deeper than the interpreter's recursion "
+            f"limit {sys.getrecursionlimit()}; try a lower rank",
+            file=sys.stderr,
+        )
         return 2
     except ContractError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)

@@ -70,8 +70,8 @@ def _members(m: int) -> Iterator[int]:
 class FoGame:
     """Solver with memo tables shared across queries.
 
-    Structures are interned to small ints, and each id keeps ``1 << id``,
-    so a class is an int bitset over ids, and that bitset is the one value
+    Structures are interned to small ints, so a class is an int bitset
+    over ids (bit ``id`` for each member), and that bitset is the one value
     that stands for it.  Interning also makes one ``atom_mask`` pass over
     the structure, which gives the truth of every atom over its assignment
     domain, and keeps the truth values twice: as the id's int mask (bit i
@@ -93,16 +93,17 @@ class FoGame:
     positions the search visits and which formula it extracts.  That order
     is the structural ``sort_key`` of the members, and ``_ordered`` is its
     one reader: the splits that give both blocks rank >= 2 and the choice
-    functions are enumerated over its list.  ``_star`` keeps one record
-    per (class bitset, variable): the bitset of the class's star (every
-    extension of every member) and, from the first time player I chooses
-    on the class, the two halves of its choice functions, each
-    half-combination carrying its bitset and the AND and complemented OR
-    of its atom masks.  The choice-function cap is checked when the halves
-    are built.  A supplementing move scans the choice functions in
-    ``itertools.product`` order over the two halves.  A rank-1 child is
-    decided from those folds against the other side's folds, without a
-    call (it is still looked up, counted and recorded like any position).
+    functions are enumerated over its list.  In a supplement a class plays
+    one of two roles, and each role keeps its own record per (class bitset,
+    variable), built only once that role's cap has passed.  ``_star`` keeps
+    the bitset of the star player II branches over: every extension of
+    every member.  ``_halves`` keeps the two halves of the choice functions
+    player I chooses from, each half-combination carrying its bitset and
+    the AND and complemented OR of its atom masks.  A supplementing move
+    scans the choice functions in ``itertools.product`` order over the two
+    halves.  A rank-1 child is decided from those folds against the other
+    side's folds, without a call (it is still looked up, counted and
+    recorded like any position).
 
     Three more records are built once and read on every later visit.
     ``_folded`` keeps ``_fold`` of each class bitset: a bitset names a
@@ -131,14 +132,14 @@ class FoGame:
         self._ids: dict[Structure, int] = {}
         self._by_id: list[Structure] = []
         self._keys: list[tuple] = []
-        self._bits: list[int] = []
         self._masks: list[int] = []
         self._atoms_of: list[list[FoFormula]] = []
         self._cols_of: list[list[int]] = []
         self._atom_lists: dict[tuple, tuple[list[FoFormula], list[int]]] = {}
         self._ext: dict[tuple[int, int], tuple[int, ...]] = {}
         self._memo: dict[tuple, dict[tuple[int, int], bool]] = {}
-        self._star: dict[tuple[int, int], list] = {}
+        self._star: dict[tuple[int, int], int] = {}
+        self._halves: dict[tuple[int, int], tuple[list, list]] = {}
         self._folded: dict[int, tuple[int, int]] = {}
         self._classes: dict[int, tuple[StructureClass, int, tuple[int, ...]]] = {}
         self._supps: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
@@ -152,7 +153,6 @@ class FoGame:
             self._ids[st] = sid
             self._by_id.append(st)
             self._keys.append(st.sort_key())
-            self._bits.append(1 << sid)
             key = (st.model.vocabulary, tuple(j for j, _ in st.assignment.items))
             if key not in self._atom_lists:
                 atoms = atom_candidates(*key)
@@ -197,13 +197,13 @@ class FoGame:
         members of m, walked once per bitset."""
         got = self._folded.get(m)
         if got is None:
-            masks, bits = self._masks, self._bits
+            masks = self._masks
             every, some, rest = -1, 0, m
             while rest:
                 sid = rest.bit_length() - 1
                 every &= masks[sid]
                 some |= masks[sid]
-                rest ^= bits[sid]
+                rest ^= 1 << sid
             got = self._folded[m] = (every, some)
         return got
 
@@ -241,42 +241,32 @@ class FoGame:
             self._ext[key] = got
         return got
 
-    def _star_of(self, m: int, j: int) -> list:
-        """The record of the class m at x_j: the bitset of every extension
-        x_j -> a of every member, then the halves of its choice functions
-        once it has chosen.  Uncapped."""
-        key = (m, j)
-        got = self._star.get(key)
-        if got is None:
-            bits, star = self._bits, 0
-            for sid in _members(m):
-                for ext in self._extensions(sid, j):
-                    star |= bits[ext]
-            got = self._star[key] = [star, None]
-        return got
-
     def _branching(self, w: int, m: int, j: int) -> int:
-        """The star of a side that player II branches over, within the cap.
-        At an unbound x_j distinct members have distinct extensions, so a
-        star not yet built is refused before it is built when the members'
-        universes hold more elements than the cap."""
-        got = self._star.get((m, j))
-        if got is None:
+        """The star of a side that player II branches over, within the cap:
+        the bitset of every extension x_j -> a of every member.  At an
+        unbound x_j distinct members have distinct extensions, so a star not
+        yet built is refused before it is built when the members' universes
+        hold more elements than the cap."""
+        star = self._star.get((m, j))
+        if star is None:
             size = 0
             if m and j not in self._by_id[m.bit_length() - 1].assignment:
                 size = sum(self._by_id[sid].model.universe_size for sid in _members(m))
             if size <= self.cap_class_size:
-                got = self._star_of(m, j)
-                size = got[0].bit_count()
-        else:
-            size = got[0].bit_count()
+                star = 0
+                for sid in _members(m):
+                    for ext in self._extensions(sid, j):
+                        star |= 1 << ext
+                self._star[m, j] = star
+        if star is not None:
+            size = star.bit_count()
         if size > self.cap_class_size:
             raise self._capped(
                 f"a branching extension reaches {size} members, over the "
                 f"cap {self.cap_class_size} (--cap-class-size)",
                 w,
             )
-        return got[0]
+        return star
 
     def _chooser(self, w: int, m: int, j: int) -> tuple[list, list]:
         """The halves of a side that player I chooses on: the choice
@@ -284,10 +274,10 @@ class FoGame:
         members in ``_ordered`` order, each in ``itertools.product`` order
         and combined into its class's bitset with the AND and the
         complemented OR of its atom masks.  The cap on choice functions is
-        checked when the halves are built, so a refused class leaves no
-        halves behind."""
-        got = self._star_of(m, j)
-        if got[1] is None:
+        checked first, so a refused class interns no extension and leaves
+        no halves behind."""
+        got = self._halves.get((m, j))
+        if got is None:
             ids = self._ordered(m)
             total = math.prod(self._by_id[sid].model.universe_size for sid in ids)
             if total > self.cap_choice_functions:
@@ -296,20 +286,20 @@ class FoGame:
                     f"{self.cap_choice_functions} (--cap-choice-functions)",
                     w,
                 )
-            bits, masks = self._bits, self._masks
+            masks = self._masks
             halves = []
             for part in (ids[: len(ids) // 2], ids[len(ids) // 2 :]):
                 combos = [(0, -1, -1)]
                 for sid in part:
                     ext = self._extensions(sid, j)
                     combos = [
-                        (cb | bits[e], every & masks[e], none & ~masks[e])
+                        (cb | 1 << e, every & masks[e], none & ~masks[e])
                         for cb, every, none in combos
                         for e in ext
                     ]
                 halves.append(combos)
-            got[1] = tuple(halves)
-        return got[1]
+            got = self._halves[m, j] = tuple(halves)
+        return got
 
     def _table(self, full: bool, w: int, dom: tuple[int, ...]) -> dict:
         """The memo sub-table of one (mode is FULL, rank, domain), keyed by
@@ -437,14 +427,13 @@ class FoGame:
                 return move
         # remaining splits give both blocks rank >= 2, so they only exist
         # at w >= 4; classes are still small there in practice
-        bits = self._bits
         for u in range(2, w - 1):
             for side, m in (("lsplit", am), ("rsplit", bm)):
                 ids = self._ordered(m)
                 k = len(ids)
                 for sel in range((1 << (k - 1)) - 1 if k >= 2 else 0):
                     sel2 = sel << 1 | 1
-                    cm = sum(bits[ids[i]] for i in range(k) if sel2 >> i & 1)
+                    cm = sum(1 << ids[i] for i in range(k) if sel2 >> i & 1)
                     dm = m ^ cm
                     if side == "lsplit":
                         first, second = (cm, bm), (dm, bm)
@@ -527,7 +516,7 @@ class FoGame:
         if got is None:
             m = 0
             for st in cls.members:
-                m |= self._bits[self._intern(st)]
+                m |= 1 << self._intern(st)
             got = self._classes[id(cls)] = (cls, m, tuple(sorted(cls.domain)))
         return got
 

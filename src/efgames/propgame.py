@@ -738,7 +738,14 @@ class PropGame:
 
     def _fill(self, smask: int, rmask: int) -> int:
         """Fill the size table for a root with both sides nonempty and no
-        separating literal, and return the root's size."""
+        separating literal, and return the root's size.  Its 2**(|S| + |R|)
+        cells are capped here, so a root answered without a fill has no cap."""
+        count = smask.bit_count() + rmask.bit_count()
+        if count > self.cap_strings:
+            raise ResourceCapError(
+                f"|S| + |R| = {count} exceeds the size-table cap {self.cap_strings} "
+                f"(--cap-strings)"
+            )
         s_masks, s_lits = self._subsets(smask, 0)
         # literals false on every member of the R-side subset
         r_masks, r_lits = self._subsets(rmask, (1 << 2 * self.width) - 1)
@@ -772,12 +779,6 @@ class PropGame:
         self._check_pair(left, right)
         if left.mask & right.mask:
             return None
-        count = len(left) + len(right)
-        if count > self.cap_strings:
-            raise ResourceCapError(
-                f"|S| + |R| = {count} exceeds the size-table cap {self.cap_strings} "
-                f"(--cap-strings)"
-            )
         return self.value(left.mask, right.mask)
 
     def winner(self, pos: PropPosition, mode: GameMode = GameMode.REDUCED) -> Player:

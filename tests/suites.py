@@ -160,7 +160,7 @@ class ReferenceFoGame(FoGame):
         return tuple(sorted(ids, key=self._keys.__getitem__))
 
     def _bitset(self, ids: Iterable[int]) -> int:
-        return sum(map(self._bits.__getitem__, ids))
+        return sum(1 << sid for sid in ids)
 
     def _enter(
         self, left: StructureClass, right: StructureClass, w: int

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -671,6 +672,26 @@ def test_resource_caps_exit_two(parity_pair, order_classes):
         assert out == ""
         assert err.startswith("resource cap:")
         assert f"({argv[-2]})" in err, argv
+
+
+def test_a_search_past_the_recursion_limit_exits_two(parity_pair, order_classes):
+    # a rank far past the answer takes the search one call deeper per rank,
+    # so the stack runs out before any cap is reached
+    prop = run_cli("prop", "winner", parity_pair, "--rank", "2000", "--mode", "exact")
+    # the first-order search is slow enough at the default limit that it
+    # runs under a limit of 100 frames above this one
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        fo = run_cli(
+            "fo", "winner", *order_classes, "--rank", "100", "--mode", "existential"
+        )
+    finally:
+        sys.setrecursionlimit(limit)
+    for code, out, err in (prop, fo):
+        assert (code, out) == (2, "")
+        assert err.startswith("resource cap: the search went deeper than the ")
+        assert "recursion limit" in err and err.rstrip().endswith("try a lower rank")
 
 
 def test_contract_violations_exit_three(monkeypatch):

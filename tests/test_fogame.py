@@ -248,6 +248,25 @@ def test_the_class_size_cap_refuses_a_star_before_building_it():
     assert message.endswith("rank-2 position, visited positions in this query: 1")
     assert len(game._by_id) < 100
 
+
+def test_the_choice_cap_refuses_before_any_extension_is_interned():
+    # player I would choose one of 11 witnesses; only the right side's one
+    # extension, for player II's branching, is interned before the refusal
+    vocab = Vocabulary.make(("P", 1))
+    left = StructureClass.of([Structure(Model.make(vocab, 11), EMPTY_ASSIGNMENT)])
+    right = StructureClass.of(
+        [Structure(Model.make(vocab, 1, {"P": [(0,)]}), EMPTY_ASSIGNMENT)]
+    )
+    game = FoGame(cap_choice_functions=10)
+    with pytest.raises(ResourceCapError) as err:
+        game.winner(2, left, right, FoMode.EXISTENTIAL)
+    assert "11 choice functions exceed the cap 10 (--cap-choice-functions)" in str(
+        err.value
+    )
+    assert len(game._by_id) == 3
+    assert not game._halves
+
+
 def test_winner_agrees_with_enumeration_everywhere(tiny_fo_suite):
     for mode, (game, records) in tiny_fo_suite.items():
         for rec in records:
@@ -367,6 +386,7 @@ def test_kept_folds_classes_and_supplements_match_fresh_ones(tiny_fo_suite):
         games.append((game, [c for rec in records for c in (rec.left, rec.right)]))
     for game, entered in games:
         assert game._folded and game._classes and game._supps
+        assert game._star and game._halves
         # the records as built, and as read for every class and domain of a
         # decided position
         sides = set(game._folded)
@@ -392,6 +412,30 @@ def test_kept_folds_classes_and_supplements_match_fresh_ones(tiny_fo_suite):
             assert game._supplements(dom) == [
                 (j, tuple(sorted({*dom, j}))) for j in game._supp_vars(dom)
             ]
+        # a branching star is every extension of every member; the chooser
+        # halves, joined in product order, are every choice function over
+        # the members in _ordered order with its bitset and atom folds
+        masks = game._masks
+        for (m, j), star in game._star.items():
+            assert star == sum(
+                {1 << ext for sid in _members(m) for ext in game._extensions(sid, j)}
+            )
+        for (m, j), (head, tail) in game._halves.items():
+            want = []
+            for choice in itertools.product(
+                *(game._extensions(sid, j) for sid in game._ordered(m))
+            ):
+                cb, every, none = 0, -1, -1
+                for ext in choice:
+                    cb |= 1 << ext
+                    every &= masks[ext]
+                    none &= ~masks[ext]
+                want.append((cb, every, none))
+            assert [
+                (hb | tb, h_every & t_every, h_none & t_none)
+                for hb, h_every, h_none in head
+                for tb, t_every, t_none in tail
+            ] == want
     assert any(len(supps) > 1 for supps in reuse._supps.values())
 
 
@@ -508,10 +552,8 @@ def test_a_cap_leaves_the_solver_as_the_reference(caps):
     assert capped == _order_three_answers(ref)
     [flag] = [name.replace("_", "-") for name in caps]
     assert any(answer[0] == flag for answer in capped)
-    for _, halves in game._star.values():
-        if halves is not None:
-            head, tail = halves
-            assert len(head) * len(tail) <= game.cap_choice_functions
+    for head, tail in game._halves.values():
+        assert len(head) * len(tail) <= game.cap_choice_functions
     for solver in (game, ref):
         solver.cap_positions = 10**6
         solver.cap_choice_functions = 10**5

@@ -838,6 +838,22 @@ def test_solver_caps_are_enforced():
         PropGame(2).minsize(prop(2, ["00"]), prop(3, ["111"]))
 
 
+def test_the_strings_cap_is_checked_where_a_fill_starts():
+    # value() over the cap is refused before its 2**20-cell fill; a root a
+    # literal separates needs no fill and is answered at any size
+    strings = ["".join(b) for b in itertools.product("01", repeat=5)]
+    even = [x for x in strings if x.count("1") % 2 == 0][:10]
+    odd = [x for x in strings if x.count("1") % 2 == 1][:10]
+    game = PropGame(5)
+    with pytest.raises(ResourceCapError) as err:
+        game.value(prop(5, even).mask, prop(5, odd).mask)
+    assert "(--cap-strings)" in str(err.value)
+    assert game.table_entries == 0
+    zeros = [x for x in strings if x[0] == "0"][:9]
+    ones = [x for x in strings if x[0] == "1"][:8]
+    assert game.minsize(prop(5, zeros), prop(5, ones)) == 1
+
+
 def test_width_and_budget_are_validated():
     for width in (0, 17):
         with pytest.raises(InputError, match="width must be 1..16"):
