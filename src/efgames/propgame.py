@@ -29,9 +29,10 @@ and synthesis come from the same table.
 The table is filled one root (S, R) at a time over the sub-lattice of
 its masks.  The members of S and of R are numbered, so that a subset A
 of S is a compact index a in [0, 2**|S|) and likewise b for R.  Each
-index carries one int of literals: those true on every member of A, and
-those false on every member of B, so a literal separates (A, B) exactly
-when ``lit_s[a] & lit_r[b]`` is nonzero.
+member carries one int of literals: those true on it for a member of S,
+those false on it for a member of R.  A subset's literals are the AND
+of its members', so a literal separates (A, B) exactly when the two
+ints meet.  Only the outer side (below) is listed per subset.
 
 One side is the outer one, and cells are filled one line of fixed outer
 index at a time, in increasing order; a proper subset's index is
@@ -85,11 +86,13 @@ indices.  Parity 4, with 191 maps besides the identity, walks 15 of its
 255 lines after the first and derives 240 (PropGame.derived_lines); the
 cells are the same as without the maps.
 
-A fill answers every cell of its sub-lattice whose two sides are both
-nonempty, by reading its one array at the position's compact indices;
-synthesis walks those indices too.  Only single answers, a literal win
-or an empty side asked for directly, sit in a dict of their own, and a
-fill drops the single answers it holds.
+A fill keeps its root masks, its one array of cells and the strides
+that index it, and answers every cell of its sub-lattice whose two
+sides are both nonempty: a position's masks are compacted against the
+root's into the cell's indices, and synthesis walks those indices too.
+A cell of size 1 names its literal by literal_win's rule on its masks.
+A root that a literal separates, or that has an empty side, is answered
+without a fill and stored nowhere.
 
 table_entries counts, for each fill, the positions a top-down search
 from its root would visit: the root, every (A, B) with A a nonempty
@@ -97,8 +100,10 @@ proper subset of S, B a nonempty subset of R and no literal separating
 (S, B), and every (A, B) with A a nonempty subset of S, B a nonempty
 proper subset of R and no literal separating (A, R).  A literal that
 separates a pair separates each of its sub-pairs, so every other cell
-has size 1 or an empty side.  The single answers are added, and a
-position that two fills of a shared game hold is counted twice.
+has size 1 or an empty side.  A cell with both sides nonempty is 1
+exactly when a literal separates it, so the count is read from the
+root's row and column of cells.  A position that two fills of a shared
+game hold is counted twice.
 """
 
 from __future__ import annotations
@@ -106,7 +111,6 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -360,15 +364,17 @@ def _lane_masks(n_in: int) -> tuple[int, int, int, tuple[tuple[int, int], ...], 
 
 def _fill_lines(
     out_lits: list[int],
-    in_lits: list[int],
+    in_members: list[int],
     ub: int,
     maps: Sequence[tuple[list[int], list[int]]] = (),
 ) -> tuple[array, int]:
     """The size of every cell (o, i) of a root's sub-lattice, at
-    o * len(in_lits) + i of one flat array, filled one line of fixed outer
-    index o at a time, and the number of lines derived rather than walked.
-    A literal separates the cell when out_lits[o] & in_lits[i] is nonzero,
-    in_lits[0] holds every literal, and ub bounds every size.
+    o * 2**len(in_members) + i of one flat array, filled one line of fixed
+    outer index o at a time, and the number of lines derived rather than
+    walked.  out_lits[o] holds the literals of outer subset o (so
+    out_lits[0] holds every literal), in_members[x] those of inner member
+    x; a literal separates the cell when it is in out_lits[o] and in the
+    literals of every member of i.  ub bounds every size.
 
     Each finished line is also packed into one int with a 16-bit lane per
     inner index; the sum of two sizes up to ub must stay below the lanes'
@@ -402,18 +408,17 @@ def _fill_lines(
     of walked (_derived_lines)."""
     if 2 * ub >= 1 << 15:
         raise ResourceCapError(f"sizes up to {ub} do not fit the fill's 16-bit lanes")
-    n_in = len(in_lits)
+    n_in = 1 << len(in_members)
     lane_bytes, shift = 2 * n_in, 15
     guards, ones, multi, steps, tops = _lane_masks(n_in)
     # per literal t (a one-bit int): its path, the steps of the inner members
     # on which t holds, and its lanes, the inner subsets that lack every
     # member on which t fails.  Walking a path closes a packed set of lanes
     # under adding its members.
-    every = in_lits[0]
+    every = out_lits[0]
     paths: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
     held = dict.fromkeys(_bits(every), ones)
-    for x, step in enumerate(steps):
-        unit = in_lits[1 << x]
+    for step, unit in zip(steps, in_members):
         for t in _bits(unit):
             paths[t].append(step)
         for t in _bits(every & ~unit):
@@ -574,64 +579,74 @@ def _derived_lines(
     return derived
 
 
+def _compact(root: int, mask: int) -> int:
+    """The compact index of mask, a submask of root: bit j for the j-th
+    member of root, lowest first."""
+    index = 0
+    while mask:
+        bit = mask & -mask
+        index |= 1 << (root & bit - 1).bit_count()
+        mask ^= bit
+    return index
+
+
+def _expand(root: int, index: int) -> int:
+    """The submask of root at a compact index (_compact's inverse)."""
+    mask = 0
+    for bit in _bits(root):
+        if index & 1:
+            mask |= bit
+        index >>= 1
+    return mask
+
+
+def _subset_lits(members: list[int], every: int) -> list[int]:
+    """Per compact index over a side's members, given as their literal
+    sets, the literals in all of them; the empty subset holds every."""
+    lits = [every]
+    for member in members:
+        lits += [member & x for x in lits]
+    return lits
+
+
 class _Fill:
     """The sizes of one root's sub-lattice, as _fill_lines left them: cell
-    (a, b), a and b compact indices over the members of S and of R, sits at
-    cells[a * sa + b * sb].  masks and lits are _subsets' lists of a side."""
+    (a, b), a and b compact indices over the members of the root's sides
+    smask and rmask, sits at cells[a * sa + b * sb].  kept is the fill's
+    share of table_entries (module docstring)."""
 
-    __slots__ = ("s_masks", "r_masks", "s_lits", "r_lits", "cells", "sa", "sb", "kept")
+    __slots__ = ("smask", "rmask", "cells", "sa", "sb", "kept")
 
-    def __init__(
-        self,
-        s_masks: list[int],
-        r_masks: list[int],
-        s_lits: list[int],
-        r_lits: list[int],
-        cells: array,
-        sa: int,
-        sb: int,
-    ) -> None:
-        self.s_masks, self.r_masks = s_masks, r_masks
-        self.s_lits, self.r_lits = s_lits, r_lits
+    def __init__(self, smask: int, rmask: int, cells: array, sa: int, sb: int) -> None:
+        self.smask, self.rmask = smask, rmask
         self.cells, self.sa, self.sb = cells, sa, sb
-        # the positions a top-down search from the root visits (module
-        # docstring): every cell with both sides nonempty but a proper A
-        # against a proper B where literals separate both (S, B) and (A, R)
-        fa, fb = len(s_lits) - 1, len(r_lits) - 1
-        s_open = sum(1 for x in s_lits[1:fa] if not x & r_lits[fb])
-        r_open = sum(1 for y in r_lits[1:fb] if not s_lits[fa] & y)
-        self.kept = fa * fb - (fa - 1 - s_open) * (fb - 1 - r_open)
+        # the positions a top-down search from the root visits: every cell
+        # with both sides nonempty but a proper A against a proper B where
+        # literals separate both (S, B) and (A, R), counted as the 1s in
+        # the root's column (A, R) and row (S, B)
+        fa, fb = (1 << smask.bit_count()) - 1, (1 << rmask.bit_count()) - 1
+        s_lit = cells[sa + fb * sb : fa * sa + fb * sb : sa].count(1)
+        r_lit = cells[fa * sa + sb : fa * sa + fb * sb : sb].count(1)
+        self.kept = fa * fb - s_lit * r_lit
 
     def size(self, a: int, b: int) -> int:
         return self.cells[a * self.sa + b * self.sb]
 
     def locate(self, smask: int, rmask: int) -> Optional[tuple[int, int]]:
         """The compact indices of (smask, rmask) when it is a cell with both
-        sides nonempty.  Compact order is mask order, so each side's masks
-        are sorted."""
-        a = bisect_left(self.s_masks, smask)
-        b = bisect_left(self.r_masks, rmask)
-        if (
-            0 < a < len(self.s_masks)
-            and self.s_masks[a] == smask
-            and 0 < b < len(self.r_masks)
-            and self.r_masks[b] == rmask
-        ):
-            return a, b
-        return None
+        sides nonempty: each side a nonempty submask of the root's."""
+        if not smask or not rmask or smask & ~self.smask or rmask & ~self.rmask:
+            return None
+        return _compact(self.smask, smask), _compact(self.rmask, rmask)
 
 
 class _SizeTable:
     """Minimal sizes by (smask, rmask): the cells of each fill with both
-    sides nonempty, read from the fill's array, and the single answers of
-    value() (a literal win or an empty side) in a dict.  value() looks up
-    the fills before it stores a single answer, and a fill drops the single
-    answers it holds.  ``len`` is the sum of each fill's ``kept`` and the
-    single answers (module docstring)."""
+    sides nonempty, read from the fill's array.  ``len`` is the sum of each
+    fill's ``kept`` (module docstring)."""
 
     def __init__(self) -> None:
         self.fills: list[_Fill] = []
-        self.singles: dict[tuple[int, int], int] = {}
 
     def locate(self, smask: int, rmask: int) -> Optional[tuple[_Fill, int, int]]:
         """The first fill that holds (smask, rmask), with its compact indices."""
@@ -641,23 +656,8 @@ class _SizeTable:
                 return fill, *at
         return None
 
-    def add(self, fill: _Fill) -> None:
-        self.fills.append(fill)
-        for key in [key for key in self.singles if fill.locate(*key)]:
-            del self.singles[key]
-
-    def get(self, key: tuple[int, int]) -> Optional[int]:
-        got = self.singles.get(key)
-        if got is not None:
-            return got
-        found = self.locate(*key)
-        if found is None:
-            return None
-        fill, a, b = found
-        return fill.size(a, b)
-
     def __len__(self) -> int:
-        return sum(fill.kept for fill in self.fills) + len(self.singles)
+        return sum(fill.kept for fill in self.fills)
 
 
 class PropGame:
@@ -686,8 +686,9 @@ class PropGame:
     @property
     def table_entries(self) -> int:
         """The positions a top-down search from each filled root would
-        visit, summed over the fills, plus the single answers: a position
-        that two fills of a shared game hold is counted twice."""
+        visit, summed over the fills: a position that two fills of a shared
+        game hold is counted twice, and a root answered without a fill (a
+        literal win or an empty side) adds nothing."""
         return len(self._value)
 
     # -- minimal separating size over disjoint masks -----------------------
@@ -696,12 +697,10 @@ class PropGame:
         """Minimal size of a formula true on all of smask, false on all of
         rmask.  Requires disjoint masks of this width; an empty side costs
         at most 2 (a contradiction or a tautology built from one variable)."""
-        key = (smask, rmask)
-        # a fill holds the literal wins of its sub-lattice, so the fills are
-        # looked up before a single answer is computed
-        got = self._value.get(key)
-        if got is not None:
-            return got
+        found = self._value.locate(smask, rmask)
+        if found is not None:
+            fill, a, b = found
+            return fill.size(a, b)
         if smask < 0 or rmask < 0 or (smask | rmask) > self._full:
             raise InputError(
                 f"masks {smask:#x}/{rmask:#x} are not sets of "
@@ -710,31 +709,23 @@ class PropGame:
         if smask & rmask:
             raise ContractError("value() requires disjoint sides")
         if _first_literal(self._literals, smask, rmask) is not None:
-            best = 1
-        elif smask == 0 or rmask == 0:
-            best = 2
-        else:
-            return self._fill(smask, rmask)
-        self._value.singles[key] = best
-        return best
+            return 1
+        if smask == 0 or rmask == 0:
+            return 2
+        return self._fill(smask, rmask)
 
-    def _subsets(self, mask: int, flip: int) -> tuple[list[int], list[int]]:
-        """Per compact index over the members of mask (ascending, member j
-        is bit j): the subset's mask and the literals true on all of it,
-        each member's literal set XORed with flip first.  Variable p_i is
-        bit 2(i-1) as a positive literal and bit 2(i-1)+1 negated."""
-        masks, lits = [0], [(1 << 2 * self.width) - 1]
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            e = low.bit_length() - 1
-            member = flip ^ sum(
+    def _member_lits(self, mask: int, flip: int) -> list[int]:
+        """The literals true on each member of mask, ascending, each set
+        XORed with flip.  Variable p_i is bit 2(i-1) as a positive literal
+        and bit 2(i-1)+1 negated."""
+        return [
+            flip
+            ^ sum(
                 1 << 2 * i if ones >> e & 1 else 2 << 2 * i
                 for i, (ones, _) in enumerate(self._literals)
             )
-            masks += [low | x for x in masks]
-            lits += [member & x for x in lits]
-        return masks, lits
+            for e in (bit.bit_length() - 1 for bit in _bits(mask))
+        ]
 
     def _fill(self, smask: int, rmask: int) -> int:
         """Fill the size table for a root with both sides nonempty and no
@@ -746,23 +737,25 @@ class PropGame:
                 f"|S| + |R| = {count} exceeds the size-table cap {self.cap_strings} "
                 f"(--cap-strings)"
             )
-        s_masks, s_lits = self._subsets(smask, 0)
-        # literals false on every member of the R-side subset
-        r_masks, r_lits = self._subsets(rmask, (1 << 2 * self.width) - 1)
-        na, nb = len(s_masks), len(r_masks)
+        every = (1 << 2 * self.width) - 1
+        s_lits = self._member_lits(smask, 0)
+        # literals false on each member of R
+        r_lits = self._member_lits(rmask, every)
+        na, nb = 1 << len(s_lits), 1 << len(r_lits)
         # a DNF or CNF of full-length terms bounds every size in the sub-lattice
-        ub = self.width * min(smask.bit_count(), rmask.bit_count())
+        ub = self.width * min(len(s_lits), len(r_lits))
         maps = []  # the root's symmetries as (S, R) member permutations
-        if _symmetry_pays(self.width, (smask | rmask).bit_count()):
+        if _symmetry_pays(self.width, count):
             maps = _stabilizer(self.width, smask, rmask)
         if _outer_first(na, nb):
-            (cells, derived), sa, sb = _fill_lines(s_lits, r_lits, ub, maps), nb, 1
+            out, inner, sa, sb = s_lits, r_lits, nb, 1
         else:
-            swapped = [(r_perm, s_perm) for s_perm, r_perm in maps]
-            (cells, derived), sa, sb = _fill_lines(r_lits, s_lits, ub, swapped), 1, na
+            out, inner, sa, sb = r_lits, s_lits, 1, na
+            maps = [(r_perm, s_perm) for s_perm, r_perm in maps]
+        cells, derived = _fill_lines(_subset_lits(out, every), inner, ub, maps)
         self.derived_lines += derived
-        fill = _Fill(s_masks, r_masks, s_lits, r_lits, cells, sa, sb)
-        self._value.add(fill)
+        fill = _Fill(smask, rmask, cells, sa, sb)
+        self._value.fills.append(fill)
         return fill.size(na - 1, nb - 1)
 
     # -- public API ---------------------------------------------------------
@@ -845,8 +838,8 @@ class PropGame:
             return None
         found = self._value.locate(left.mask, right.mask)
         if found is not None:
-            return _build(*found)
-        # value() stored a single answer: a literal win or an empty side
+            return _build(self._literals, *found)
+        # value() answered without a fill: a literal win or an empty side
         lit = _first_literal(self._literals, left.mask, right.mask)
         if lit is not None:
             return lit.formula()
@@ -855,19 +848,21 @@ class PropGame:
         return Or(Var(1), Not(Var(1)))
 
 
-def _build(fill: _Fill, a: int, b: int) -> PropFormula:
+def _build(
+    literals: tuple[tuple[int, int], ...], fill: _Fill, a: int, b: int
+) -> PropFormula:
     """The formula synthesize gives for cell (a, b) of fill, both sides
-    nonempty: a separating literal, else the optimal split with the least
-    (u, c), left splits first.  Compact order is mask order, so the least
-    compact block c is the least block mask too."""
-    s_lits, r_lits, cells, sa, sb = fill.s_lits, fill.r_lits, fill.cells, fill.sa, fill.sb
-    sep = s_lits[a] & r_lits[b]
-    if sep:
-        # p_i is bit 2(i-1) and !p_i bit 2(i-1)+1, so the lowest bit is the
-        # first literal in _first_literal's order
-        bit = (sep & -sep).bit_length() - 1
-        return Literal(bit // 2 + 1, not bit & 1).formula()
+    nonempty: a separating literal, named as literal_win names it, else
+    the optimal split with the least (u, c), left splits first.  Compact
+    order is mask order, so the least compact block c is the least block
+    mask too."""
+    cells, sa, sb = fill.cells, fill.sa, fill.sb
     target = cells[a * sa + b * sb]
+    if target == 1:
+        # a cell with both sides nonempty is 1 exactly when a literal separates it
+        lit = _first_literal(literals, _expand(fill.smask, a), _expand(fill.rmask, b))
+        if lit is not None:
+            return lit.formula()
     best: Optional[tuple[int, int]] = None  # (u, c)
     # the nonempty proper blocks c; the least (u, c) wins, whatever the
     # scan order
@@ -881,7 +876,7 @@ def _build(fill: _Fill, a: int, b: int) -> PropFormula:
                     best = (u, c)
     if best is not None:
         _, c = best
-        return Or(_build(fill, c, b), _build(fill, a ^ c, b))
+        return Or(_build(literals, fill, c, b), _build(literals, fill, a ^ c, b))
     at = a * sa
     for c in _submasks(b):
         d = b ^ c
@@ -893,7 +888,7 @@ def _build(fill: _Fill, a: int, b: int) -> PropFormula:
     if best is None:
         raise ContractError("size table admits no optimal split")  # unreachable
     _, c = best
-    return And(_build(fill, a, c), _build(fill, a, b ^ c))
+    return And(_build(literals, fill, a, c), _build(literals, fill, a, b ^ c))
 
 
 def formula_strategy_move(f: PropFormula, pos: PropPosition) -> PropMove:

@@ -500,12 +500,14 @@ def size_table_mismatches(width: int, roots: list[tuple[int, int]]) -> list[str]
     """Answer the roots in order on one PropGame and on the reference.
     After each root the returned sizes must agree, and the game must answer
     every position the reference holds with the reference's size.  Each
-    new fill is read once, when it appears: every cell must hold the
-    reference's size (from the reference's table, else 1 where a literal
-    separates the cell, else the reference's value), and its ``kept`` must
-    equal the table length of a fresh reference after the fill's root.
-    Every single answer must agree with the reference, and table_entries
-    must read the table's length."""
+    new fill is read once, when it appears: every cell, its compact
+    indices expanded over the root's masks, must hold the reference's size
+    (from the reference's table, else 1 where a literal separates the
+    cell, else the reference's value), and its ``kept`` must equal the
+    table length of a fresh reference after the fill's root.  A root that
+    a literal separates, or that has an empty side, must add no fill and
+    leave table_entries as it was, and table_entries must read the
+    table's length."""
     game, ref = PropGame(width), ReferenceSizeTable(width)
     # a cell the reference never visits is a literal win or has an empty
     # side; a second reference sizes the latter, so ref holds what it visited
@@ -514,7 +516,7 @@ def size_table_mismatches(width: int, roots: list[tuple[int, int]]) -> list[str]
     violations = []
     for smask, rmask in roots:
         where = f"width {width} after root {smask:#x}/{rmask:#x}"
-        seen = len(table.fills)
+        seen, entries = len(table.fills), game.table_entries
         # an empty reference is as good as a fresh one
         fresh = ReferenceSizeTable(width) if ref._value else ref
         got, want = game.value(smask, rmask), ref.value(smask, rmask)
@@ -522,13 +524,18 @@ def size_table_mismatches(width: int, roots: list[tuple[int, int]]) -> list[str]
             violations.append(
                 f"width {width} root {smask:#x}/{rmask:#x}: {got} != {want}"
             )
-        wrong = sum(table.get(key) != v for key, v in ref._value.items())
+        if ref._literal(smask, rmask) is not None or not smask or not rmask:
+            if len(table.fills) != seen or game.table_entries != entries:
+                violations.append(
+                    f"{where}: a root answered without a fill changed the table"
+                )
+        wrong = sum(game.value(*key) != v for key, v in ref._value.items())
         if wrong:
             violations.append(f"{where}: {wrong} reference positions answered wrong")
         for fill in table.fills[seen:]:
             wrong = 0
-            for a, s in enumerate(fill.s_masks):
-                for b, r in enumerate(fill.r_masks):
+            for a, s in enumerate(compact_masks(fill.smask)):
+                for b, r in enumerate(compact_masks(fill.rmask)):
                     v = ref._value.get((s, r))
                     if v is None:
                         v = 1 if ref._literal(s, r) is not None else spare.value(s, r)
@@ -539,15 +546,22 @@ def size_table_mismatches(width: int, roots: list[tuple[int, int]]) -> list[str]
                     f"{where}: {wrong} wrong cells in its fill, kept {fill.kept} "
                     f"against {len(fresh._value)} positions visited"
                 )
-        wrong = sum(ref._value.get(key) != v for key, v in table.singles.items())
-        if wrong:
-            violations.append(f"{where}: {wrong} wrong single answers")
         if game.table_entries != len(table):
             violations.append(
                 f"{where}: table_entries reads {game.table_entries}, "
                 f"the table's length {len(table)}"
             )
     return violations
+
+
+def compact_masks(mask: int) -> list[int]:
+    """The submasks of mask by compact index: bit j of the index stands for
+    the j-th lowest member of mask."""
+    masks = [0]
+    for e in range(mask.bit_length()):
+        if mask >> e & 1:
+            masks += [1 << e | x for x in masks]
+    return masks
 
 
 def lemma_literal_blindness(rng: random.Random, trials: int = 500) -> list[str]:

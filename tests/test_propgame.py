@@ -102,13 +102,26 @@ def test_minsize_empty_sides():
 
 
 def test_value_rejects_masks_outside_the_width():
-    game = PropGame(2)
-    for smask, rmask in ((1 << 5, 1), (1, 1 << 4), (-1, 0), (0, -2)):
-        with pytest.raises(InputError):
-            game.value(smask, rmask)
-    with pytest.raises(ContractError):
-        game.value(0b0011, 0b0110)
-    assert game.table_entries == 0
+    # on an empty game, and on one whose fill (parity 2: S = 0b1001, R =
+    # 0b0110) is looked up first, so a bad pair must not pass for a cell
+    filled = PropGame(2)
+    filled.minsize(PARITY2_S, PARITY2_R)
+    s, r = PARITY2_S.mask, PARITY2_R.mask
+    for game in (PropGame(2), filled):
+        entries = game.table_entries
+        for smask, rmask in (
+            (1 << 5, 1), (1, 1 << 4), (-1, 0), (0, -2),
+            (s | 1 << 4, r), (s, r | 1 << 6), (-1, r), (s, -1), (-s, r), (s, ~s),
+        ):
+            with pytest.raises(InputError):
+                game.value(smask, rmask)
+        for smask, rmask in ((0b0011, 0b0110), (s, r | 1), (s | 2, r), (s, s)):
+            with pytest.raises(ContractError):
+                game.value(smask, rmask)
+        assert game.table_entries == entries
+
+
+EVERY_4 = (1 << 8) - 1  # every literal at width 4
 
 
 def _random_roots(rng, width, sizes):
@@ -174,10 +187,11 @@ def test_halves_pair_each_half_with_its_complement(k):
     game = PropGame(4)
     few, many = sum(1 << e for e in strings[:3]), sum(1 << e for e in strings[3:])
     # the k-string side is S at even k and R at odd k, inner either way
-    flips = (0, (1 << 8) - 1) if k % 2 else ((1 << 8) - 1, 0)
-    out_lits = game._subsets(few, flips[0])[1]
-    in_lits = game._subsets(many, flips[1])[1]
-    cells, _ = propgame._fill_lines(out_lits, in_lits, 4 * min(3, k))
+    flips = (0, EVERY_4) if k % 2 else (EVERY_4, 0)
+    out_lits = propgame._subset_lits(game._member_lits(few, flips[0]), EVERY_4)
+    in_members = game._member_lits(many, flips[1])
+    in_lits = propgame._subset_lits(in_members, EVERY_4)
+    cells, _ = propgame._fill_lines(out_lits, in_members, 4 * min(3, k))
     n_in = len(in_lits)
     for o in range(len(out_lits)):
         for i in range(n_in):
@@ -253,7 +267,7 @@ def test_one_member_lines_cost_the_positions_that_tell_them_apart(monkeypatch, s
             game = PropGame(width)
             game.value(smask, rmask)
             (fill,) = game._value.fills
-            outer, inner = fill.s_masks, fill.r_masks
+            outer, inner = (suites.compact_masks(m) for m in (fill.smask, fill.rmask))
             if not s_outer:
                 outer, inner = inner, outer
             # a side's members, in the order of their bits in its indices
@@ -306,16 +320,18 @@ def test_fill_lines_match_reference_where_folds_stop_early_or_read_every_half(s_
     rng = random.Random(154)
     game, ref = PropGame(4), suites.ReferenceSizeTable(4)
     for smask, rmask in _random_roots(rng, 4, [(7, 6), (6, 9)]):
-        s_masks, s_lits = game._subsets(smask, 0)
-        r_masks, r_lits = game._subsets(rmask, (1 << 8) - 1)
+        s_members = game._member_lits(smask, 0)
+        r_members = game._member_lits(rmask, EVERY_4)
+        s_masks, r_masks = suites.compact_masks(smask), suites.compact_masks(rmask)
         ub = 4 * min(smask.bit_count(), rmask.bit_count())
         if s_outer:
-            out_lits, in_lits = s_lits, r_lits
+            outer, inner = s_members, r_members
             want = [ref.value(a, b) for a in s_masks for b in r_masks]
         else:
-            out_lits, in_lits = r_lits, s_lits
+            outer, inner = r_members, s_members
             want = [ref.value(a, b) for b in r_masks for a in s_masks]
-        cells, _ = propgame._fill_lines(out_lits, in_lits, ub)
+        out_lits, in_lits = (propgame._subset_lits(m, EVERY_4) for m in (outer, inner))
+        cells, _ = propgame._fill_lines(out_lits, inner, ub)
         assert list(cells) == want
         # the roots exercise both ways out of the fold
         met, scanned = _fold_exits(cells, out_lits, in_lits)
@@ -338,10 +354,10 @@ def test_lines_run_along_the_side_that_costs_less():
 def test_lanes_are_sized_from_the_size_bound():
     # two sizes up to ub must sum below the lane's guard bit; the cells are
     # one member a side, separated by the one literal
-    cells, _ = propgame._fill_lines([1, 1], [1, 1], 16383)
+    cells, _ = propgame._fill_lines([1, 1], [1], 16383)
     assert list(cells) == [1, 1, 1, 1]
     with pytest.raises(ResourceCapError):
-        propgame._fill_lines([1, 1], [1, 1], 16384)
+        propgame._fill_lines([1, 1], [1], 16384)
 
 
 def test_size_table_matches_reference_with_sixteen_bit_lanes():
@@ -373,44 +389,41 @@ def test_shared_size_table_matches_reference_over_several_roots():
 
 
 def test_shared_table_count_is_kept_when_a_fill_is_added(monkeypatch):
-    # the count is each fill's kept cells plus the single answers, so reading
-    # it locates no cell, and adding a fill locates only the single answers
+    # the count is the sum of each fill's kept cells, so reading it locates
+    # no cell, and a root answered without a fill leaves it as it was
     calls = 0
-    locate, add = propgame._Fill.locate, propgame._SizeTable.add
+    locate = propgame._Fill.locate
 
     def counting_locate(self, smask, rmask):
         nonlocal calls
         calls += 1
         return locate(self, smask, rmask)
 
-    def counting_add(self, fill):
-        nonlocal calls
-        calls, singles = 0, len(self.singles)
-        add(self, fill)
-        assert calls == singles
-
     monkeypatch.setattr(propgame._Fill, "locate", counting_locate)
-    monkeypatch.setattr(propgame._SizeTable, "add", counting_add)
     rng = random.Random(98)
     for width, shapes in ((3, [(2, 2), (4, 4), (3, 3)]), (4, [(3, 3), (6, 5), (4, 8)])):
         roots = _random_roots(rng, width, shapes)
         smask, rmask = roots[1]
-        # single answers asked first: a literal win inside a later root,
-        # which that root's fill drops, and an empty side, which stays
+        # roots answered without a fill: a literal win inside a later root,
+        # asked before that root and again after it, and an empty side
         lit_win = (smask & -smask, rmask & -rmask)
         roots[:0] = [lit_win, (0, rmask)]
         roots.append((smask & (smask - 1), rmask))
         roots.append((smask, rmask | roots[2][1] & ~smask))
+        roots.append(lit_win)
         game = PropGame(width)
         table = game._value
         for root in roots:
+            before = game.table_entries
             game.value(*root)
             calls = 0
             entries = game.table_entries
             assert calls == 0
-            assert entries == sum(fill.kept for fill in table.fills) + len(table.singles)
+            assert entries == sum(fill.kept for fill in table.fills)
+            if root in (lit_win, (0, rmask)):
+                assert entries == before
         assert len(table.fills) > 1
-        assert lit_win not in table.singles and (0, rmask) in table.singles
+        assert table.locate(*lit_win) is not None
 
 
 # roots fixed by hypercube maps other than the identity, whose fills gather
@@ -524,14 +537,16 @@ def test_size_table_matches_reference_on_symmetric_roots(monkeypatch, s_outer):
 def test_derived_lines_equal_walked_lines():
     for left, right in SYMMETRIC_ROOTS:
         game = PropGame(left.width)
-        _, s_lits = game._subsets(left.mask, 0)
-        _, r_lits = game._subsets(right.mask, (1 << 2 * left.width) - 1)
+        every = (1 << 2 * left.width) - 1
+        s_lits = game._member_lits(left.mask, 0)
+        r_lits = game._member_lits(right.mask, every)
         ub = left.width * min(len(left), len(right))
         maps = propgame._stabilizer(left.width, left.mask, right.mask)
         swapped = [(r, s) for s, r in maps]
-        for out_lits, in_lits, side_maps in ((s_lits, r_lits, maps), (r_lits, s_lits, swapped)):
-            walked, none = propgame._fill_lines(out_lits, in_lits, ub)
-            cells, derived = propgame._fill_lines(out_lits, in_lits, ub, side_maps)
+        for outer, inner, side_maps in ((s_lits, r_lits, maps), (r_lits, s_lits, swapped)):
+            out_lits = propgame._subset_lits(outer, every)
+            walked, none = propgame._fill_lines(out_lits, inner, ub)
+            cells, derived = propgame._fill_lines(out_lits, inner, ub, side_maps)
             assert none == 0
             assert derived > 0
             assert cells == walked
@@ -543,15 +558,16 @@ def test_fill_lines_do_not_depend_on_the_order_of_the_maps():
     rng = random.Random(11)
     for left, right in [parity_property(4), *SYMMETRIC_ROOTS[-2:]]:
         game = PropGame(4)
-        _, s_lits = game._subsets(left.mask, 0)
-        _, r_lits = game._subsets(right.mask, (1 << 8) - 1)
+        s_lits = game._member_lits(left.mask, 0)
+        r_lits = game._member_lits(right.mask, EVERY_4)
         ub = 4 * min(len(left), len(right))
         maps = propgame._stabilizer(4, left.mask, right.mask)
         swapped = [(r, s) for s, r in maps]
-        for out_lits, in_lits, side_maps in ((s_lits, r_lits, maps), (r_lits, s_lits, swapped)):
-            expected = propgame._fill_lines(out_lits, in_lits, ub, side_maps)
+        for outer, inner, side_maps in ((s_lits, r_lits, maps), (r_lits, s_lits, swapped)):
+            out_lits = propgame._subset_lits(outer, EVERY_4)
+            expected = propgame._fill_lines(out_lits, inner, ub, side_maps)
             for order in (side_maps[::-1], rng.sample(side_maps, len(side_maps))):
-                assert propgame._fill_lines(out_lits, in_lits, ub, order) == expected
+                assert propgame._fill_lines(out_lits, inner, ub, order) == expected
 
 
 def test_derived_lines_are_counted():
@@ -612,8 +628,8 @@ def test_synthesis_from_a_kept_cell_matches_a_fresh_game():
     cells = {
         (smask, rmask)
         for fill in game._value.fills
-        for smask in fill.s_masks[1:]
-        for rmask in fill.r_masks[1:]
+        for smask in suites.compact_masks(fill.smask)[1:]
+        for rmask in suites.compact_masks(fill.rmask)[1:]
     }
     picks = rng.sample(sorted(cells - set(roots)), 10)
     for smask, rmask in roots:
@@ -645,7 +661,31 @@ def test_literal_sub_pair_of_a_fill_is_answered_from_it():
     text = format_formula(game.synthesize(sub_left, sub_right, 1))
     assert text == format_formula(PropGame(3).synthesize(sub_left, sub_right, 1))
     assert game.table_entries == entries
-    assert not game._value.singles
+    # a literal win and an empty side outside the fill add nothing either
+    assert game.minsize(prop(3, ["010"]), prop(3, ["100"])) == 1
+    assert game.value(0, (1 << 8) - 1) == 2
+    assert game.table_entries == entries and len(game._value.fills) == 1
+
+
+@pytest.mark.parametrize("s_outer", [True, False])
+def test_size_one_cells_synthesize_the_literal_that_literal_win_names(monkeypatch, s_outer):
+    # synthesis names a cell's literal from the cell's masks by literal_win's
+    # rule, whichever side the fill ran along
+    monkeypatch.setattr(propgame, "_outer_first", lambda n1, n2: s_outer)
+    rng = random.Random(156)
+    for width, shapes in ((3, [(3, 4), (5, 2)]), (4, [(5, 6), (2, 9)])):
+        for smask, rmask in _random_roots(rng, width, shapes):
+            game = PropGame(width)
+            game.value(smask, rmask)
+            checked = 0
+            for a in suites.compact_masks(smask)[1:]:
+                for b in suites.compact_masks(rmask)[1:]:
+                    left, right = StringProperty(width, a), StringProperty(width, b)
+                    if game.value(a, b) == 1:
+                        checked += 1
+                        text = format_formula(game.synthesize(left, right, 1))
+                        assert text == format_formula(literal_win(left, right).formula())
+            assert len(game._value.fills) == 1 and checked > 0
 
 
 def test_synthesize_single_literal_tie_break():
