@@ -108,12 +108,12 @@ class FoGame:
     Three more records are built once and read on every later visit.
     ``_folded`` keeps ``_fold`` of each class bitset: a bitset names a
     fixed set of ids, and an id's atom mask is fixed when it is interned.
-    ``_classes`` keeps the bitset and sorted domain of each
-    ``StructureClass`` object a query enters, and holds the object so that
-    its ``id`` keys it while the entry lives: a class is frozen, and the
-    ids its members intern to never change.  ``_supps`` keeps, per domain,
-    the (variable, domain after binding it) pairs of ``_supp_vars``, which
-    reads nothing but the domain.  The checks of a query (comparable
+    ``_classes`` keeps the bitset and sorted domain of each class a query
+    enters, keyed by its members and domain, the only inputs of the
+    record: equal classes share one record, and the ids that members
+    intern to never change.  ``_supps`` keeps, per domain, the (variable,
+    domain after binding it) pairs of ``_supp_vars``, which reads nothing
+    but the domain.  The checks of a query (comparable
     classes, the class-size cap, the reset of ``positions_visited``) still
     run on every call, since the caps may change between queries.
     """
@@ -141,7 +141,9 @@ class FoGame:
         self._star: dict[tuple[int, int], int] = {}
         self._halves: dict[tuple[int, int], tuple[list, list]] = {}
         self._folded: dict[int, tuple[int, int]] = {}
-        self._classes: dict[int, tuple[StructureClass, int, tuple[int, ...]]] = {}
+        self._classes: dict[
+            tuple[tuple[Structure, ...], frozenset[int]], tuple[int, tuple[int, ...]]
+        ] = {}
         self._supps: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
 
     # -- interning ----------------------------------------------------------
@@ -502,22 +504,20 @@ class FoGame:
                 "(--cap-class-size)",
                 w,
             )
-        _, am, dom = self._class(left)
-        return am, self._class(right)[1], dom
+        am, dom = self._class(left)
+        return am, self._class(right)[0], dom
 
-    def _class(
-        self, cls: StructureClass
-    ) -> tuple[StructureClass, int, tuple[int, ...]]:
-        """The record of a class object: the object itself, its bitset and
-        its sorted domain.  The members are interned when the object is
-        first entered; an equal class that is another object gets its own
-        record with the same bitset."""
-        got = self._classes.get(id(cls))
+    def _class(self, cls: StructureClass) -> tuple[int, tuple[int, ...]]:
+        """The record of a class: its bitset and its sorted domain.  The
+        members are interned when a class with the same members and domain
+        is first entered."""
+        key = (cls.members, cls.domain)
+        got = self._classes.get(key)
         if got is None:
             m = 0
             for st in cls.members:
                 m |= 1 << self._intern(st)
-            got = self._classes[id(cls)] = (cls, m, tuple(sorted(cls.domain)))
+            got = self._classes[key] = (m, tuple(sorted(cls.domain)))
         return got
 
     def winner(

@@ -74,15 +74,16 @@ leaves every size unchanged, and a hypercube map g (a permutation of the
 variables plus flips) that maps S onto S and R onto R gives value(gA,
 gB) = value(A, B) throughout the root's sub-lattice.  Where the search
 is cheaper than the fill (_symmetry_pays, whose bound is the worst case
-of a plain enumeration: every string checked under every map), the fill
-finds that stabilizer by plain enumeration, trying each variable
-permutation with only the flips that send S's first member into S; no
-refinement is needed at the widths that bound admits.  Each map becomes
-a permutation of the members of S and one of R, and so of the subset
-indices of each side.  Only the least outer index of each orbit is then
-walked cell by cell; every other line o = g(r) comes later than r and is
-one gather of r's finished line through g's inverse on the inner
-indices.  Parity 4, with 191 maps besides the identity, walks 15 of its
+of a plain enumeration: every string checked under every map) and the
+outer side has two or more members (with one, every map fixes its only
+line after the first), the fill finds that stabilizer by plain
+enumeration, trying each variable permutation with only the flips that
+send S's first member into S; no refinement is needed at the widths that
+bound admits.  Each map becomes a permutation of the members of S and
+one of R, and so of the subset indices of each side.  Only the least
+outer index of each orbit is then walked cell by cell; every other line
+o = g(r) comes later than r and is one gather of r's finished line
+through g's inverse on the inner indices.  Parity 4, with 191 maps besides the identity, walks 15 of its
 255 lines after the first and derives 240 (PropGame.derived_lines); the
 cells are the same as without the maps.
 
@@ -92,18 +93,10 @@ sides are both nonempty: a position's masks are compacted against the
 root's into the cell's indices, and synthesis walks those indices too.
 A cell of size 1 names its literal by literal_win's rule on its masks.
 A root that a literal separates, or that has an empty side, is answered
-without a fill and stored nowhere.
+without a fill (_unfilled) and stored nowhere.
 
-table_entries counts, for each fill, the positions a top-down search
-from its root would visit: the root, every (A, B) with A a nonempty
-proper subset of S, B a nonempty subset of R and no literal separating
-(S, B), and every (A, B) with A a nonempty subset of S, B a nonempty
-proper subset of R and no literal separating (A, R).  A literal that
-separates a pair separates each of its sub-pairs, so every other cell
-has size 1 or an empty side.  A cell with both sides nonempty is 1
-exactly when a literal separates it, so the count is read from the
-root's row and column of cells.  A position that two fills of a shared
-game hold is counted twice.
+table_entries counts the cells that the fills answer, (2**|S| - 1) *
+(2**|R| - 1) per fill, so a position that two fills hold counts twice.
 """
 
 from __future__ import annotations
@@ -612,22 +605,13 @@ def _subset_lits(members: list[int], every: int) -> list[int]:
 class _Fill:
     """The sizes of one root's sub-lattice, as _fill_lines left them: cell
     (a, b), a and b compact indices over the members of the root's sides
-    smask and rmask, sits at cells[a * sa + b * sb].  kept is the fill's
-    share of table_entries (module docstring)."""
+    smask and rmask, sits at cells[a * sa + b * sb]."""
 
-    __slots__ = ("smask", "rmask", "cells", "sa", "sb", "kept")
+    __slots__ = ("smask", "rmask", "cells", "sa", "sb")
 
     def __init__(self, smask: int, rmask: int, cells: array, sa: int, sb: int) -> None:
         self.smask, self.rmask = smask, rmask
         self.cells, self.sa, self.sb = cells, sa, sb
-        # the positions a top-down search from the root visits: every cell
-        # with both sides nonempty but a proper A against a proper B where
-        # literals separate both (S, B) and (A, R), counted as the 1s in
-        # the root's column (A, R) and row (S, B)
-        fa, fb = (1 << smask.bit_count()) - 1, (1 << rmask.bit_count()) - 1
-        s_lit = cells[sa + fb * sb : fa * sa + fb * sb : sa].count(1)
-        r_lit = cells[fa * sa + sb : fa * sa + fb * sb : sb].count(1)
-        self.kept = fa * fb - s_lit * r_lit
 
     def size(self, a: int, b: int) -> int:
         return self.cells[a * self.sa + b * self.sb]
@@ -642,8 +626,7 @@ class _Fill:
 
 class _SizeTable:
     """Minimal sizes by (smask, rmask): the cells of each fill with both
-    sides nonempty, read from the fill's array.  ``len`` is the sum of each
-    fill's ``kept`` (module docstring)."""
+    sides nonempty, read from the fill's array.  ``len`` counts those cells."""
 
     def __init__(self) -> None:
         self.fills: list[_Fill] = []
@@ -657,7 +640,10 @@ class _SizeTable:
         return None
 
     def __len__(self) -> int:
-        return sum(fill.kept for fill in self.fills)
+        return sum(
+            ((1 << fill.smask.bit_count()) - 1) * ((1 << fill.rmask.bit_count()) - 1)
+            for fill in self.fills
+        )
 
 
 class PropGame:
@@ -685,10 +671,11 @@ class PropGame:
 
     @property
     def table_entries(self) -> int:
-        """The positions a top-down search from each filled root would
-        visit, summed over the fills: a position that two fills of a shared
-        game hold is counted twice, and a root answered without a fill (a
-        literal win or an empty side) adds nothing."""
+        """The cells with both sides nonempty that the fills answer,
+        (2**|S| - 1) * (2**|R| - 1) per filled root (S, R): a position that
+        two fills of a shared game hold is counted twice, and a root
+        answered without a fill (a literal win or an empty side) adds
+        nothing."""
         return len(self._value)
 
     # -- minimal separating size over disjoint masks -----------------------
@@ -708,11 +695,23 @@ class PropGame:
             )
         if smask & rmask:
             raise ContractError("value() requires disjoint sides")
-        if _first_literal(self._literals, smask, rmask) is not None:
-            return 1
-        if smask == 0 or rmask == 0:
-            return 2
-        return self._fill(smask, rmask)
+        formula = self._unfilled(smask, rmask)
+        if formula is None:
+            return self._fill(smask, rmask)
+        return size(formula)
+
+    def _unfilled(self, smask: int, rmask: int) -> Optional[PropFormula]:
+        """The answer to a root that needs no fill: its first separating
+        literal, else a contradiction for an empty S or a tautology for an
+        empty R; None for a root that needs a fill."""
+        lit = _first_literal(self._literals, smask, rmask)
+        if lit is not None:
+            return lit.formula()
+        if not smask:
+            return And(Var(1), Not(Var(1)))
+        if not rmask:
+            return Or(Var(1), Not(Var(1)))
+        return None
 
     def _member_lits(self, mask: int, flip: int) -> list[int]:
         """The literals true on each member of mask, ascending, each set
@@ -744,14 +743,18 @@ class PropGame:
         na, nb = 1 << len(s_lits), 1 << len(r_lits)
         # a DNF or CNF of full-length terms bounds every size in the sub-lattice
         ub = self.width * min(len(s_lits), len(r_lits))
-        maps = []  # the root's symmetries as (S, R) member permutations
-        if _symmetry_pays(self.width, count):
-            maps = _stabilizer(self.width, smask, rmask)
-        if _outer_first(na, nb):
+        s_outer = _outer_first(na, nb)
+        if s_outer:
             out, inner, sa, sb = s_lits, r_lits, nb, 1
         else:
             out, inner, sa, sb = r_lits, s_lits, 1, na
-            maps = [(r_perm, s_perm) for s_perm, r_perm in maps]
+        # the root's symmetries as (outer, inner) member permutations; with
+        # one outer member every map fixes line 1, so none derives a line
+        maps = []
+        if len(out) > 1 and _symmetry_pays(self.width, count):
+            maps = _stabilizer(self.width, smask, rmask)
+            if not s_outer:
+                maps = [(r_perm, s_perm) for s_perm, r_perm in maps]
         cells, derived = _fill_lines(_subset_lits(out, every), inner, ub, maps)
         self.derived_lines += derived
         fill = _Fill(smask, rmask, cells, sa, sb)
@@ -839,13 +842,7 @@ class PropGame:
         found = self._value.locate(left.mask, right.mask)
         if found is not None:
             return _build(self._literals, *found)
-        # value() answered without a fill: a literal win or an empty side
-        lit = _first_literal(self._literals, left.mask, right.mask)
-        if lit is not None:
-            return lit.formula()
-        if not left.mask:
-            return And(Var(1), Not(Var(1)))
-        return Or(Var(1), Not(Var(1)))
+        return self._unfilled(left.mask, right.mask)
 
 
 def _build(

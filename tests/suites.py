@@ -503,11 +503,11 @@ def size_table_mismatches(width: int, roots: list[tuple[int, int]]) -> list[str]
     new fill is read once, when it appears: every cell, its compact
     indices expanded over the root's masks, must hold the reference's size
     (from the reference's table, else 1 where a literal separates the
-    cell, else the reference's value), and its ``kept`` must equal the
-    table length of a fresh reference after the fill's root.  A root that
-    a literal separates, or that has an empty side, must add no fill and
-    leave table_entries as it was, and table_entries must read the
-    table's length."""
+    cell, else the reference's value), and table_entries must grow by the
+    number of its cells with both sides nonempty.  A root that a literal
+    separates, or that has an empty side, must add no fill and leave
+    table_entries as it was, and table_entries must read the table's
+    length."""
     game, ref = PropGame(width), ReferenceSizeTable(width)
     # a cell the reference never visits is a literal win or has an empty
     # side; a second reference sizes the latter, so ref holds what it visited
@@ -517,8 +517,6 @@ def size_table_mismatches(width: int, roots: list[tuple[int, int]]) -> list[str]
     for smask, rmask in roots:
         where = f"width {width} after root {smask:#x}/{rmask:#x}"
         seen, entries = len(table.fills), game.table_entries
-        # an empty reference is as good as a fresh one
-        fresh = ReferenceSizeTable(width) if ref._value else ref
         got, want = game.value(smask, rmask), ref.value(smask, rmask)
         if got != want:
             violations.append(
@@ -532,6 +530,7 @@ def size_table_mismatches(width: int, roots: list[tuple[int, int]]) -> list[str]
         wrong = sum(game.value(*key) != v for key, v in ref._value.items())
         if wrong:
             violations.append(f"{where}: {wrong} reference positions answered wrong")
+        answered = 0  # the new fills' cells with both sides nonempty
         for fill in table.fills[seen:]:
             wrong = 0
             for a, s in enumerate(compact_masks(fill.smask)):
@@ -540,12 +539,14 @@ def size_table_mismatches(width: int, roots: list[tuple[int, int]]) -> list[str]
                     if v is None:
                         v = 1 if ref._literal(s, r) is not None else spare.value(s, r)
                     wrong += fill.size(a, b) != v
-            fresh.value(smask, rmask)  # the fill's root
-            if wrong or fill.kept != len(fresh._value):
-                violations.append(
-                    f"{where}: {wrong} wrong cells in its fill, kept {fill.kept} "
-                    f"against {len(fresh._value)} positions visited"
-                )
+                    answered += bool(s and r)
+            if wrong:
+                violations.append(f"{where}: {wrong} wrong cells in its fill")
+        if game.table_entries != entries + answered:
+            violations.append(
+                f"{where}: table_entries grew by {game.table_entries - entries}, "
+                f"not by the new fills' {answered} cells with both sides nonempty"
+            )
         if game.table_entries != len(table):
             violations.append(
                 f"{where}: table_entries reads {game.table_entries}, "

@@ -401,13 +401,14 @@ def test_kept_folds_classes_and_supplements_match_fresh_ones(tiny_fo_suite):
                 every &= game._masks[sid]
                 some |= game._masks[sid]
             assert game._fold(m) == (every, some)
-        for key, (cls, _, _) in game._classes.items():
-            assert key == id(cls)
         for cls in entered:
             bits = 0
             for st in cls.members:
                 bits |= 1 << game._ids[st]
-            assert game._class(cls) == (cls, bits, tuple(sorted(cls.domain)))
+            assert game._classes[cls.members, cls.domain] == (
+                bits,
+                tuple(sorted(cls.domain)),
+            )
         for dom in doms:
             assert game._supplements(dom) == [
                 (j, tuple(sorted({*dom, j}))) for j in game._supp_vars(dom)
@@ -473,7 +474,21 @@ def test_entered_classes_still_pass_the_query_checks():
     for x in tiny[:6]:
         twin = class_from_json(class_to_json(x))
         assert twin == x and twin is not x
-        assert copies._class(twin)[1] == copies._class(x)[1] == originals._class(x)[1]
+        assert copies._class(twin)[0] == copies._class(x)[0] == originals._class(x)[0]
+
+
+def test_equal_classes_share_one_record():
+    # two equal left classes that are distinct objects, each asked against
+    # the same right class: the second query is one record read and a memo hit
+    left, right = linorder_instances(3)
+    twin = StructureClass.of(left.members)
+    assert twin == left and twin is not left
+    game = FoGame()
+    assert game.winner(5, left, right, FoMode.EXISTENTIAL) is Player.I
+    assert game.positions_visited > 0
+    assert game.winner(5, twin, right, FoMode.EXISTENTIAL) is Player.I
+    assert game.positions_visited == 0
+    assert len(game._classes) == 2
 
 
 def _tiny_universe_answers(rng=None):

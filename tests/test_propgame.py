@@ -389,8 +389,9 @@ def test_shared_size_table_matches_reference_over_several_roots():
 
 
 def test_shared_table_count_is_kept_when_a_fill_is_added(monkeypatch):
-    # the count is the sum of each fill's kept cells, so reading it locates
-    # no cell, and a root answered without a fill leaves it as it was
+    # the count is each fill's cells with both sides nonempty, read from its
+    # root masks, so reading it locates no cell, and a root answered without
+    # a fill leaves it as it was
     calls = 0
     locate = propgame._Fill.locate
 
@@ -419,11 +420,32 @@ def test_shared_table_count_is_kept_when_a_fill_is_added(monkeypatch):
             calls = 0
             entries = game.table_entries
             assert calls == 0
-            assert entries == sum(fill.kept for fill in table.fills)
+            assert entries == sum(
+                ((1 << fill.smask.bit_count()) - 1) * ((1 << fill.rmask.bit_count()) - 1)
+                for fill in table.fills
+            )
             if root in (lit_win, (0, rmask)):
                 assert entries == before
         assert len(table.fills) > 1
         assert table.locate(*lit_win) is not None
+
+
+def test_table_entries_count_every_cell_of_a_fill():
+    # every cell with both sides nonempty counts, 3 * 3 of them; a count of
+    # the positions a top-down search from the root visits would read 7, as
+    # literals separate ({001}, R), (S, {100}) and (S, {010}), so the search
+    # never reaches ({001}, {100}) or ({001}, {010})
+    left, right = prop(3, ["000", "001"]), prop(3, ["100", "010"])
+    game = PropGame(3)
+    assert game.minsize(left, right) == 2
+    assert game.table_entries == 9
+    for smask in suites.compact_masks(left.mask)[1:]:
+        for rmask in suites.compact_masks(right.mask)[1:]:
+            sub_left, sub_right = StringProperty(3, smask), StringProperty(3, rmask)
+            k = game.minsize(sub_left, sub_right)
+            assert k == PropGame(3).minsize(sub_left, sub_right)
+            assert game.synthesize(sub_left, sub_right, k) is not None
+    assert game.table_entries == 9 and len(game._value.fills) == 1
 
 
 # roots fixed by hypercube maps other than the identity, whose fills gather
@@ -587,6 +609,28 @@ def test_derived_lines_are_counted():
     game.minsize(left, right)
     assert game.table_entries > 0
     assert game.derived_lines == 0
+
+
+def test_one_outer_member_searches_no_stabilizer(monkeypatch):
+    # with one member on the outer side every map fixes its only line after
+    # the first, so no map could derive a line and the search is skipped
+    calls = []
+    stabilizer = propgame._stabilizer
+
+    def recording_stabilizer(width, smask, rmask):
+        calls.append((smask, rmask))
+        return stabilizer(width, smask, rmask)
+
+    monkeypatch.setattr(propgame, "_stabilizer", recording_stabilizer)
+    assert propgame._symmetry_pays(4, 14)
+    rng = random.Random(99)
+    for root in _random_roots(rng, 4, [(1, 13), (13, 1)]):
+        assert suites.size_table_mismatches(4, [root]) == []
+    assert calls == []
+    # a root of as many strings with two or more on each side is searched
+    even, odd = parity_property(4)
+    PropGame(4).value(even.mask & even.mask - 1, odd.mask & odd.mask - 1)
+    assert len(calls) == 1
 
 
 PARITY_SYNTHESIS = {
