@@ -42,7 +42,7 @@ from .fo import (
     atom_mask,
     check_comparable,
 )
-from .propgame import Player
+from .formula import Player
 
 DEFAULT_CAP_POSITIONS = 1_000_000
 DEFAULT_CAP_CHOICE_FUNCTIONS = 100_000

@@ -7,14 +7,24 @@ An atom renders its own text through ``__str__``.
 
 The size measure counts atoms and quantifiers: an atom weighs 1,
 negation is free, binary connectives add, and each quantifier adds 1.
+
+Both games are played by the same two players, so ``Player`` lives here
+too: player I tries to separate the two sides, player II to keep them
+together.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InputError
+
+
+class Player(enum.Enum):
+    I = "I"
+    II = "II"
 
 
 class Formula:

@@ -113,6 +113,7 @@ from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import ContractError, InputError, ResourceCapError
+from .formula import Player
 from .props import (
     And,
     Literal,
@@ -132,11 +133,6 @@ from .props import (
 
 DEFAULT_CAP_EXACT_STRINGS = 8
 DEFAULT_CAP_STRINGS = 16
-
-
-class Player(enum.Enum):
-    I = "I"
-    II = "II"
 
 
 class GameMode(enum.Enum):

@@ -1,0 +1,82 @@
+"""The package's exported names and which submodules a caller loads."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import efgames
+
+# each submodule that a fresh interpreter holds after the statement
+LOADS = [
+    ("import efgames", set()),
+    (
+        "import efgames; efgames.parity_property",
+        {"errors", "formula", "props", "propbounds"},
+    ),
+    ("from efgames import FoGame", {"errors", "formula", "fo", "fogame"}),
+]
+
+
+def _loaded_after(statement):
+    # a fresh interpreter: the test process has already imported everything
+    src = str(Path(efgames.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    report = (
+        "import json, sys; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'efgames')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", f"{statement}; {report}"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout))
+
+
+@pytest.mark.parametrize("statement, submodules", LOADS)
+def test_a_caller_loads_only_the_submodules_it_uses(statement, submodules):
+    assert _loaded_after(statement) == {"efgames"} | {f"efgames.{m}" for m in submodules}
+
+
+def test_every_exported_name_is_its_submodules_object():
+    assert len(efgames.__all__) == len(set(efgames.__all__)) == 87
+    for name, module in efgames._EXPORTS.items():
+        defining = importlib.import_module(f"efgames.{module}")
+        assert getattr(efgames, name) is getattr(defining, name), name
+        # bound on first read, so later reads skip the module __getattr__
+        assert vars(efgames)[name] is getattr(defining, name), name
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from efgames import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(efgames.__all__)
+
+
+def test_dir_covers_all():
+    assert set(efgames.__all__) <= set(dir(efgames))
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        efgames.no_such_name
+    assert not hasattr(efgames, "no_such_name")
+
+
+def test_both_games_share_one_player():
+    from efgames import fogame, formula, propgame
+
+    assert propgame.Player is fogame.Player is formula.Player is efgames.Player
+
+
+def test_version():
+    assert efgames.__version__ == "0.1.0"
