@@ -24,6 +24,7 @@ _EXPORTS = {
     "Exists": "fo",
     "FoAnd": "fo",
     "FoFormula": "fo",
+    "FoMode": "fo",
     "FoNot": "fo",
     "FoOr": "fo",
     "Forall": "fo",
@@ -64,7 +65,6 @@ _EXPORTS = {
     "measure_M": "fobounds",
     "measure_N": "fobounds",
     "FoGame": "fogame",
-    "FoMode": "fogame",
     "FoEnumerator": "oracle",
     "count_functions_up_to": "oracle",
     "fo_enumerate_separator": "oracle",

@@ -13,6 +13,7 @@ atoms ``RelAtom`` and ``EqAtom``.
 
 from __future__ import annotations
 
+import enum
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -21,6 +22,14 @@ from .errors import ContractError, InputError
 from .formula import And, Atom, Exists, Forall, Formula, Not, Or, _subformulas, to_nnf
 from .formula import Formula as FoFormula, Not as FoNot, And as FoAnd, Or as FoOr
 from .formula import format_formula as format_fo, size as fo_size, to_nnf as fo_nnf
+
+
+class FoMode(enum.Enum):
+    """The formulas a separation may use: any (FULL), or only existential
+    ones (EXISTENTIAL)."""
+
+    FULL = "full"
+    EXISTENTIAL = "existential"
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,7 +23,6 @@ well changes no winner, which the test suite checks.
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import Iterator, Optional
 
@@ -33,6 +32,7 @@ from .fo import (
     Exists,
     FoAnd,
     FoFormula,
+    FoMode,
     FoNot,
     FoOr,
     Forall,
@@ -47,11 +47,6 @@ from .formula import Player
 DEFAULT_CAP_POSITIONS = 1_000_000
 DEFAULT_CAP_CHOICE_FUNCTIONS = 100_000
 DEFAULT_CAP_CLASS_SIZE = 64
-
-
-class FoMode(enum.Enum):
-    FULL = "full"
-    EXISTENTIAL = "existential"
 
 
 # the hot paths compare against this module constant: looking a member up

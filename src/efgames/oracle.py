@@ -39,6 +39,7 @@ from .fo import (
     Exists,
     FoAnd,
     FoFormula,
+    FoMode,
     FoNot,
     FoOr,
     Forall,
@@ -50,7 +51,6 @@ from .fo import (
     fo_eval,
     fo_free_vars,
 )
-from .fogame import FoMode
 from .props import StringProperty, check_same_width, var_mask
 
 ORACLE_MAX_WIDTH = 3

@@ -11,11 +11,13 @@ split does the same to R.
 Two search modes share one solver:
 
 * EXACT plays the rules verbatim.  The split side may be covered by any
-  ordered pair of blocks, overlapping or empty, which makes 3**k moves
-  per side of k strings, so exact mode is capped to small positions.
-  Each rank split is tried once, with u <= v: the cover (c, d) at ranks
-  (u, v) offers player II the same two positions as (d, c) at (v, u), so
-  this drops no move and assumes nothing about the game.
+  ordered pair of blocks, overlapping or empty: c runs over every subset
+  of the side and d over the rest of the side plus any subset of c, which
+  makes 3**k moves per side of k strings, so exact mode is capped to
+  small positions.  Each rank split is tried once, with u <= v: the
+  cover (c, d) at ranks (u, v) offers player II the same two positions
+  as (d, c) at (v, u), so this drops no move and assumes nothing about
+  the game.
 * REDUCED searches only two-block set partitions (disjoint, nonempty).
   Separating formulas survive shrinking either side of a position, so
   dropping covers that duplicate or drop strings never changes the
@@ -24,7 +26,8 @@ Two search modes share one solver:
 
 Reduced mode answers through a single memoized table of minimal
 separating sizes, so winner queries are threshold lookups and minsize
-and synthesis come from the same table.
+and synthesis come from the same table.  Exact mode memoizes winners
+per root in the table's compact indices (below).
 
 The table is filled one root (S, R) at a time over the sub-lattice of
 its masks.  The members of S and of R are numbered, so that a subset A
@@ -33,6 +36,16 @@ member carries one int of literals: those true on it for a member of S,
 those false on it for a member of R.  A subset's literals are the AND
 of its members', so a literal separates (A, B) exactly when the two
 ints meet.  Only the outer side (below) is listed per subset.
+
+Exact mode keeps one record per root (S, R) that it is asked about
+(_Exact): the literals of every subset of S and of every subset of R,
+so a literal test is one AND, and per rank a dict from each searched
+cell a * 2**|R| + b to its winner.  Rank-1 cells and cells that a
+literal wins are decided where they are met and stored nowhere, and a
+root that a literal separates is answered before a record is built.
+cap_exact_strings bounds |S| + |R| of a root, so a record's dicts hold
+at most 2**(|S| + |R|) cells per rank, and only those the search
+reaches; nothing of that size is allocated up front.
 
 One side is the outer one, and cells are filled one line of fixed outer
 index at a time, in increasing order; a proper subset's index is
@@ -197,6 +210,17 @@ def _literal_masks(width: int) -> tuple[tuple[int, int], ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _string_lits(width: int) -> tuple[int, ...]:
+    """Per string e of the width, the literals true on it: variable p_i is
+    bit 2(i-1) as a positive literal and bit 2(i-1)+1 negated."""
+    lits = [0]
+    for i in range(width):
+        # the strings below 2**i lack p_(i+1); those from 2**i on hold it
+        lits = [t | 2 << 2 * i for t in lits] + [t | 1 << 2 * i for t in lits]
+    return tuple(lits)
+
+
 def _first_literal(
     literals: tuple[tuple[int, int], ...], smask: int, rmask: int
 ) -> Optional[Literal]:
@@ -246,16 +270,6 @@ def successors(pos: PropPosition, move: PropMove) -> tuple[PropPosition, ...]:
         PropPosition(move.u, pos.left, move.c),
         PropPosition(move.v, pos.left, move.d),
     )
-
-
-def _submasks(m: int) -> Iterator[int]:
-    """All submasks of m including 0 and m, descending."""
-    x = m
-    while True:
-        yield x
-        if x == 0:
-            return
-        x = (x - 1) & m
 
 
 _ORDER = sys.byteorder  # lines are packed into ints and back in native order
@@ -620,6 +634,80 @@ class _Fill:
         return _compact(self.smask, smask), _compact(self.rmask, rmask)
 
 
+class _Exact:
+    """Exact-mode winners over the sub-lattice of one root, in _Fill's
+    compact indices: s[a] holds the literals true on every member of subset
+    a of S and r[b] those false on every member of subset b of R, so a
+    literal wins the cell (a, b) exactly when s[a] & r[b].  memo[w] maps
+    each searched cell a * 2**|R| + b at rank w >= 2 to its winner;
+    rank-1 cells and literal-won cells are decided where they are met and
+    stored nowhere."""
+
+    __slots__ = ("s", "r", "shift", "memo")
+
+    def __init__(self, s: list[int], r: list[int]) -> None:
+        self.s, self.r = s, r
+        self.shift = len(r).bit_length() - 1
+        self.memo: list[dict[int, bool]] = []
+
+    def root_wins(self, w: int) -> bool:
+        """Whether player I wins the root at rank w >= 2; no literal
+        separates the root."""
+        memo = self.memo
+        while len(memo) <= w:
+            memo.append({})
+        return self.wins(w, len(self.s) - 1, len(self.r) - 1)
+
+    def wins(self, w: int, a: int, b: int) -> bool:
+        """Whether player I wins the cell (a, b) at rank w >= 2, a cell that
+        no literal separates."""
+        memo = self.memo[w]
+        key = a << self.shift | b
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = self._search(w, a, b)
+        return got
+
+    def _search(self, w: int, a: int, b: int) -> bool:
+        # ordered covers c | d of a side, blocks may repeat members or be
+        # empty: c runs over every submask of the side, descending, and d
+        # over (side ^ c) | x for every submask x of c.  (c, d) at ranks
+        # (u, v) and (d, c) at (v, u) are one move, so u <= v.
+        s, r = self.s, self.r
+        sa, rb = s[a], r[b]
+        for u in range(1, w // 2 + 1):
+            v = w - u
+            c = a
+            while True:
+                if s[c] & rb or u > 1 and self.wins(u, c, b):
+                    rest, x = a ^ c, c
+                    while True:
+                        d = rest | x
+                        if s[d] & rb or v > 1 and self.wins(v, d, b):
+                            return True
+                        if not x:
+                            break
+                        x = (x - 1) & c
+                if not c:
+                    break
+                c = (c - 1) & a
+            c = b
+            while True:
+                if sa & r[c] or u > 1 and self.wins(u, a, c):
+                    rest, x = b ^ c, c
+                    while True:
+                        d = rest | x
+                        if sa & r[d] or v > 1 and self.wins(v, a, d):
+                            return True
+                        if not x:
+                            break
+                        x = (x - 1) & c
+                if not c:
+                    break
+                c = (c - 1) & b
+        return False
+
+
 class _SizeTable:
     """Minimal sizes by (smask, rmask): the cells of each fill with both
     sides nonempty, read from the fill's array.  ``len`` counts those cells."""
@@ -643,7 +731,10 @@ class _SizeTable:
 
 
 class PropGame:
-    """Solver for one string width with shared memo tables."""
+    """Solver for one string width with shared memo tables: reduced mode's
+    size table, and exact mode's records, one per root asked about, whose
+    dicts per rank hold at most 2**(|S| + |R|) compact cells each, with
+    |S| + |R| capped by cap_exact_strings."""
 
     def __init__(
         self,
@@ -658,7 +749,7 @@ class PropGame:
         self.cap_exact_strings = cap_exact_strings
         self.cap_strings = cap_strings
         self._value = _SizeTable()
-        self._exact: dict[tuple[int, int, int], bool] = {}
+        self._exact: dict[tuple[int, int], _Exact] = {}
         # outer lines of the size table copied from a symmetric line
         # rather than walked cell by cell
         self.derived_lines = 0
@@ -711,16 +802,9 @@ class PropGame:
 
     def _member_lits(self, mask: int, flip: int) -> list[int]:
         """The literals true on each member of mask, ascending, each set
-        XORed with flip.  Variable p_i is bit 2(i-1) as a positive literal
-        and bit 2(i-1)+1 negated."""
-        return [
-            flip
-            ^ sum(
-                1 << 2 * i if ones >> e & 1 else 2 << 2 * i
-                for i, (ones, _) in enumerate(self._literals)
-            )
-            for e in (bit.bit_length() - 1 for bit in _bits(mask))
-        ]
+        XORed with flip (see _string_lits)."""
+        lits = _string_lits(self.width)
+        return [flip ^ lits[bit.bit_length() - 1] for bit in _bits(mask)]
 
     def _fill(self, smask: int, rmask: int) -> int:
         """Fill the size table for a root with both sides nonempty and no
@@ -789,36 +873,22 @@ class PropGame:
     # -- exact mode ----------------------------------------------------------
 
     def _exact_wins(self, w: int, smask: int, rmask: int) -> bool:
-        key = (w, smask, rmask)
-        got = self._exact.get(key)
-        if got is None:
-            got = self._exact[key] = self._exact_search(w, smask, rmask)
-        return got
-
-    def _exact_search(self, w: int, smask: int, rmask: int) -> bool:
+        """Whether player I wins (w, smask, rmask) by the verbatim rules.  A
+        root that a literal separates, or any root at rank 1, is answered
+        before its record is built."""
         if _first_literal(self._literals, smask, rmask) is not None:
             return True
         if w == 1:
             return False
-        # ordered covers c | d = side, blocks may repeat strings or be empty;
-        # (c, d) at ranks (u, v) and (d, c) at (v, u) are one move, so u <= v
-        for u in range(1, w // 2 + 1):
-            v = w - u
-            for c in _submasks(smask):
-                rest = smask ^ c
-                if not self._exact_wins(u, c, rmask):
-                    continue
-                for x in _submasks(c):
-                    if self._exact_wins(v, rest | x, rmask):
-                        return True
-            for c in _submasks(rmask):
-                rest = rmask ^ c
-                if not self._exact_wins(u, smask, c):
-                    continue
-                for x in _submasks(c):
-                    if self._exact_wins(v, smask, rest | x):
-                        return True
-        return False
+        root = self._exact.get((smask, rmask))
+        if root is None:
+            every = (1 << 2 * self.width) - 1
+            root = self._exact[smask, rmask] = _Exact(
+                _subset_lits(self._member_lits(smask, 0), every),
+                # literals false on each member of R
+                _subset_lits(self._member_lits(rmask, every), every),
+            )
+        return root.root_wins(w)
 
     # -- synthesis -------------------------------------------------------------
 
@@ -856,28 +926,30 @@ def _build(
         lit = _first_literal(literals, _expand(fill.smask, a), _expand(fill.rmask, b))
         if lit is not None:
             return lit.formula()
+    # the nonempty proper blocks c, ascending, so the first optimal split of
+    # each u has its least c, and one with u = 1 is the least (u, c)
     best: Optional[tuple[int, int]] = None  # (u, c)
-    # the nonempty proper blocks c; the least (u, c) wins, whatever the
-    # scan order
     at = b * sb
-    for c in _submasks(a):
-        d = a ^ c
-        if c and d:
-            u = cells[c * sa + at]
-            if u + cells[d * sa + at] == target:
-                if best is None or (u, c) < best:
-                    best = (u, c)
+    c = (-a) & a
+    while c != a:
+        u = cells[c * sa + at]
+        if u + cells[(a ^ c) * sa + at] == target and (best is None or u < best[0]):
+            best = (u, c)
+            if u == 1:
+                break
+        c = (c - a) & a
     if best is not None:
         _, c = best
         return Or(_build(literals, fill, c, b), _build(literals, fill, a ^ c, b))
     at = a * sa
-    for c in _submasks(b):
-        d = b ^ c
-        if c and d:
-            u = cells[at + c * sb]
-            if u + cells[at + d * sb] == target:
-                if best is None or (u, c) < best:
-                    best = (u, c)
+    c = (-b) & b
+    while c != b:
+        u = cells[at + c * sb]
+        if u + cells[at + (b ^ c) * sb] == target and (best is None or u < best[0]):
+            best = (u, c)
+            if u == 1:
+                break
+        c = (c - b) & b
     if best is None:
         raise ContractError("size table admits no optimal split")  # unreachable
     _, c = best

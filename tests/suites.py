@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from efgames import (
+    ContractError,
     EMPTY_ASSIGNMENT,
     EqAtom,
     Exists,
@@ -45,7 +46,8 @@ from efgames import (
 )
 from efgames.fo import check_comparable
 from efgames.fogame import _FULL
-from efgames.props import Literal, _strings_mask, var_mask
+from efgames.propgame import _expand, _first_literal, _literal_masks
+from efgames.props import And, Literal, Or, PropFormula, _strings_mask, var_mask
 
 # Cited by the linear-order suite runners when a violation appears: the
 # distance function is a reconstruction, so failures should point at it
@@ -143,6 +145,92 @@ class ReferenceSizeTable:
                     best = cand
         self._value[key] = best
         return best
+
+
+class ReferenceExactGame:
+    """The tuple-keyed exact-mode search that ``PropGame`` replaced, kept
+    verbatim as the reference for its per-root records: every position is
+    memoized under (w, smask, rmask), and each one looks for a literal with
+    ``_first_literal``."""
+
+    def __init__(self, width: int) -> None:
+        self._literals = _literal_masks(width)
+        self._exact: dict[tuple[int, int, int], bool] = {}
+
+    def wins(self, w: int, smask: int, rmask: int) -> bool:
+        key = (w, smask, rmask)
+        got = self._exact.get(key)
+        if got is None:
+            got = self._exact[key] = self._search(w, smask, rmask)
+        return got
+
+    def _search(self, w: int, smask: int, rmask: int) -> bool:
+        if _first_literal(self._literals, smask, rmask) is not None:
+            return True
+        if w == 1:
+            return False
+        # ordered covers c | d = side, blocks may repeat strings or be empty;
+        # (c, d) at ranks (u, v) and (d, c) at (v, u) are one move, so u <= v
+        for u in range(1, w // 2 + 1):
+            v = w - u
+            for c in _submasks(smask):
+                rest = smask ^ c
+                if not self.wins(u, c, rmask):
+                    continue
+                for x in _submasks(c):
+                    if self.wins(v, rest | x, rmask):
+                        return True
+            for c in _submasks(rmask):
+                rest = rmask ^ c
+                if not self.wins(u, smask, c):
+                    continue
+                for x in _submasks(c):
+                    if self.wins(v, smask, rest | x):
+                        return True
+        return False
+
+
+def reference_build(
+    literals: tuple[tuple[int, int], ...], fill, a: int, b: int
+) -> PropFormula:
+    """The scan that ``propgame._build`` replaced, kept verbatim as the
+    reference for its texts: every block c of a side is read, in descending
+    mask order, and the optimal split with the least (u, c) wins, left
+    splits first."""
+    cells, sa, sb = fill.cells, fill.sa, fill.sb
+    target = cells[a * sa + b * sb]
+    if target == 1:
+        lit = _first_literal(literals, _expand(fill.smask, a), _expand(fill.rmask, b))
+        if lit is not None:
+            return lit.formula()
+    best: Optional[tuple[int, int]] = None  # (u, c)
+    at = b * sb
+    for c in _submasks(a):
+        d = a ^ c
+        if c and d:
+            u = cells[c * sa + at]
+            if u + cells[d * sa + at] == target:
+                if best is None or (u, c) < best:
+                    best = (u, c)
+    if best is not None:
+        _, c = best
+        return Or(
+            reference_build(literals, fill, c, b), reference_build(literals, fill, a ^ c, b)
+        )
+    at = a * sa
+    for c in _submasks(b):
+        d = b ^ c
+        if c and d:
+            u = cells[at + c * sb]
+            if u + cells[at + d * sb] == target:
+                if best is None or (u, c) < best:
+                    best = (u, c)
+    if best is None:
+        raise ContractError("size table admits no optimal split")  # unreachable
+    _, c = best
+    return And(
+        reference_build(literals, fill, a, c), reference_build(literals, fill, a, b ^ c)
+    )
 
 
 class ReferenceFoGame(FoGame):

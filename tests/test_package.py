@@ -19,6 +19,10 @@ LOADS = [
         {"errors", "formula", "props", "propbounds"},
     ),
     ("from efgames import FoGame", {"errors", "formula", "fo", "fogame"}),
+    (
+        "from efgames import oracle_minsize",
+        {"errors", "formula", "fo", "oracle", "props"},
+    ),
 ]
 
 

@@ -214,7 +214,7 @@ def _positions_telling_apart(width, s, members):
         for positions in itertools.combinations(range(width), k):
             mask = sum(1 << p for p in positions)
             told = sum(1 << j for j, b in enumerate(members) if (b ^ s) & mask)
-            for i in propgame._submasks(told):
+            for i in suites._submasks(told):
                 if fewest[i] is None:
                     fewest[i] = k
         if None not in fewest:
@@ -284,7 +284,7 @@ def _splits(m):
     """The (half, complement) pairs of m, each half holding m's lowest member."""
     low = m & -m
     rest = m ^ low
-    return [(low | y, rest ^ y) for y in propgame._submasks(rest) if y != rest]
+    return [(low | y, rest ^ y) for y in suites._submasks(rest) if y != rest]
 
 
 def _fold_exits(cells, out_lits, in_lits):
@@ -732,6 +732,26 @@ def test_size_one_cells_synthesize_the_literal_that_literal_win_names(monkeypatc
             assert len(game._value.fills) == 1 and checked > 0
 
 
+def test_synthesis_texts_match_the_reference_scan():
+    # the scan that stops at the first split with u = 1 gives the texts of
+    # the scan over every block
+    rng = random.Random(157)
+    checked = 0
+    for _ in range(300):
+        width = rng.choice((2, 3, 4))
+        left, right = suites.random_property_pair(rng, width)
+        game = PropGame(width)
+        k = game.minsize(left, right)
+        found = game._value.locate(left.mask, right.mask)
+        if found is None:
+            continue
+        want = format_formula(suites.reference_build(game._literals, *found))
+        for budget in (k, k + 2):
+            assert format_formula(game.synthesize(left, right, budget)) == want
+        checked += 1
+    assert checked > 200
+
+
 def test_synthesize_single_literal_tie_break():
     # both variables work; the lowest index with positive polarity wins
     f = PropGame(2).synthesize(prop(2, ["11"]), prop(2, ["00"]), 1)
@@ -885,6 +905,66 @@ def test_modes_agree_on_width_two_exhaustively():
             assert game.winner(pos, GameMode.EXACT) is game.winner(
                 pos, GameMode.REDUCED
             )
+
+
+def _exact_mismatches(game, width, positions, ranks=range(1, 7)):
+    """The (w, smask, rmask) among positions x ranks, asked of game in that
+    order, where its exact-mode winner differs from a fresh reference's."""
+    wrong = []
+    for smask, rmask in positions:
+        ref = suites.ReferenceExactGame(width)
+        left, right = StringProperty(width, smask), StringProperty(width, rmask)
+        for w in ranks:
+            got = game.winner(PropPosition(w, left, right), GameMode.EXACT)
+            if (got is Player.I) != ref.wins(w, smask, rmask):
+                wrong.append((w, smask, rmask))
+    return wrong
+
+
+def test_exact_mode_matches_reference_on_every_width_two_pair():
+    # every (S, R) of width 2, empty and overlapping sides included, each on
+    # a fresh game
+    for smask in range(1 << 4):
+        for rmask in range(1 << 4):
+            assert _exact_mismatches(PropGame(2), 2, [(smask, rmask)]) == []
+
+
+def test_exact_mode_matches_reference_on_random_width_three_roots():
+    rng = random.Random(171)
+    even, odd = parity_property(3)
+    roots = [(even.mask, odd.mask)] + _random_roots(
+        rng,
+        3,
+        [(1, 7), (7, 1), (4, 4), (0, 5), (5, 0), (0, 0), (3, 5), (5, 3), (2, 6)]
+        + [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(30)],
+    )
+    # roots whose sides share a string
+    for _ in range(4):
+        strings = rng.sample(range(8), 6)
+        roots.append(
+            (sum(1 << e for e in strings[:4]), sum(1 << e for e in strings[3:]))
+        )
+    for smask, rmask in roots:
+        assert _exact_mismatches(PropGame(3), 3, [(smask, rmask)]) == []
+
+
+@pytest.mark.parametrize("root_first", [True, False])
+def test_exact_mode_matches_reference_on_a_shared_game(root_first):
+    # one game asked about a root and then its sub-positions, or the sub-
+    # positions first, answers each as a fresh reference does
+    left = prop(3, ["000", "011", "101", "110"])
+    right = prop(3, ["001", "010", "111"])
+    rng = random.Random(172)
+    subs = [
+        (a, b)
+        for a in suites.compact_masks(left.mask)
+        for b in suites.compact_masks(right.mask)
+        if (a, b) != (left.mask, right.mask)
+    ]
+    positions = [(left.mask, right.mask)] + rng.sample(subs, 40)
+    if not root_first:
+        positions.reverse()
+    assert _exact_mismatches(PropGame(3), 3, positions) == []
 
 
 def test_win_survives_rank_boost_and_shrinking():
