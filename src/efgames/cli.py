@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 malformed input, 2 a resource cap was hit,
 3 a precondition was violated.  ``--json`` swaps the human-readable
 output for a JSON object on stdout.
 
+The handlers read every solver name through the package (``ef.PropGame``),
+which imports a submodule on its first use, so building the parser loads
+no solver and a command loads only the solver it runs.
+
 File formats:
 
 * property pair: {"width": 2, "S": ["00", "11"], "R": ["01"]}
@@ -21,48 +25,18 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import ContractError, InputError, ResourceCapError
-from .fo import (
-    FoFormula,
-    StructureClass,
-    class_from_json,
-    fo_free_vars,
-    fo_separates,
-    fo_size,
-    format_fo,
-    is_existential,
-)
-from .fobounds import (
-    boolcomb_existential_sentence,
-    boolcomb_instances,
-    linorder_existential_sentence,
-    linorder_instances,
-    measure_M,
-    measure_N,
-)
-from .fogame import (
+import efgames as ef
+
+from .errors import (
     DEFAULT_CAP_CHOICE_FUNCTIONS,
     DEFAULT_CAP_CLASS_SIZE,
-    DEFAULT_CAP_POSITIONS,
-    FoGame,
-    FoMode,
-)
-from .oracle import count_functions_up_to, min_size_table, oracle_minsize
-from .propbounds import (
-    density,
-    density_lower_bound,
-    parity_balanced,
-    parity_dnf,
-    parity_property,
-)
-from .propgame import (
     DEFAULT_CAP_EXACT_STRINGS,
+    DEFAULT_CAP_POSITIONS,
     DEFAULT_CAP_STRINGS,
-    GameMode,
-    PropGame,
-    PropPosition,
+    ContractError,
+    InputError,
+    ResourceCapError,
 )
-from .props import StringProperty, format_formula, separates, size
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,7 +59,7 @@ def _load_json(path: str) -> object:
         raise InputError(f"{path} is not valid JSON: {exc}")
 
 
-def _load_pair(path: str) -> tuple[StringProperty, StringProperty]:
+def _load_pair(path: str) -> tuple[ef.StringProperty, ef.StringProperty]:
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise InputError(f"{path}: a pair file must be a JSON object")
@@ -99,12 +73,12 @@ def _load_pair(path: str) -> tuple[StringProperty, StringProperty]:
             isinstance(s, str) for s in strings
         ):
             raise InputError(f"{path}: {key!r} must be a list of binary strings")
-        sides.append(StringProperty.from_strings(width, strings))
+        sides.append(ef.StringProperty.from_strings(width, strings))
     return sides[0], sides[1]
 
 
-def _load_class(path: str) -> StructureClass:
-    return class_from_json(_load_json(path))
+def _load_class(path: str) -> ef.StructureClass:
+    return ef.class_from_json(_load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -158,31 +132,31 @@ def repro_parity(n: int, **caps: int) -> ReproReport:
     start = time.perf_counter()
     # the balanced formula is never larger than the DNF, at every width
     # both accept
-    construction = parity_balanced(n)
-    left, right = parity_property(n)
-    certificate = density_lower_bound(left, right)
-    if not separates(construction, left, right):
+    construction = ef.parity_balanced(n)
+    left, right = ef.parity_property(n)
+    certificate = ef.density_lower_bound(left, right)
+    if not ef.separates(construction, left, right):
         raise ContractError(
-            f"parity construction of size {size(construction)} does not separate "
+            f"parity construction of size {ef.size(construction)} does not separate "
             f"the instances"
         )
     exact = cap_hit = None
     try:
-        exact = PropGame(n, **caps).minsize(left, right)
+        exact = ef.PropGame(n, **caps).minsize(left, right)
     except ResourceCapError as exc:
         cap_hit = str(exc)
     elapsed = int((time.perf_counter() - start) * 1000)
     return ReproReport(
-        "parity", n, certificate, size(construction), exact, elapsed, cap_hit
+        "parity", n, certificate, ef.size(construction), exact, elapsed, cap_hit
     )
 
 
 def _check_fo(
-    f: Optional[FoFormula],
-    left: StructureClass,
-    right: StructureClass,
+    f: Optional[ef.FoFormula],
+    left: ef.StructureClass,
+    right: ef.StructureClass,
     what: str,
-    mode: FoMode = FoMode.EXISTENTIAL,
+    mode: ef.FoMode,
     rank: Optional[int] = None,
 ) -> None:
     """Raise ContractError unless f, the answer named by what, separates the
@@ -190,12 +164,12 @@ def _check_fo(
     existential."""
     if f is None:
         raise ContractError(f"no formula of size <= {rank} was synthesized")
-    if not (fo_free_vars(f) <= left.domain and fo_separates(f, left, right)):
-        raise ContractError(f"{what} {format_fo(f)} does not separate the instances")
-    if rank is not None and fo_size(f) > rank:
-        raise ContractError(f"{what} has size {fo_size(f)} > rank {rank}")
-    if mode is FoMode.EXISTENTIAL and not is_existential(f):
-        raise ContractError(f"{what} {format_fo(f)} is not existential")
+    if not (ef.fo_free_vars(f) <= left.domain and ef.fo_separates(f, left, right)):
+        raise ContractError(f"{what} {ef.format_fo(f)} does not separate the instances")
+    if rank is not None and ef.fo_size(f) > rank:
+        raise ContractError(f"{what} has size {ef.fo_size(f)} > rank {rank}")
+    if mode is ef.FoMode.EXISTENTIAL and not ef.is_existential(f):
+        raise ContractError(f"{what} {ef.format_fo(f)} is not existential")
 
 
 def repro_fo(experiment: str, n: int, **caps: int) -> ReproReport:
@@ -204,13 +178,15 @@ def repro_fo(experiment: str, n: int, **caps: int) -> ReproReport:
     the FoGame caps) the exact existential minimal size."""
     start = time.perf_counter()
     if experiment == "boolcomb":
-        left, right = boolcomb_instances(n)
-        certificate, sentence = measure_M(left, right), boolcomb_existential_sentence(n)
+        left, right = ef.boolcomb_instances(n)
+        certificate = ef.measure_M(left, right)
+        sentence = ef.boolcomb_existential_sentence(n)
     else:
-        left, right = linorder_instances(n)
-        certificate, sentence = measure_N(left, right), linorder_existential_sentence(n)
-    _check_fo(sentence, left, right, "construction sentence")
-    construction = fo_size(sentence)
+        left, right = ef.linorder_instances(n)
+        certificate = ef.measure_N(left, right)
+        sentence = ef.linorder_existential_sentence(n)
+    _check_fo(sentence, left, right, "construction sentence", ef.FoMode.EXISTENTIAL)
+    construction = ef.fo_size(sentence)
     exact = cap_hit = None
     # boolcomb searches n = 1 only: at n = 2 the search runs 6 to 9 ms before
     # the class-size cap stops it, where a linear-order query takes about 1 ms
@@ -218,8 +194,8 @@ def repro_fo(experiment: str, n: int, **caps: int) -> ReproReport:
         # the checked sentence bounds the minimal size by its own size, so
         # only the smaller ranks need refuting
         try:
-            smaller = FoGame(**caps).minsize(
-                left, right, FoMode.EXISTENTIAL, w_max=construction - 1
+            smaller = ef.FoGame(**caps).minsize(
+                left, right, ef.FoMode.EXISTENTIAL, w_max=construction - 1
             )
             exact = construction if smaller is None else smaller
         except ResourceCapError as exc:
@@ -236,12 +212,12 @@ def repro_fo(experiment: str, n: int, **caps: int) -> ReproReport:
 
 def _cmd_prop_minsize(args) -> tuple[str, dict]:
     left, right = _load_pair(args.pair)
-    k = PropGame(left.width, **_caps(args)).minsize(left, right)
+    k = ef.PropGame(left.width, **_caps(args)).minsize(left, right)
     if k is None:
         return "inseparable", {"result": "inseparable"}
     # density is defined only when both sides are nonempty
     if not (left.is_empty or right.is_empty):
-        bound = density_lower_bound(left, right)
+        bound = ef.density_lower_bound(left, right)
         if bound > k:
             raise ContractError(
                 f"minimal size {k} is below the density lower bound {bound}"
@@ -251,8 +227,8 @@ def _cmd_prop_minsize(args) -> tuple[str, dict]:
 
 def _cmd_prop_winner(args) -> tuple[str, dict]:
     left, right = _load_pair(args.pair)
-    game = PropGame(left.width, **_caps(args))
-    who = game.winner(PropPosition(args.rank, left, right), GameMode(args.mode))
+    game = ef.PropGame(left.width, **_caps(args))
+    who = game.winner(ef.PropPosition(args.rank, left, right), ef.GameMode(args.mode))
     return (
         f"player {who.value} wins at rank {args.rank} ({args.mode} mode)",
         {"winner": who.value, "rank": args.rank, "mode": args.mode},
@@ -261,28 +237,28 @@ def _cmd_prop_winner(args) -> tuple[str, dict]:
 
 def _cmd_prop_synth(args) -> tuple[str, dict]:
     left, right = _load_pair(args.pair)
-    f = PropGame(left.width, **_caps(args)).synthesize(left, right, args.rank)
+    f = ef.PropGame(left.width, **_caps(args)).synthesize(left, right, args.rank)
     if f is None:
         return (
             f"no separating formula of size <= {args.rank}",
             {"formula": None, "rank": args.rank},
         )
-    if not separates(f, left, right):
+    if not ef.separates(f, left, right):
         raise ContractError(
-            f"synthesized formula {format_formula(f)} does not separate the pair"
+            f"synthesized formula {ef.format_formula(f)} does not separate the pair"
         )
-    if size(f) > args.rank:
+    if ef.size(f) > args.rank:
         raise ContractError(
-            f"synthesized formula has size {size(f)} > rank {args.rank}"
+            f"synthesized formula has size {ef.size(f)} > rank {args.rank}"
         )
-    text = format_formula(f)
-    return text, {"formula": text, "size": size(f)}
+    text = ef.format_formula(f)
+    return text, {"formula": text, "size": ef.size(f)}
 
 
 def _cmd_prop_density(args) -> tuple[str, dict]:
     left, right = _load_pair(args.pair)
-    pair = density(left, right)
-    bound = density_lower_bound(left, right)
+    pair = ef.density(left, right)
+    bound = ef.density_lower_bound(left, right)
     text = (
         f"boundary edges: {pair.edge_count}\n"
         f"left density: {pair.left}\n"
@@ -298,13 +274,13 @@ def _cmd_prop_density(args) -> tuple[str, dict]:
 
 
 def _cmd_prop_parity(args) -> tuple[str, dict]:
-    f = parity_dnf(args.n) if args.form == "dnf" else parity_balanced(args.n)
-    text = format_formula(f)
-    return f"{text}\nsize: {size(f)}", {"formula": text, "size": size(f)}
+    f = ef.parity_dnf(args.n) if args.form == "dnf" else ef.parity_balanced(args.n)
+    text = ef.format_formula(f)
+    return f"{text}\nsize: {ef.size(f)}", {"formula": text, "size": ef.size(f)}
 
 
 def _cmd_oracle_table(args) -> tuple[str, dict]:
-    table = min_size_table(args.n)
+    table = ef.min_size_table(args.n)
     counts: dict[int, int] = {}
     for s in table.values():
         counts[s] = counts.get(s, 0) + 1
@@ -319,14 +295,14 @@ def _cmd_oracle_table(args) -> tuple[str, dict]:
 
 def _cmd_oracle_minsize(args) -> tuple[str, dict]:
     left, right = _load_pair(args.pair)
-    k = oracle_minsize(left, right)
+    k = ef.oracle_minsize(left, right)
     if k is None:
         return "inseparable", {"result": "inseparable"}
     return f"minimum separating size: {k}", {"result": "size", "size": k}
 
 
 def _cmd_oracle_count(args) -> tuple[str, dict]:
-    c = count_functions_up_to(args.m, args.n)
+    c = ef.count_functions_up_to(args.m, args.n)
     bound = 2**args.m * (args.n + 2) ** (2 * args.m)
     return (
         f"functions of {args.n} variables with minimal size <= {args.m}: {c}\n"
@@ -337,7 +313,7 @@ def _cmd_oracle_count(args) -> tuple[str, dict]:
 
 def _cmd_fo_winner(args) -> tuple[str, dict]:
     left, right = _load_class(args.left), _load_class(args.right)
-    who = FoGame(**_caps(args)).winner(args.rank, left, right, FoMode(args.mode))
+    who = ef.FoGame(**_caps(args)).winner(args.rank, left, right, ef.FoMode(args.mode))
     return (
         f"player {who.value} wins at rank {args.rank} ({args.mode} mode)",
         {"winner": who.value, "rank": args.rank, "mode": args.mode},
@@ -346,7 +322,7 @@ def _cmd_fo_winner(args) -> tuple[str, dict]:
 
 def _cmd_fo_minsize(args) -> tuple[str, dict]:
     left, right = _load_class(args.left), _load_class(args.right)
-    game, mode = FoGame(**_caps(args)), FoMode(args.mode)
+    game, mode = ef.FoGame(**_caps(args)), ef.FoMode(args.mode)
     k = game.minsize(left, right, mode, args.wmax)
     if k is None and not set(left.members).isdisjoint(right.members):
         return "inseparable", {"result": "inseparable"}
@@ -362,39 +338,40 @@ def _cmd_fo_minsize(args) -> tuple[str, dict]:
 
 def _cmd_fo_synth(args) -> tuple[str, dict]:
     left, right = _load_class(args.left), _load_class(args.right)
-    mode = FoMode(args.mode)
-    f = FoGame(**_caps(args)).synthesize(left, right, args.rank, mode)
+    mode = ef.FoMode(args.mode)
+    f = ef.FoGame(**_caps(args)).synthesize(left, right, args.rank, mode)
     if f is None:
         return (
             f"no separating formula of size <= {args.rank}",
             {"formula": None, "rank": args.rank},
         )
     _check_fo(f, left, right, "synthesized formula", mode, args.rank)
-    text = format_fo(f)
-    return text, {"formula": text, "size": fo_size(f)}
+    text = ef.format_fo(f)
+    return text, {"formula": text, "size": ef.fo_size(f)}
 
 
 def _cmd_fo_measure(args) -> tuple[str, dict]:
     # positionals fill left first, so a right file means both were given
     if args.n is not None and args.left is None:
-        maker = boolcomb_instances if args.family == "boolcomb" else linorder_instances
+        boolcomb = args.family == "boolcomb"
+        maker = ef.boolcomb_instances if boolcomb else ef.linorder_instances
         left, right = maker(args.n)
     elif args.n is None and args.right is not None:
         left, right = _load_class(args.left), _load_class(args.right)
     else:
         raise InputError("measure needs --n or two class files")
     if args.family == "boolcomb":
-        name, value = "M", measure_M(left, right)
+        name, value = "M", ef.measure_M(left, right)
     else:
-        name, value = "N", measure_N(left, right)
+        name, value = "N", ef.measure_N(left, right)
     # the measure claims a lower bound on the existential minimal size, so
     # no smaller rank may win; a cap that stops the search leaves it unchecked
     text = f"measure {name}: {value}"
     checked = True
     if value >= 2:
         try:
-            smaller = FoGame(**_caps(args)).minsize(
-                left, right, FoMode.EXISTENTIAL, w_max=value - 1
+            smaller = ef.FoGame(**_caps(args)).minsize(
+                left, right, ef.FoMode.EXISTENTIAL, w_max=value - 1
             )
         except ResourceCapError as exc:
             smaller, checked = None, False

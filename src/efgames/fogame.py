@@ -26,7 +26,13 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional
 
-from .errors import InputError, ResourceCapError
+from .errors import (
+    DEFAULT_CAP_CHOICE_FUNCTIONS,
+    DEFAULT_CAP_CLASS_SIZE,
+    DEFAULT_CAP_POSITIONS,
+    InputError,
+    ResourceCapError,
+)
 from .fo import (
     EqAtom,
     Exists,
@@ -43,11 +49,6 @@ from .fo import (
     check_comparable,
 )
 from .formula import Player
-
-DEFAULT_CAP_POSITIONS = 1_000_000
-DEFAULT_CAP_CHOICE_FUNCTIONS = 100_000
-DEFAULT_CAP_CLASS_SIZE = 64
-
 
 # the hot paths compare against this module constant: looking a member up
 # on the Enum class (``FoMode.FULL``) costs several times a global read

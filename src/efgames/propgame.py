@@ -125,7 +125,13 @@ from math import factorial
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Union
 
-from .errors import ContractError, InputError, ResourceCapError
+from .errors import (
+    DEFAULT_CAP_EXACT_STRINGS,
+    DEFAULT_CAP_STRINGS,
+    ContractError,
+    InputError,
+    ResourceCapError,
+)
 from .formula import Player
 from .props import (
     And,
@@ -143,9 +149,6 @@ from .props import (
     truth_table,
     var_mask,
 )
-
-DEFAULT_CAP_EXACT_STRINGS = 8
-DEFAULT_CAP_STRINGS = 16
 
 
 class GameMode(enum.Enum):

@@ -159,11 +159,10 @@ def var_mask(width: int, i: int) -> int:
     """Membership mask of the strings with s_i = 1."""
     if not 1 <= i <= width:
         raise InputError(f"variable p{i} exceeds width {width}")
-    mask = 0
-    for e in range(1 << width):
-        if e >> (i - 1) & 1:
-            mask |= 1 << e
-    return mask
+    # s_i = 1 on the upper h strings of every run of 2h, for h = 2**(i - 1):
+    # the full mask over 2**(2h) - 1 puts a one at the start of every run
+    h = 1 << (i - 1)
+    return _strings_mask(width) // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h)
 
 
 def truth_table(f: Formula, width: int) -> int:

@@ -4,6 +4,7 @@ callers can assert emptiness with their own framing."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -584,25 +585,47 @@ def fo_search_mismatches(
     return violations
 
 
+@functools.lru_cache(maxsize=None)
+def reference_sizes(width: int) -> ReferenceSizeTable:
+    """One reference per width for callers that read only its sizes, which
+    do not depend on what it visited before."""
+    return ReferenceSizeTable(width)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_run(
+    width: int, roots: tuple[tuple[int, int], ...]
+) -> tuple[ReferenceSizeTable, list[int]]:
+    """The reference after answering the roots in order, computed once per
+    (width, roots), and the length of its table after each root.  The table
+    only grows, so what it visited for each prefix of the roots is a leading
+    slice of it in insertion order."""
+    ref, lengths = ReferenceSizeTable(width), []
+    for root in roots:
+        ref.value(*root)
+        lengths.append(len(ref._value))
+    return ref, lengths
+
+
 def size_table_mismatches(width: int, roots: list[tuple[int, int]]) -> list[str]:
     """Answer the roots in order on one PropGame and on the reference.
     After each root the returned sizes must agree, and the game must answer
-    every position the reference holds with the reference's size.  Each
-    new fill is read once, when it appears: every cell, its compact
-    indices expanded over the root's masks, must hold the reference's size
-    (from the reference's table, else 1 where a literal separates the
-    cell, else the reference's value), and table_entries must grow by the
-    number of its cells with both sides nonempty.  A root that a literal
-    separates, or that has an empty side, must add no fill and leave
-    table_entries as it was, and table_entries must read the table's
+    every position the reference visited for the roots so far with the
+    reference's size.  Each new fill is read once, when it appears: every
+    cell, its compact indices expanded over the root's masks, must hold the
+    reference's size (from the reference's table, else 1 where a literal
+    separates the cell, else the reference's value), and table_entries must
+    grow by the number of its cells with both sides nonempty.  A root that
+    a literal separates, or that has an empty side, must add no fill and
+    leave table_entries as it was, and table_entries must read the table's
     length."""
-    game, ref = PropGame(width), ReferenceSizeTable(width)
+    game, (ref, lengths) = PropGame(width), _reference_run(width, tuple(roots))
     # a cell the reference never visits is a literal win or has an empty
     # side; a second reference sizes the latter, so ref holds what it visited
-    spare = ReferenceSizeTable(width)
+    spare = reference_sizes(width)
     table = game._value
     violations = []
-    for smask, rmask in roots:
+    for (smask, rmask), visited in zip(roots, lengths):
         where = f"width {width} after root {smask:#x}/{rmask:#x}"
         seen, entries = len(table.fills), game.table_entries
         got, want = game.value(smask, rmask), ref.value(smask, rmask)
@@ -615,7 +638,9 @@ def size_table_mismatches(width: int, roots: list[tuple[int, int]]) -> list[str]
                 violations.append(
                     f"{where}: a root answered without a fill changed the table"
                 )
-        wrong = sum(game.value(*key) != v for key, v in ref._value.items())
+        # the positions the reference visited for the roots so far
+        so_far = itertools.islice(ref._value.items(), visited)
+        wrong = sum(game.value(*key) != v for key, v in so_far)
         if wrong:
             violations.append(f"{where}: {wrong} reference positions answered wrong")
         answered = 0  # the new fills' cells with both sides nonempty
@@ -647,9 +672,12 @@ def compact_masks(mask: int) -> list[int]:
     """The submasks of mask by compact index: bit j of the index stands for
     the j-th lowest member of mask."""
     masks = [0]
-    for e in range(mask.bit_length()):
-        if mask >> e & 1:
-            masks += [1 << e | x for x in masks]
+    # one step per member, lowest first: a shift per bit position would
+    # cost quadratic time on a width-16 mask of 2**16 bits
+    while mask:
+        low = mask & -mask
+        masks += [low | x for x in masks]
+        mask ^= low
     return masks
 
 

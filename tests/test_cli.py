@@ -320,7 +320,7 @@ def test_fo_measure_is_refuted_below_its_value(n, value):
 
 def test_fo_measure_above_the_exact_size_exits_three(monkeypatch):
     # the order-3 root separates at size 5, so a measure of 6 is no bound
-    monkeypatch.setattr(cli, "measure_N", lambda left, right: 6)
+    monkeypatch.setattr(efgames, "measure_N", lambda left, right: 6)
     code, out, err = run_cli("fo", "measure", "--family", "linorder", "--n", "3")
     assert (code, out) == (3, "")
     assert "measure N is 6, but an existential formula of size 5" in err
@@ -379,7 +379,7 @@ def test_repro_parity_rejects_a_width_past_its_construction_at_once(monkeypatch)
     def unreachable(left, right):
         raise AssertionError("the certificate was computed")
 
-    monkeypatch.setattr(cli, "density_lower_bound", unreachable)
+    monkeypatch.setattr(efgames, "density_lower_bound", unreachable)
     for n in ("11", "17"):
         code, out, err = run_cli("repro", "parity", "--n", n)
         assert (code, out) == (1, "")
@@ -439,13 +439,13 @@ def test_repro_reports_a_cap_hit_as_not_computed():
 def test_repro_searches_only_below_the_checked_construction(monkeypatch):
     # the construction sentence of size 5 is checked first, so the search
     # only has to refute ranks 1..4
-    minsize, asked = cli.FoGame.minsize, []
+    minsize, asked = efgames.FoGame.minsize, []
 
     def spy(self, left, right, mode, w_max):
         asked.append(w_max)
         return minsize(self, left, right, mode, w_max)
 
-    monkeypatch.setattr("efgames.cli.FoGame.minsize", spy)
+    monkeypatch.setattr("efgames.FoGame.minsize", spy)
     code, out, _ = run_cli("--json", "repro", "linorder", "--n", "3")
     assert code == 0
     assert asked == [4]
@@ -498,7 +498,7 @@ def test_a_class_over_the_cap_at_the_root_says_how_far_the_query_got(tmp_path):
 
 def test_repro_rechecks_the_parity_construction(monkeypatch):
     # p1 is smaller than either parity formula, so it is the one reported
-    monkeypatch.setattr("efgames.cli.parity_balanced", lambda n: Var(1))
+    monkeypatch.setattr("efgames.parity_balanced", lambda n: Var(1))
     code, out, err = run_cli("repro", "parity", "--n", "3")
     assert code == 3
     assert out == ""
@@ -711,7 +711,7 @@ def test_prop_synth_rechecks_the_formula(monkeypatch, parity_pair):
     assert separates(padded, *parity_property(2)) and size(padded) == 5
     for wrong in (Var(1), padded):
         monkeypatch.setattr(
-            "efgames.cli.PropGame.synthesize", lambda self, left, right, budget: wrong
+            "efgames.PropGame.synthesize", lambda self, left, right, budget: wrong
         )
         code, out, err = run_cli("prop", "synth", parity_pair, "--rank", "4")
         assert code == 3
@@ -721,7 +721,7 @@ def test_prop_synth_rechecks_the_formula(monkeypatch, parity_pair):
 
 def test_prop_minsize_rechecks_the_density_bound(monkeypatch, parity_pair):
     # the density bound of parity 2 is 4
-    monkeypatch.setattr("efgames.cli.PropGame.minsize", lambda self, left, right: 3)
+    monkeypatch.setattr("efgames.PropGame.minsize", lambda self, left, right: 3)
     code, out, err = run_cli("prop", "minsize", parity_pair)
     assert code == 3
     assert out == ""
@@ -744,7 +744,7 @@ def test_fo_synth_rechecks_the_formula(monkeypatch, order_classes):
     left, right = order_classes
     for wrong in WRONG_FO_ANSWERS:
         monkeypatch.setattr(
-            "efgames.cli.FoGame.synthesize", lambda self, l, r, rank, mode: wrong
+            "efgames.FoGame.synthesize", lambda self, l, r, rank, mode: wrong
         )
         code, out, err = run_cli(
             "fo", "synth", left, right, "--rank", "3", "--mode", "existential"
@@ -759,19 +759,19 @@ def test_fo_synth_rechecks_the_formula(monkeypatch, order_classes):
 
 def test_fo_minsize_rechecks_a_formula_of_that_size(monkeypatch, order_classes):
     left, right = order_classes
-    synthesize = cli.FoGame.synthesize
+    synthesize = efgames.FoGame.synthesize
     for wrong in WRONG_FO_ANSWERS:
         monkeypatch.setattr(
-            "efgames.cli.FoGame.synthesize", lambda self, l, r, rank, mode: wrong
+            "efgames.FoGame.synthesize", lambda self, l, r, rank, mode: wrong
         )
         code, out, err = run_cli("fo", "minsize", left, right, "--mode", "existential")
         assert code == 3
         assert out == ""
         assert "contract violation:" in err
     # a size below the true minimum 3 has no formula to show for it
-    monkeypatch.setattr("efgames.cli.FoGame.synthesize", synthesize)
+    monkeypatch.setattr("efgames.FoGame.synthesize", synthesize)
     monkeypatch.setattr(
-        "efgames.cli.FoGame.minsize", lambda self, l, r, mode, w_max: 2
+        "efgames.FoGame.minsize", lambda self, l, r, mode, w_max: 2
     )
     code, out, err = run_cli("fo", "minsize", left, right, "--mode", "existential")
     assert code == 3
@@ -788,7 +788,7 @@ def test_fo_minsize_rechecks_a_formula_of_that_size(monkeypatch, order_classes):
 def test_repro_rechecks_the_construction_sentence(monkeypatch, family, builder):
     # true on both sides, and free variables outside the empty domain
     for wrong in (Exists(0, EqAtom(0, 0)), RelAtom("<", (0, 1))):
-        monkeypatch.setattr(f"efgames.cli.{builder}", lambda n: wrong)
+        monkeypatch.setattr(f"efgames.{builder}", lambda n: wrong)
         code, out, err = run_cli("repro", family, "--n", "2")
         assert code == 3
         assert out == ""
@@ -798,7 +798,7 @@ def test_repro_rechecks_the_construction_sentence(monkeypatch, family, builder):
 def test_repro_rejects_a_universal_construction(monkeypatch):
     # separates the 2-order from the 1-order, but is not existential
     universal = Forall(0, Exists(1, FoNot(EqAtom(0, 1))))
-    monkeypatch.setattr("efgames.cli.linorder_existential_sentence", lambda n: universal)
+    monkeypatch.setattr("efgames.linorder_existential_sentence", lambda n: universal)
     code, out, err = run_cli("repro", "linorder", "--n", "2")
     assert code == 3
     assert "contract violation: construction sentence" in err

@@ -23,10 +23,26 @@ LOADS = [
         "from efgames import oracle_minsize",
         {"errors", "formula", "fo", "oracle", "props"},
     ),
+    # the command line reads every solver name through the package, so
+    # building its parser (what --help does) loads no solver, and a command
+    # loads only the solver it runs; pair.json holds PAIR
+    ("import efgames.cli", {"cli", "errors"}),
+    ("import efgames.cli; efgames.cli._parser().format_help()", {"cli", "errors"}),
+    (
+        "import efgames.cli; efgames.cli.run(['prop', 'minsize', 'pair.json'])",
+        {"cli", "errors", "formula", "props", "propbounds", "propgame"},
+    ),
+    (
+        "import efgames.cli; "
+        "efgames.cli.run(['fo', 'measure', '--family', 'linorder', '--n', '3'])",
+        {"cli", "errors", "formula", "fo", "fobounds", "fogame", "props"},
+    ),
 ]
+# the width-2 parity pair
+PAIR = {"width": 2, "S": ["00", "11"], "R": ["01", "10"]}
 
 
-def _loaded_after(statement):
+def _loaded_after(statement, cwd):
     # a fresh interpreter: the test process has already imported everything
     src = str(Path(efgames.__file__).resolve().parent.parent)
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -40,14 +56,18 @@ def _loaded_after(statement):
         text=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
         timeout=120,
+        cwd=cwd,
     )
     assert done.returncode == 0, done.stderr
-    return set(json.loads(done.stdout))
+    # the report is the last line, after whatever the statement printed
+    return set(json.loads(done.stdout.splitlines()[-1]))
 
 
 @pytest.mark.parametrize("statement, submodules", LOADS)
-def test_a_caller_loads_only_the_submodules_it_uses(statement, submodules):
-    assert _loaded_after(statement) == {"efgames"} | {f"efgames.{m}" for m in submodules}
+def test_a_caller_loads_only_the_submodules_it_uses(statement, submodules, tmp_path):
+    (tmp_path / "pair.json").write_text(json.dumps(PAIR))
+    loaded = _loaded_after(statement, tmp_path)
+    assert loaded == {"efgames"} | {f"efgames.{m}" for m in submodules}
 
 
 def test_every_exported_name_is_its_submodules_object():

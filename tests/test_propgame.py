@@ -318,7 +318,7 @@ def test_fill_lines_match_reference_where_folds_stop_early_or_read_every_half(s_
     # along either side, these roots have cells that a fold stopping one
     # above the bound, or at its first split below the best, gets wrong
     rng = random.Random(154)
-    game, ref = PropGame(4), suites.ReferenceSizeTable(4)
+    game, ref = PropGame(4), suites.reference_sizes(4)
     for smask, rmask in _random_roots(rng, 4, [(7, 6), (6, 9)]):
         s_members = game._member_lits(smask, 0)
         r_members = game._member_lits(rmask, EVERY_4)

@@ -21,6 +21,7 @@ from efgames import (
     to_nnf,
     truth_table,
 )
+from efgames.props import var_mask
 
 PARITY2 = Or(And(Var(1), Var(2)), And(Not(Var(1)), Not(Var(2))))
 
@@ -240,3 +241,16 @@ def test_all_two_bit_strings_enumerable():
     ]
     p = StringProperty.from_strings(2, strings)
     assert len(p) == 4
+
+
+def _var_mask_by_strings(width, i):
+    # the definition: one bit per string of the width with s_i = 1
+    return sum(1 << e for e in range(1 << width) if e >> (i - 1) & 1)
+
+
+def test_var_mask_matches_its_definition():
+    cases = [(w, i) for w in range(1, 13) for i in range(1, w + 1)]
+    for width, i in cases + [(16, 1), (16, 8), (16, 16)]:
+        assert var_mask(width, i) == _var_mask_by_strings(width, i), (width, i)
+    with pytest.raises(InputError):
+        var_mask(3, 4)
