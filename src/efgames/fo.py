@@ -71,6 +71,9 @@ class Model:
     vocabulary: Vocabulary
     universe_size: int
     relations: tuple[frozenset[tuple[int, ...]], ...]
+    # kept on first use: a model keys the solvers' dicts once per structure
+    _hash: Optional[int] = field(default=None, init=False, compare=False, repr=False)
+    _sort_key: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.universe_size < 1:
@@ -107,12 +110,18 @@ class Model:
                 return rel
         raise InputError(f"unknown relation symbol {name!r}")
 
+    def __hash__(self) -> int:
+        if self._hash is None:
+            key = (self.vocabulary, self.universe_size, self.relations)
+            object.__setattr__(self, "_hash", hash(key))
+        return self._hash
+
     def sort_key(self) -> tuple:
-        return (
-            self.universe_size,
-            self.vocabulary.symbols,
-            tuple(tuple(sorted(rel)) for rel in self.relations),
-        )
+        if self._sort_key is None:
+            rels = tuple(tuple(sorted(rel)) for rel in self.relations)
+            key = (self.universe_size, self.vocabulary.symbols, rels)
+            object.__setattr__(self, "_sort_key", key)
+        return self._sort_key
 
 
 _EMPTY_ITEMS: tuple[tuple[int, int], ...] = ()
@@ -186,9 +195,6 @@ class Structure:
             h = hash((self.model, self.assignment))
             object.__setattr__(self, "_hash", h)
         return h
-
-    def sort_key(self) -> tuple:
-        return (self.model.sort_key(), self.assignment.items)
 
 
 @dataclass(frozen=True)
@@ -420,7 +426,7 @@ def atom_candidates(vocabulary: Vocabulary, variables: Sequence[int]) -> list[Fo
     relation atoms in vocabulary order with argument tuples in
     ``itertools.product(variables, repeat=arity)`` order, then equalities in
     ``itertools.combinations_with_replacement(variables, 2)`` order.
-    ``atom_mask`` reads a structure's truth values in this same order."""
+    ``atom_mask`` reads the truth values under an assignment in this same order."""
     atoms: list[Formula] = []
     for name, arity in vocabulary.symbols:
         for args in itertools.product(variables, repeat=arity):
@@ -432,22 +438,21 @@ def atom_candidates(vocabulary: Vocabulary, variables: Sequence[int]) -> list[Fo
     return atoms
 
 
-def atom_mask(st: Structure) -> int:
+def atom_mask(model: Model, values: Sequence[int]) -> int:
     """The truth values of ``atom_candidates(vocabulary, variables)`` in
-    the structure, bit i for atom i, where the variables are the sorted
-    assignment domain.  One pass over the assigned values in variable
-    order: for each relation, one bit per ``itertools.product`` tuple of
-    its arity, set when the tuple is in the relation; then one bit per
-    ``itertools.combinations_with_replacement`` pair, set when the two
+    the model, bit i for atom i, where the variables are the sorted
+    assignment domain and ``values`` their elements in that order.  One
+    pass over the values: for each relation, one bit per ``itertools.product``
+    tuple of its arity, set when the tuple is in the relation; then one bit
+    per ``itertools.combinations_with_replacement`` pair, set when the two
     values are equal.  That is the order of ``atom_candidates``."""
-    vals = tuple(a for _, a in st.assignment.items)
     mask, bit = 0, 1
-    for (_, arity), rel in zip(st.model.vocabulary.symbols, st.model.relations):
-        for row in itertools.product(vals, repeat=arity):
+    for (_, arity), rel in zip(model.vocabulary.symbols, model.relations):
+        for row in itertools.product(values, repeat=arity):
             if row in rel:
                 mask |= bit
             bit <<= 1
-    for a, b in itertools.combinations_with_replacement(vals, 2):
+    for a, b in itertools.combinations_with_replacement(values, 2):
         if a == b:
             mask |= bit
         bit <<= 1

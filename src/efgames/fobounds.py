@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import InputError
 from .fo import (
@@ -54,7 +54,8 @@ from .fo import (
     Vocabulary,
     check_comparable,
 )
-from .props import BitString
+if TYPE_CHECKING:  # imported where the combination family builds one
+    from .props import BitString
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +146,7 @@ def classify_boolcomb(
     """How well the member's assignment mirrors the reference assignment
     alpha, which lives on the full-combination model (element e(r) has
     trace r, so reference values are read as traces directly)."""
+    from .props import BitString
     beta = member.assignment
     if beta.domain != alpha.domain:
         raise InputError("assignments have different domains")
@@ -192,6 +194,7 @@ def classify_boolcomb(
 def measure_M(left: StructureClass, right: StructureClass) -> int:
     """(n + 1) * flawless members + good-enough members of the adversary
     class, classified against the single reference member."""
+    from .props import BitString
     check_comparable(left, right)
     if len(left.members) != 1:
         raise InputError("the reference class must have exactly one member")

@@ -42,7 +42,7 @@ from .fo import (
     FoNot,
     FoOr,
     Forall,
-    Structure,
+    Model,
     StructureClass,
     atom_candidates,
     atom_mask,
@@ -66,17 +66,18 @@ def _members(m: int) -> Iterator[int]:
 class FoGame:
     """Solver with memo tables shared across queries.
 
-    Structures are interned to small ints, so a class is an int bitset
-    over ids (bit ``id`` for each member), and that bitset is the one value
-    that stands for it.  Interning also makes one ``atom_mask`` pass over
-    the structure, which gives the truth of every atom over its assignment
-    domain, and keeps the truth values twice: as the id's int mask (bit i
-    for the i-th entry of ``atom_candidates``), whose AND/OR folds over the
-    members decide the atomic win, and as bit ``id`` of the atom's column,
-    one id bitset per (atom list, atom index), so the members of a class
-    on which a literal holds are one AND of the class with the column or
-    its complement.  Each structure's extensions x_j -> a are interned
-    once per variable.
+    Structures are interned to small ints by their key (model, assignment
+    items), all an id's record keeps, so a class is an int bitset over ids
+    (bit ``id`` for each member), and that bitset is the one value that
+    stands for it.  Root members come as checked ``Structure``s; their
+    extensions x_j -> a are interned from keys alone, once per (id, x_j).
+    Interning makes one ``atom_mask`` pass over the model and the values,
+    giving the truth of every atom over the assignment domain, and keeps
+    it twice: as the id's int mask (bit i for the i-th entry of
+    ``atom_candidates``), whose AND/OR folds over the members decide the
+    atomic win, and as bit ``id`` of the atom's column, one id bitset per
+    (atom list, atom index), so the members of a class on which a literal
+    holds are one AND of the class with the column or its complement.
 
     The memo is one sub-table per (mode is FULL, rank, domain), keyed by
     the (A bitset, B bitset) pair: equal classes give equal keys without
@@ -125,8 +126,8 @@ class FoGame:
         self.cap_choice_functions = cap_choice_functions
         self.cap_class_size = cap_class_size
         self.positions_visited = 0
-        self._ids: dict[Structure, int] = {}
-        self._by_id: list[Structure] = []
+        self._ids: dict[tuple[Model, tuple], int] = {}
+        self._by_id: list[tuple[Model, tuple[tuple[int, int], ...]]] = []
         self._keys: list[tuple] = []
         self._masks: list[int] = []
         self._atoms_of: list[list[FoFormula]] = []
@@ -137,26 +138,26 @@ class FoGame:
         self._star: dict[tuple[int, int], int] = {}
         self._halves: dict[tuple[int, int], tuple[list, list]] = {}
         self._folded: dict[int, tuple[int, int]] = {}
-        self._classes: dict[
-            tuple[tuple[Structure, ...], frozenset[int]], tuple[int, tuple[int, ...]]
-        ] = {}
+        self._classes: dict[tuple, tuple[int, tuple[int, ...]]] = {}
         self._supps: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
 
     # -- interning ----------------------------------------------------------
 
-    def _intern(self, st: Structure) -> int:
-        sid = self._ids.get(st)
-        if sid is None:
-            sid = len(self._by_id)
-            self._ids[st] = sid
-            self._by_id.append(st)
-            self._keys.append(st.sort_key())
-            key = (st.model.vocabulary, tuple(j for j, _ in st.assignment.items))
-            if key not in self._atom_lists:
-                atoms = atom_candidates(*key)
-                self._atom_lists[key] = (atoms, [0] * len(atoms))
-            atoms, cols = self._atom_lists[key]
-            mask = atom_mask(st)
+    def _intern(self, model: Model, items: tuple[tuple[int, int], ...]) -> int:
+        """The id of the structure (model, assignment items), new or not."""
+        key = (model, items)
+        sid = self._ids.setdefault(key, len(self._by_id))
+        if sid == len(self._by_id):  # a key not seen before
+            self._by_id.append(key)
+            self._keys.append((model.sort_key(), items))
+            variables, values = zip(*items) if items else ((), ())
+            lists = (model.vocabulary.symbols, variables)  # hashed in C
+            got = self._atom_lists.get(lists)
+            if got is None:
+                atoms = atom_candidates(model.vocabulary, variables)
+                got = self._atom_lists[lists] = (atoms, [0] * len(atoms))
+            atoms, cols = got
+            mask = atom_mask(model, values)
             rest = mask
             while rest:
                 low = rest & -rest
@@ -227,16 +228,19 @@ class FoGame:
         return got
 
     def _extensions(self, sid: int, j: int) -> tuple[int, ...]:
-        """Ids of the structure extended by x_j -> a, for every element a."""
+        """Ids of the structure extended by x_j -> a, for every element a:
+        its items without x_j, with (j, a) in variable order.  a is in the
+        universe and x_j goes first, so no ``Structure`` need check that."""
         key = (sid, j)
         got = self._ext.get(key)
         if got is None:
-            st = self._by_id[sid]
-            got = tuple(
-                self._intern(Structure(st.model, st.assignment.extend(j, a)))
-                for a in range(st.model.universe_size)
+            model, items = self._by_id[sid]
+            head = tuple(p for p in items if p[0] < j)
+            tail = tuple(p for p in items if p[0] > j)
+            got = self._ext[key] = tuple(
+                self._intern(model, head + ((j, a),) + tail)
+                for a in range(model.universe_size)
             )
-            self._ext[key] = got
         return got
 
     def _branching(self, w: int, m: int, j: int) -> int:
@@ -248,8 +252,8 @@ class FoGame:
         star = self._star.get((m, j))
         if star is None:
             size = 0
-            if m and j not in self._by_id[m.bit_length() - 1].assignment:
-                size = sum(self._by_id[sid].model.universe_size for sid in _members(m))
+            if m and all(v != j for v, _ in self._by_id[m.bit_length() - 1][1]):
+                size = sum(self._by_id[sid][0].universe_size for sid in _members(m))
             if size <= self.cap_class_size:
                 star = 0
                 for sid in _members(m):
@@ -277,7 +281,7 @@ class FoGame:
         got = self._halves.get((m, j))
         if got is None:
             ids = self._ordered(m)
-            total = math.prod(self._by_id[sid].model.universe_size for sid in ids)
+            total = math.prod(self._by_id[sid][0].universe_size for sid in ids)
             if total > self.cap_choice_functions:
                 raise self._capped(
                     f"{total} choice functions exceed the cap "
@@ -512,7 +516,7 @@ class FoGame:
         if got is None:
             m = 0
             for st in cls.members:
-                m |= 1 << self._intern(st)
+                m |= 1 << self._intern(st.model, st.assignment.items)
             got = self._classes[key] = (m, tuple(sorted(cls.domain)))
         return got
 

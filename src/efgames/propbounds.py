@@ -9,7 +9,6 @@ ceil(left density * right density) can tell the sides apart.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -30,6 +29,12 @@ class DensityPair:
 
 def density(left: StringProperty, right: StringProperty) -> DensityPair:
     """Exact boundary densities; requires disjoint nonempty sides."""
+    edges = _edge_count(left, right)
+    return DensityPair(Fraction(edges, len(left)), Fraction(edges, len(right)), edges)
+
+
+def _edge_count(left: StringProperty, right: StringProperty) -> int:
+    """The number of boundary edges; requires disjoint nonempty sides."""
     check_same_width(left, right)
     if left.mask & right.mask:
         raise InputError("density requires disjoint properties")
@@ -43,16 +48,14 @@ def density(left: StringProperty, right: StringProperty) -> DensityPair:
         for i in range(width):
             if right.mask >> (e ^ (1 << i)) & 1:
                 edges += 1
-    return DensityPair(
-        Fraction(edges, len(left)), Fraction(edges, len(right)), edges
-    )
+    return edges
 
 
 def density_lower_bound(left: StringProperty, right: StringProperty) -> int:
-    """ceil(left density * right density), a size every separating
-    formula must reach."""
-    pair = density(left, right)
-    return math.ceil(pair.left * pair.right)
+    """ceil(left density * right density) = ceil(edges**2 / (|left| *
+    |right|)), a size every separating formula must reach."""
+    edges = _edge_count(left, right)
+    return -(-(edges * edges) // (len(left) * len(right)))
 
 
 # ---------------------------------------------------------------------------

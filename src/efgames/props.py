@@ -39,13 +39,7 @@ class BitString:
 
     @classmethod
     def parse(cls, text: str) -> "BitString":
-        if not text or any(c not in "01" for c in text):
-            raise InputError(f"not a nonempty binary string: {text!r}")
-        bits = 0
-        for i, c in enumerate(text):  # text[0] is s_1
-            if c == "1":
-                bits |= 1 << i
-        return cls(len(text), bits)
+        return cls(len(text), _parse_bits(text))
 
     def bit(self, i: int) -> int:
         """Value of s_i (1-based)."""
@@ -58,6 +52,16 @@ class BitString:
 
     def __str__(self) -> str:
         return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.width))
+
+
+def _parse_bits(text: str) -> int:
+    """e(s) of the string s_1 s_2 ... as text, after a ``BitString``'s checks."""
+    # strip leaves what is not 0 or 1, some of which int() takes ("_", " ")
+    if not text or text.strip("01"):
+        raise InputError(f"not a nonempty binary string: {text!r}")
+    if len(text) > MAX_WIDTH:
+        raise InputError(f"string width must be 1..{MAX_WIDTH}, got {len(text)}")
+    return int(text[::-1], 2)  # text[0] is s_1, the least significant bit
 
 
 def _strings_mask(width: int) -> int:
@@ -82,10 +86,11 @@ class StringProperty:
     def from_strings(cls, width: int, strings: Iterable[Union[str, BitString]]) -> "StringProperty":
         mask = 0
         for s in strings:
-            b = s if isinstance(s, BitString) else BitString.parse(s)
-            if b.width != width:
-                raise InputError(f"string {b} has width {b.width}, expected {width}")
-            mask |= 1 << b.bits
+            text = str(s) if isinstance(s, BitString) else s  # s_1 s_2 ...
+            bits = _parse_bits(text)
+            if len(text) != width:
+                raise InputError(f"string {text} has width {len(text)}, expected {width}")
+            mask |= 1 << bits
         return cls(width, mask)
 
     @classmethod

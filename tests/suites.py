@@ -245,7 +245,7 @@ class ReferenceFoGame(FoGame):
     kept beside ``_winning_move`` until that became its one decision."""
 
     def _canon(self, members: Iterable[Structure]) -> tuple[int, ...]:
-        ids = {self._intern(st) for st in members}
+        ids = {self._intern(st.model, st.assignment.items) for st in members}
         return tuple(sorted(ids, key=self._keys.__getitem__))
 
     def _bitset(self, ids: Iterable[int]) -> int:
@@ -320,7 +320,7 @@ class ReferenceFoGame(FoGame):
         return result
 
     def _choice_classes(self, ids: tuple[int, ...], j: int) -> Iterable[tuple[int, ...]]:
-        total = math.prod(self._by_id[sid].model.universe_size for sid in ids)
+        total = math.prod(self._by_id[sid][0].universe_size for sid in ids)
         if total > self.cap_choice_functions:
             raise ResourceCapError(
                 f"{total} choice functions exceed the cap "

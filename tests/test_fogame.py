@@ -36,7 +36,7 @@ from efgames import (
     class_to_json,
     parity_property,
 )
-from efgames.fo import atom_mask
+from efgames.fo import atom_mask, structure_from_json, structure_to_json
 from efgames.fogame import _members
 
 
@@ -404,7 +404,7 @@ def test_kept_folds_classes_and_supplements_match_fresh_ones(tiny_fo_suite):
         for cls in entered:
             bits = 0
             for st in cls.members:
-                bits |= 1 << game._ids[st]
+                bits |= 1 << game._ids[st.model, st.assignment.items]
             assert game._classes[cls.members, cls.domain] == (
                 bits,
                 tuple(sorted(cls.domain)),
@@ -607,10 +607,10 @@ def test_atom_masks_pick_the_first_atomic_separator():
 def test_atoms_are_evaluated_only_while_interning(monkeypatch):
     calls = 0
 
-    def counting_mask(st):
+    def counting_mask(model, values):
         nonlocal calls
         calls += 1
-        return atom_mask(st)
+        return atom_mask(model, values)
 
     monkeypatch.setattr("efgames.fogame.atom_mask", counting_mask)
     a, b = linorder_instances(3)
@@ -665,16 +665,69 @@ def test_atom_mask_matches_fo_eval(tiny_fo_suite):
     assert any(st.assignment.domain == {0, 2, 5} for st in structures)
     for st in structures:
         if not st.assignment.items:
-            assert atom_mask(st) == 0
+            assert atom_mask(st.model, ()) == 0
     game = FoGame()
     for st in structures:
-        game._intern(st)
+        game._intern(st.model, st.assignment.items)
     games.append(game)
     for game in games:
-        for sid, st in enumerate(game._by_id):
+        for sid, (model, items) in enumerate(game._by_id):
+            st = Structure(model, Assignment(items))
             want = _reference_mask(st)
-            assert atom_mask(st) == want, st
+            assert atom_mask(model, [a for _, a in items]) == want, st
             assert game._masks[sid] == want, st
+
+
+def _solved_games(tiny_fo_suite):
+    """The tiny universe's games and fresh games solved on linorder n = 2
+    and 3 and on boolcomb n = 1, in both modes."""
+    games = [game for game, _ in tiny_fo_suite.values()]
+    for a, b in (*(linorder_instances(n) for n in (2, 3)), boolcomb_instances(1)):
+        for mode in FoMode:
+            game = FoGame()
+            assert game.minsize(a, b, mode, w_max=5) is not None
+            games.append(game)
+    return games
+
+
+def test_extension_keys_are_the_keys_of_extended_structures(tiny_fo_suite):
+    # an extension is interned from its key alone; the key is the one the
+    # checked Structure and Assignment.extend give, so the checks hold
+    for game in _solved_games(tiny_fo_suite):
+        assert game._ext
+        for (sid, j), exts in game._ext.items():
+            model, items = game._by_id[sid]
+            st = Structure(model, Assignment(items))
+            assert len(exts) == model.universe_size
+            for a, ext in enumerate(exts):
+                assert game._by_id[ext] == (st.model, st.assignment.extend(j, a).items)
+
+
+def test_extensions_drop_the_bound_variable_first():
+    # rebinding a variable of the domain replaces its value, as extend does
+    for a, b in (linorder_instances(2), boolcomb_instances(1)):
+        game = FoGame()
+        game.minsize(a, b, FoMode.FULL, w_max=3)
+        for sid, (model, items) in enumerate(list(game._by_id)):
+            st = Structure(model, Assignment(items))
+            for j in {v for v, _ in items} | {0, 1, 2}:
+                for x, ext in enumerate(game._extensions(sid, j)):
+                    want = Structure(model, st.assignment.extend(j, x))
+                    assert game._by_id[ext] == (want.model, want.assignment.items)
+
+
+def test_reinterning_a_structure_gives_its_id(tiny_fo_suite):
+    # also from an equal model that is another object, read back from JSON
+    for game in _solved_games(tiny_fo_suite):
+        count = len(game._by_id)
+        for sid, (model, items) in enumerate(game._by_id[:count]):
+            st = Structure(model, Assignment(items))
+            copy = structure_from_json(structure_to_json(st))
+            assert copy.model is not model
+            assert game._intern(st.model, st.assignment.items) == sid
+            assert game._intern(copy.model, copy.assignment.items) == sid
+            assert game._keys[sid] == (copy.model.sort_key(), copy.assignment.items)
+        assert len(game._by_id) == len(game._ids) == len(game._masks) == count
 
 
 def test_atom_columns_transpose_the_atom_masks(tiny_fo_suite):

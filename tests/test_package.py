@@ -35,7 +35,7 @@ LOADS = [
     (
         "import efgames.cli; "
         "efgames.cli.run(['fo', 'measure', '--family', 'linorder', '--n', '3'])",
-        {"cli", "errors", "formula", "fo", "fobounds", "fogame", "props"},
+        {"cli", "errors", "formula", "fo", "fobounds", "fogame"},
     ),
 ]
 # the width-2 parity pair

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -56,6 +57,22 @@ def test_density_bound_rounds_up():
     assert density_lower_bound(left, right) == (
         pair.left * pair.right
     ).__ceil__()
+
+
+def test_density_bound_is_the_ceiling_of_the_fraction_product():
+    # the integer ceiling against the product of the exact densities, on
+    # seeded disjoint pairs of widths 1-6 and on parity
+    rng = random.Random(41)
+    pairs = [parity_property(n) for n in range(1, 7)]
+    while len(pairs) < 300:
+        width = rng.randint(1, 6)
+        sides = [rng.randrange(3) for _ in range(1 << width)]
+        masks = [sum(1 << e for e, side in enumerate(sides) if side == k) for k in (1, 2)]
+        if all(masks):
+            pairs.append(tuple(StringProperty(width, m) for m in masks))
+    for left, right in pairs:
+        pair = density(left, right)
+        assert density_lower_bound(left, right) == math.ceil(pair.left * pair.right)
 
 
 def test_parity_three_bound_is_nine():

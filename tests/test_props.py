@@ -52,6 +52,41 @@ def test_property_membership_and_width_check():
         StringProperty.from_strings(2, ["101"])
 
 
+def test_parse_and_from_strings_share_checks_and_encoding():
+    # e(s) read bit by bit, s_1 least significant, for every string of width
+    # <= 6 and some of width 16
+    rng = random.Random(5)
+    texts = [
+        "".join(bits)
+        for width in range(1, 7)
+        for bits in itertools.product("01", repeat=width)
+    ]
+    texts += ["".join(rng.choice("01") for _ in range(16)) for _ in range(50)]
+    for text in texts:
+        bits = sum(1 << i for i, c in enumerate(text) if c == "1")
+        assert BitString.parse(text) == BitString(len(text), bits)
+        prop = StringProperty.from_strings(len(text), [text])
+        assert prop == StringProperty(len(text), 1 << bits)
+    # what int(text, 2) would accept is still refused, with one message
+    junk = {
+        "": "not a nonempty binary string: ''",
+        "10a": "not a nonempty binary string: '10a'",
+        "1_0": "not a nonempty binary string: '1_0'",
+        " 10": "not a nonempty binary string: ' 10'",
+        "\uff11\uff10": "not a nonempty binary string: '\uff11\uff10'",
+        "0" * 17: "string width must be 1..16, got 17",
+    }
+    for text, message in junk.items():
+        for make in (BitString.parse, lambda t: StringProperty.from_strings(2, [t])):
+            with pytest.raises(InputError) as err:
+                make(text)
+            assert str(err.value) == message
+    with pytest.raises(InputError, match="^string 101 has width 3, expected 2$"):
+        StringProperty.from_strings(2, ["10", "101"])
+    with pytest.raises(InputError, match="^string 101 has width 3, expected 2$"):
+        StringProperty.from_strings(2, [BitString.parse("101")])
+
+
 def test_eval_literal_on_first_bit():
     assert evaluate(Var(1), BitString.parse("10"))
 
