@@ -116,6 +116,11 @@ class Model:
             object.__setattr__(self, "_hash", hash(key))
         return self._hash
 
+    def __reduce__(self) -> tuple:
+        # the kept hash is not pickled: string hashes differ between
+        # interpreters, so a copy hashes itself again where it is loaded
+        return Model, (self.vocabulary, self.universe_size, self.relations)
+
     def sort_key(self) -> tuple:
         if self._sort_key is None:
             rels = tuple(tuple(sorted(rel)) for rel in self.relations)
@@ -195,6 +200,10 @@ class Structure:
             h = hash((self.model, self.assignment))
             object.__setattr__(self, "_hash", h)
         return h
+
+    def __reduce__(self) -> tuple:
+        # as for Model: the kept hash stays in the interpreter that made it
+        return Structure, (self.model, self.assignment)
 
 
 @dataclass(frozen=True)

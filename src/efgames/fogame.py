@@ -79,12 +79,19 @@ class FoGame:
     (atom list, atom index), so the members of a class on which a literal
     holds are one AND of the class with the column or its complement.
 
-    The memo is one sub-table per (mode is FULL, rank, domain), keyed by
-    the (A bitset, B bitset) pair: equal classes give equal keys without
-    sorting, and a scan fetches its children's sub-table once.  Each
-    position a query visits becomes one entry once it is decided, so after
-    an uncapped query on a fresh solver the entries over all sub-tables
-    number its ``positions_visited``.
+    The memo is one sub-table per (mode is FULL, rank, domain) with one
+    row per B bitset, and a row maps each A bitset to the position's
+    winner: equal classes give equal keys without sorting, and no key
+    tuple is built per position.  A scan fetches its children's sub-table
+    once.  A left (existential) scan fixes B to the star, so it fetches
+    that row once and reads each child by the chooser's bitset; a right
+    (universal) scan's children differ in B, so it fetches each child's
+    row by the chooser's bitset and reads the fixed side in it.  Both
+    orientations read and write the one sub-table, so a position that one
+    stored answers the other.  Each position a query visits becomes one
+    row entry once it is decided, so after an uncapped query on a fresh
+    solver the row sizes sum to its ``positions_visited``, and no row is
+    empty.
 
     Member order decides which moves are tried first, and so which
     positions the search visits and which formula it extracts.  That order
@@ -110,9 +117,12 @@ class FoGame:
     record: equal classes share one record, and the ids that members
     intern to never change.  ``_supps`` keeps, per domain, the (variable,
     domain after binding it) pairs of ``_supp_vars``, which reads nothing
-    but the domain.  The checks of a query (comparable
-    classes, the class-size cap, the reset of ``positions_visited``) still
-    run on every call, since the caps may change between queries.
+    but the domain.  A position reads ``_folded``, ``_supps``, ``_star``
+    and ``_halves`` straight from their dicts and calls a builder only on
+    a miss.  The checks of a query (comparable classes, the class-size
+    cap, the reset of ``positions_visited``) still run on every call, and
+    a star read from its dict is still held to the class-size cap, since
+    the caps may change between queries.
     """
 
     def __init__(
@@ -134,7 +144,7 @@ class FoGame:
         self._cols_of: list[list[int]] = []
         self._atom_lists: dict[tuple, tuple[list[FoFormula], list[int]]] = {}
         self._ext: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._memo: dict[tuple, dict[tuple[int, int], bool]] = {}
+        self._memo: dict[tuple, dict[int, dict[int, bool]]] = {}
         self._star: dict[tuple[int, int], int] = {}
         self._halves: dict[tuple[int, int], tuple[list, list]] = {}
         self._folded: dict[int, tuple[int, int]] = {}
@@ -187,8 +197,9 @@ class FoGame:
         A, on every member of B and on some member of B.  The position
         needs a member, any one, to fix its atom list."""
         atoms = (1 << len(self._atoms_of[(am or bm).bit_length() - 1])) - 1
-        every_a, some_a = self._fold(am)
-        every_b, some_b = self._fold(bm)
+        folded = self._folded
+        every_a, some_a = folded.get(am) or self._fold(am)
+        every_b, some_b = folded.get(bm) or self._fold(bm)
         return every_a & atoms, some_a, every_b & atoms, some_b
 
     def _fold(self, m: int) -> tuple[int, int]:
@@ -303,10 +314,9 @@ class FoGame:
             got = self._halves[m, j] = tuple(halves)
         return got
 
-    def _table(self, full: bool, w: int, dom: tuple[int, ...]) -> dict:
-        """The memo sub-table of one (mode is FULL, rank, domain), keyed by
-        the (A bitset, B bitset) pair."""
-        key = (full, w, dom)
+    def _table(self, key: tuple[bool, int, tuple[int, ...]]) -> dict:
+        """The memo sub-table of one (mode is FULL, rank, domain): one row
+        per B bitset, each row keyed by the A bitset."""
         table = self._memo.get(key)
         if table is None:
             table = self._memo[key] = {}
@@ -328,19 +338,31 @@ class FoGame:
         come in ``itertools.product`` order over the members in
         ``_ordered`` order, each one a head half-combination joined with a
         tail one."""
-        head, tail = self._chooser(w, m, j)
+        head, tail = self._halves.get((m, j)) or self._chooser(w, m, j)
         v = w - 1
-        table = self._table(mode is _FULL, v, dom2)
+        key = (mode is _FULL, v, dom2)
+        table = self._memo.get(key) or self._table(key)
         get = table.get
+        # a left scan's children share the B row of the fixed side (the
+        # star), keyed by the chooser's bitset; a right scan's child has the chooser's bitset
+        # as its B row, in which the fixed side is the key
+        row = None
+        if left:
+            row = get(fm)
+            if row is None:
+                row = table[fm] = {}
         if v >= 2:
             for hb, _, _ in head:
                 for tb, _, _ in tail:
                     cb = hb | tb
-                    got = get((cb, fm) if left else (fm, cb))
-                    if got is None:
-                        if left:
+                    if left:
+                        got = row.get(cb)
+                        if got is None:
                             got = self._wins(mode, v, cb, fm, dom2)
-                        else:
+                    else:
+                        row = get(cb)
+                        got = None if row is None else row.get(fm)
+                        if got is None:
                             got = self._wins(mode, v, fm, cb, dom2)
                     if got:
                         return cb
@@ -349,8 +371,8 @@ class FoGame:
         # of it and on none of the fixed side, or the reverse.  x_j = x_j is
         # an atom true on every member, so every fold holds its bit: a side
         # with no members (AND fold -1) wins, as in _winning_move, and the
-        # folds need no mask to the atom list.  Per head row the fixed
-        # side's folds are joined in once, and the visit count stays in a
+        # folds need no mask to the atom list.  Per head half-combination
+        # the fixed side's folds are joined in once, and the visit count stays in a
         # local that is written back before a cap error and at the end.
         every_f, some_f = self._fold(fm)
         none_f = ~some_f
@@ -360,8 +382,13 @@ class FoGame:
             h_none &= every_f
             for tb, t_every, t_none in tail:
                 cb = hb | tb
-                key = (cb, fm) if left else (fm, cb)
-                got = get(key)
+                if left:
+                    got = row.get(cb)
+                else:
+                    row = get(cb)
+                    if row is None:
+                        row = table[cb] = {}
+                    got = row.get(fm)
                 if got is None:
                     visited += 1
                     if visited > cap:
@@ -371,7 +398,8 @@ class FoGame:
                             f"(--cap-positions)",
                             v,
                         )
-                    got = table[key] = (h_every & t_every | h_none & t_none) != 0
+                    got = (h_every & t_every | h_none & t_none) != 0
+                    row[cb if left else fm] = got
                 if got:
                     self.positions_visited = visited
                     return cb
@@ -386,11 +414,13 @@ class FoGame:
         """Whether player I wins at rank w on the class bitset am against
         bm."""
         # a plain bool hashes in C; an Enum member hashes through Python
-        table = self._table(mode is _FULL, w, dom)
-        key = (am, bm)
-        got = table.get(key)
-        if got is not None:
-            return got
+        key = (mode is _FULL, w, dom)
+        table = self._memo.get(key) or self._table(key)
+        row = table.get(bm)
+        if row is not None:
+            got = row.get(am)
+            if got is not None:
+                return got
         self.positions_visited += 1
         if self.positions_visited > self.cap_positions:
             raise self._capped(
@@ -399,7 +429,9 @@ class FoGame:
                 w,
             )
         result = self._winning_move(mode, w, am, bm, dom) is not None
-        table[key] = result
+        if row is None:  # every move lowers the rank: the search wrote no row here
+            row = table[bm] = {}
+        row[am] = result
         return result
 
     def _winning_move(
@@ -446,13 +478,18 @@ class FoGame:
                     ):
                         return (side, u, w - u, cm, dm)
         # supplementing moves bind a variable and cost one rank
-        for j, dom2 in self._supplements(dom):
-            bsm = self._branching(w, bm, j)
+        star, cap = self._star, self.cap_class_size
+        for j, dom2 in self._supps.get(dom) or self._supplements(dom):
+            bsm = star.get((bm, j))
+            if bsm is None or bsm.bit_count() > cap:
+                bsm = self._branching(w, bm, j)
             cm = self._choice_scan(mode, w, True, am, bsm, dom2, j)
             if cm is not None:
                 return ("lsupp", j, cm, bsm, dom2)
             if mode is _FULL:
-                asm = self._branching(w, am, j)
+                asm = star.get((am, j))
+                if asm is None or asm.bit_count() > cap:
+                    asm = self._branching(w, am, j)
                 cm = self._choice_scan(mode, w, False, bm, asm, dom2, j)
                 if cm is not None:
                     return ("rsupp", j, asm, cm, dom2)

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import efgames
 from efgames import (
     EMPTY_ASSIGNMENT,
     And,
@@ -363,3 +368,39 @@ def test_class_members_share_domain():
         StructureClass.of(
             frozenset([order_struct(2, {0: 0}), order_struct(2)])
         )
+
+
+# pickled where PYTHONHASHSEED is 1, loaded where it is 2: a structure and
+# its model must still be found by a fresh equal one in a set
+PICKLE_SIDES = [
+    (
+        "1",
+        "import pickle, sys; from efgames import linear_order, Structure, Assignment; "
+        "st = Structure(linear_order(3), Assignment.make({0: 2})); hash(st); "
+        "sys.stdout.buffer.write(pickle.dumps(st))",
+    ),
+    (
+        "2",
+        "import pickle, sys; from efgames import linear_order, Structure, Assignment; "
+        "st = pickle.loads(sys.stdin.buffer.read()); "
+        "fresh = Structure(linear_order(3), Assignment.make({0: 2})); "
+        "print(st == fresh, st in {fresh}, st.model in {fresh.model})",
+    ),
+]
+
+
+def test_an_unpickled_structure_hashes_in_the_loading_interpreter():
+    src = str(Path(efgames.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    data = b""
+    for seed, code in PICKLE_SIDES:
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            input=data,
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths), PYTHONHASHSEED=seed),
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        data = done.stdout
+    assert data.decode().split() == ["True", "True", "True"]

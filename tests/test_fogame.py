@@ -365,9 +365,41 @@ def test_every_visited_position_is_one_memo_entry(mode, positions):
     game = FoGame()
     assert game.minsize(a, b, mode, w_max=5) == 5
     assert game.positions_visited == positions
-    assert sum(map(len, game._memo.values())) == positions
+    rows = [row for table in game._memo.values() for row in table.values()]
+    assert sum(map(len, rows)) == positions
+    assert all(rows)
     assert game.minsize(a, b, mode, w_max=5) == 5
     assert game.positions_visited == 0
+
+
+def test_a_right_scan_reads_the_position_a_left_scan_stored():
+    # on one-element universes a member's star is its one choice function,
+    # so the right scan's child at (star of A, choice on B) is the left
+    # scan's child at (choice on A, star of B): one position, one entry
+    vocab = Vocabulary.make(("P1", 1), ("E", 2))
+    structs = [
+        Structure(Model.make(vocab, 1, {"P1": p, "E": e}), EMPTY_ASSIGNMENT)
+        for p in ((), [(0,)])
+        for e in ((), [(0, 0)])
+    ]
+    classes = [
+        StructureClass.of(combo, vocabulary=vocab, domain=())
+        for k in (1, 2)
+        for combo in itertools.combinations(structs, k)
+    ]
+    # at rank 2 the left scan loses its one rank-1 child, and the right
+    # scan meets it in the memo: only the root and that child are visited
+    game = FoGame()
+    assert game.winner(2, classes[4], classes[0], FoMode.FULL) is Player.II
+    assert game.positions_visited == 2
+    queries = [(a, b, w) for a in classes for b in classes for w in (1, 2, 3)]
+    assert suites.fo_search_mismatches(queries, FoMode.FULL) == []
+    for a, b, w in queries:
+        game = FoGame()
+        game.winner(w, a, b, FoMode.FULL)
+        rows = [row for table in game._memo.values() for row in table.values()]
+        assert sum(map(len, rows)) == game.positions_visited
+        assert all(rows)
 
 
 def test_kept_folds_classes_and_supplements_match_fresh_ones(tiny_fo_suite):
@@ -393,8 +425,9 @@ def test_kept_folds_classes_and_supplements_match_fresh_ones(tiny_fo_suite):
         doms = set(game._supps)
         for (_, _, dom), table in game._memo.items():
             doms.add(dom)
-            for am, bm in table:
-                sides.update((am, bm))
+            for bm, row in table.items():
+                for am in row:
+                    sides.update((am, bm))
         for m in sides:
             every, some = -1, 0
             for sid in _members(m):
