@@ -105,9 +105,14 @@ class FoGame:
     player I chooses from, each half-combination carrying its bitset and
     the AND and complemented OR of its atom masks.  A supplementing move
     scans the choice functions in ``itertools.product`` order over the two
-    halves.  A rank-1 child is decided from those folds against the other
-    side's folds, without a call (it is still looked up, counted and
-    recorded like any position).
+    halves.  A rank-1 scan is decided at once: ``_rank1`` keeps, beside the
+    halves, the atoms true and the atoms false on some extension of every
+    member, and those two masks against the other side's folds tell whether
+    some choice function's child wins.  A refuted scan records all its
+    children as lost in one dict merge, each still counted once like any
+    position; a scan with a winner, or one whose children could pass the
+    position cap, decides its children one by one from the halves' folds
+    against the other side's folds, without a call.
 
     Three more records are built once and read on every later visit.
     ``_folded`` keeps ``_fold`` of each class bitset: a bitset names a
@@ -147,6 +152,7 @@ class FoGame:
         self._memo: dict[tuple, dict[int, dict[int, bool]]] = {}
         self._star: dict[tuple[int, int], int] = {}
         self._halves: dict[tuple[int, int], tuple[list, list]] = {}
+        self._rank1: dict[tuple[int, int], list] = {}
         self._folded: dict[int, tuple[int, int]] = {}
         self._classes: dict[tuple, tuple[int, tuple[int, ...]]] = {}
         self._supps: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
@@ -286,9 +292,12 @@ class FoGame:
         functions x_j -> a of the first and of the second half of the
         members in ``_ordered`` order, each in ``itertools.product`` order
         and combined into its class's bitset with the AND and the
-        complemented OR of its atom masks.  The cap on choice functions is
-        checked first, so a refused class interns no extension and leaves
-        no halves behind."""
+        complemented OR of its atom masks.  Beside them ``_rank1`` keeps
+        the ORs of those two folds over all choice functions, each the
+        head's OR joined with the tail's: the atoms true, and the atoms
+        false, on some extension of every member.  The cap on choice
+        functions is checked first, so a refused class interns no
+        extension and leaves no halves behind."""
         got = self._halves.get((m, j))
         if got is None:
             ids = self._ordered(m)
@@ -311,6 +320,15 @@ class FoGame:
                         for e in ext
                     ]
                 halves.append(combos)
+            reach = []
+            for combos in halves:
+                some_every = some_none = 0
+                for _, every, none in combos:
+                    some_every |= every
+                    some_none |= none
+                reach.append((some_every, some_none))
+            (h_every, h_none), (t_every, t_none) = reach
+            self._rank1[m, j] = [h_every & t_every, h_none & t_none, None]
             got = self._halves[m, j] = tuple(halves)
         return got
 
@@ -337,7 +355,21 @@ class FoGame:
         against the fixed side fm; None when none does.  Choice functions
         come in ``itertools.product`` order over the members in
         ``_ordered`` order, each one a head half-combination joined with a
-        tail one."""
+        tail one.
+
+        At rank w - 1 = 1 a child wins iff some atom is true on all of it
+        and on none of fm, or the reverse, and the chooser's children are
+        every choice function: so some child wins iff some atom is true on
+        some extension of every member and on no member of fm, or false on
+        some extension of every member and true on every member of fm, one
+        test of the ``_rank1`` masks against fm's folds.  A refuted scan
+        within the position cap records every child as lost at once, from
+        the record's dict of choice bitsets in scan order, built on its
+        first refuted scan: a left scan merges it into the star's row, and
+        the row's growth is the count of new positions; a right scan walks
+        it into the children's rows.  Any other scan walks its children
+        one by one and stops at the first winner or at the cap, so a cap
+        stops at the same position and leaves the same memo either way."""
         head, tail = self._halves.get((m, j)) or self._chooser(w, m, j)
         v = w - 1
         key = (mode is _FULL, v, dom2)
@@ -371,12 +403,38 @@ class FoGame:
         # of it and on none of the fixed side, or the reverse.  x_j = x_j is
         # an atom true on every member, so every fold holds its bit: a side
         # with no members (AND fold -1) wins, as in _winning_move, and the
-        # folds need no mask to the atom list.  Per head half-combination
-        # the fixed side's folds are joined in once, and the visit count stays in a
-        # local that is written back before a cap error and at the end.
+        # folds need no mask to the atom list; the tests below hold bit by
+        # bit, the sign bits of -1 folds included.
         every_f, some_f = self._fold(fm)
         none_f = ~some_f
         visited, cap = self.positions_visited, self.cap_positions
+        rank1 = self._rank1[m, j]
+        some_every, some_none, lost = rank1
+        if (
+            not (some_every & none_f | some_none & every_f)
+            and visited + len(head) * len(tail) <= cap
+        ):
+            if lost is None:
+                lost = rank1[2] = dict.fromkeys(
+                    [hb | tb for hb, _, _ in head for tb, _, _ in tail], False
+                )
+            if left:
+                before = len(row)
+                row.update(lost)
+                self.positions_visited = visited + len(row) - before
+                return None
+            for cb in lost:
+                row = get(cb)
+                if row is None:
+                    row = table[cb] = {}
+                if fm not in row:
+                    row[fm] = False
+                    visited += 1
+            self.positions_visited = visited
+            return None
+        # per head half-combination the fixed side's folds are joined in
+        # once, and the visit count stays in a local that is written back
+        # before a cap error and at the end
         for hb, h_every, h_none in head:
             h_every &= none_f
             h_none &= every_f

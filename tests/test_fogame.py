@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -589,6 +590,9 @@ def _order_three_answers(solver):
         {"cap_positions": 3000},
         {"cap_choice_functions": 2},
         {"cap_choice_functions": 30},
+        # inside the second of the four 19,683-child rank-1 scans the full
+        # rank-4 query refutes, each recorded in bulk when it fits the cap
+        {"cap_positions": 30_000},
     ],
 )
 def test_a_cap_leaves_the_solver_as_the_reference(caps):
@@ -610,6 +614,101 @@ def test_a_cap_leaves_the_solver_as_the_reference(caps):
     assert [answer[0] for answer in raised] == [Player.II] * 4 + [Player.I] + [
         Player.II
     ] * 4 + [Player.I]
+
+
+def test_the_order_three_memo_is_the_reference_memo():
+    # the bulk record of a refuted rank-1 scan stores the positions, and the
+    # winners, that the reference stores one choice function at a time
+    a, b = linorder_instances(3)
+    game, ref = FoGame(), suites.ReferenceFoGame()
+    assert game.minsize(a, b, FoMode.FULL, w_max=5) == 5
+    assert ref.minsize(a, b, FoMode.FULL, w_max=5) == 5
+
+    def bits(ids):
+        return sum(1 << game._ids[ref._by_id[sid]] for sid in ids)
+
+    got = {
+        (full, w, dom, am, bm): won
+        for (full, w, dom), table in game._memo.items()
+        for bm, row in table.items()
+        for am, won in row.items()
+    }
+    want = {
+        (full, w, dom, bits(ak), bits(bk)): won
+        for (full, w, ak, bk, dom), won in ref._memo.items()
+    }
+    assert len(got) == game.positions_visited == 82_799
+    assert got == want
+
+
+def _one_element_classes():
+    """Classes of one and two structures over one-element universes of a
+    unary and a binary symbol, with nothing bound."""
+    vocab = Vocabulary.make(("P1", 1), ("E", 2))
+    structs = [
+        Structure(Model.make(vocab, 1, {"P1": p, "E": e}), EMPTY_ASSIGNMENT)
+        for p in ((), [(0,)])
+        for e in ((), [(0, 0)])
+    ]
+    return [
+        StructureClass.of(combo, vocabulary=vocab, domain=())
+        for k in (1, 2)
+        for combo in itertools.combinations(structs, k)
+    ]
+
+
+def test_a_rank_one_scan_agrees_with_deciding_every_choice_function(monkeypatch):
+    # the closed-form test of a rank-1 scan against the first child that
+    # wins when every choice function's child is decided in turn, on every
+    # chooser record and fixed side the searches below scan, in both
+    # orientations and against an empty fixed side
+    scans = {}
+    scan = FoGame._choice_scan
+
+    def logged(self, mode, w, left, m, fm, dom2, j):
+        if w == 2:
+            scans[self, mode, m, fm, dom2, j] = None
+        return scan(self, mode, w, left, m, fm, dom2, j)
+
+    monkeypatch.setattr(FoGame, "_choice_scan", logged)
+    _tiny_universe_answers()
+    for mode in FoMode:
+        for n in (2, 3):
+            assert FoGame().minsize(*linorder_instances(n), mode, w_max=5) == 2 * n - 1
+        game = FoGame()
+        for _, a, b in suites._linorder_positions(n_max=3):
+            for w in (1, 2, 3):
+                game.winner(w, a, b, mode)
+        game = FoGame()
+        for a, b in itertools.product(_one_element_classes(), repeat=2):
+            for w in (2, 3):
+                game.winner(w, a, b, mode)
+    monkeypatch.undo()
+    decided = {True: 0, False: 0}
+    for game, mode, m, fm, dom2, j in scans:
+        choices = [
+            sum({1 << ext for ext in picks})
+            for picks in itertools.product(
+                *(game._extensions(sid, j) for sid in game._ordered(m))
+            )
+        ]
+        for fixed in (fm, 0):
+            for left in (True, False):
+                child = (lambda cb: (cb, fixed)) if left else (lambda cb: (fixed, cb))
+                want = next(
+                    (
+                        cb
+                        for cb in choices
+                        if game._winning_move(mode, 1, *child(cb), dom2) is not None
+                    ),
+                    None,
+                )
+                # a fresh memo, so every child is decided by this scan
+                clone = copy.copy(game)
+                clone._memo, clone.positions_visited = {}, 0
+                assert clone._choice_scan(mode, 2, left, m, fixed, dom2, j) == want
+                decided[want is None] += 1
+    assert all(decided.values())
 
 
 def test_atom_masks_pick_the_first_atomic_separator():
