@@ -22,7 +22,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import efgames as ef
@@ -85,43 +84,67 @@ def _load_class(path: str) -> ef.StructureClass:
 # repro experiments
 
 
-@dataclass(frozen=True)
 class ReproReport:
     """One benchmark run: the certificate bound must never exceed the
-    construction size, and an exact minimal size must sit between them."""
+    construction size, and an exact minimal size must sit between them.
 
-    experiment: str
-    n: int
-    certificate_bound: int
-    construction_size: int
-    exact_minsize: Optional[int]
-    runtime_ms: int
-    cap_hit: Optional[str] = None
+    ``proven_interval`` is [exact minimal size if the search found it,
+    else the certificate bound; construction size]: the minimal size lies
+    in it whether or not the search ran to its end."""
 
-    def __post_init__(self) -> None:
-        if self.certificate_bound > self.construction_size:
+    __slots__ = (
+        "experiment", "n", "certificate_bound", "construction_size",
+        "exact_minsize", "proven_interval", "runtime_ms", "cap_hit",
+    )
+
+    def __init__(
+        self,
+        experiment: str,
+        n: int,
+        certificate_bound: int,
+        construction_size: int,
+        exact_minsize: Optional[int],
+        runtime_ms: int,
+        cap_hit: Optional[str] = None,
+    ) -> None:
+        if certificate_bound > construction_size:
             raise ContractError(
-                f"certificate {self.certificate_bound} exceeds the construction "
-                f"size {self.construction_size}"
+                f"certificate {certificate_bound} exceeds the construction "
+                f"size {construction_size}"
             )
-        if self.exact_minsize is not None and not (
-            self.certificate_bound <= self.exact_minsize <= self.construction_size
+        if exact_minsize is not None and not (
+            certificate_bound <= exact_minsize <= construction_size
         ):
             raise ContractError(
-                f"exact size {self.exact_minsize} falls outside "
-                f"[{self.certificate_bound}, {self.construction_size}]"
+                f"exact size {exact_minsize} falls outside "
+                f"[{certificate_bound}, {construction_size}]"
             )
+        self.experiment = experiment
+        self.n = n
+        self.certificate_bound = certificate_bound
+        self.construction_size = construction_size
+        self.exact_minsize = exact_minsize
+        low = certificate_bound if exact_minsize is None else exact_minsize
+        self.proven_interval = (low, construction_size)
+        self.runtime_ms = runtime_ms
+        self.cap_hit = cap_hit
+
+    def payload(self) -> dict:
+        """The JSON report: every field, by name, in declaration order."""
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def text(self) -> str:
         exact = str(self.exact_minsize)
         if self.exact_minsize is None:
             exact = "not computed" + (f" ({self.cap_hit})" if self.cap_hit else "")
+        low, high = self.proven_interval
         return (
             f"experiment: {self.experiment}\n"
             f"n: {self.n}\n"
             f"certificate bound: {self.certificate_bound}\n"
             f"construction size: {self.construction_size}\n"
             f"exact minimal size: {exact}\n"
+            f"proven interval: [{low}, {high}]\n"
             f"runtime: {self.runtime_ms} ms"
         )
 
@@ -389,7 +412,7 @@ def _cmd_repro(args) -> tuple[str, dict]:
         report = repro_parity(args.n, **_caps(args))
     else:
         report = repro_fo(args.experiment, args.n, **_caps(args))
-    return report.text(), asdict(report)
+    return report.text(), report.payload()
 
 
 # ---------------------------------------------------------------------------

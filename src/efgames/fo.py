@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ContractError, InputError
-from .formula import And, Atom, Exists, Forall, Formula, Not, Or, _subformulas, to_nnf
+from .formula import And, Atom, Exists, Forall, Formula, Not, Or, Record
+from .formula import _setfield, _subformulas, to_nnf
 from .formula import Formula as FoFormula, Not as FoNot, And as FoAnd, Or as FoOr
 from .formula import format_formula as format_fo, size as fo_size, to_nnf as fo_nnf
 
@@ -32,21 +32,21 @@ class FoMode(enum.Enum):
     EXISTENTIAL = "existential"
 
 
-@dataclass(frozen=True, slots=True)
-class Vocabulary:
+class Vocabulary(Record):
     """Relation symbols with arities, in a fixed order."""
 
-    symbols: tuple[tuple[str, int], ...]
+    __slots__ = ("symbols",)
 
-    def __post_init__(self) -> None:
-        names = [name for name, _ in self.symbols]
+    def __init__(self, symbols: tuple[tuple[str, int], ...]) -> None:
+        names = [name for name, _ in symbols]
         if len(set(names)) != len(names):
             raise InputError("duplicate relation symbol")
-        for name, arity in self.symbols:
+        for name, arity in symbols:
             if not name:
                 raise InputError("relation symbol must be a nonempty string")
             if arity < 1:
                 raise InputError(f"arity of {name!r} must be >= 1, got {arity}")
+        _setfield(self, "symbols", symbols)
 
     @classmethod
     def make(cls, *symbols: tuple[str, int]) -> "Vocabulary":
@@ -63,29 +63,36 @@ class Vocabulary:
         return tuple(name for name, _ in self.symbols)
 
 
-@dataclass(frozen=True, slots=True)
-class Model:
+class Model(Record):
     """Finite model over universe {0, ..., universe_size - 1}; relations
     are stored in vocabulary order."""
 
-    vocabulary: Vocabulary
-    universe_size: int
-    relations: tuple[frozenset[tuple[int, ...]], ...]
-    # kept on first use: a model keys the solvers' dicts once per structure
-    _hash: Optional[int] = field(default=None, init=False, compare=False, repr=False)
-    _sort_key: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    # _hash and _sort_key are kept on first use, since a model keys the
+    # solvers' dicts once per structure; neither is pickled, since string
+    # hashes differ between interpreters
+    __slots__ = ("vocabulary", "universe_size", "relations", "_hash", "_sort_key")
 
-    def __post_init__(self) -> None:
-        if self.universe_size < 1:
-            raise InputError(f"universe size must be >= 1, got {self.universe_size}")
-        if len(self.relations) != len(self.vocabulary.symbols):
+    def __init__(
+        self,
+        vocabulary: Vocabulary,
+        universe_size: int,
+        relations: tuple[frozenset[tuple[int, ...]], ...],
+    ) -> None:
+        if universe_size < 1:
+            raise InputError(f"universe size must be >= 1, got {universe_size}")
+        if len(relations) != len(vocabulary.symbols):
             raise InputError("one relation per vocabulary symbol required")
-        for (name, arity), rel in zip(self.vocabulary.symbols, self.relations):
+        for (name, arity), rel in zip(vocabulary.symbols, relations):
             for row in rel:
                 if len(row) != arity:
                     raise InputError(f"tuple {row} has wrong arity for {name!r}")
-                if any(not 0 <= e < self.universe_size for e in row):
+                if any(not 0 <= e < universe_size for e in row):
                     raise InputError(f"tuple {row} of {name!r} leaves the universe")
+        _setfield(self, "vocabulary", vocabulary)
+        _setfield(self, "universe_size", universe_size)
+        _setfield(self, "relations", relations)
+        _setfield(self, "_hash", None)
+        _setfield(self, "_sort_key", None)
 
     @classmethod
     def make(
@@ -110,43 +117,46 @@ class Model:
                 return rel
         raise InputError(f"unknown relation symbol {name!r}")
 
+    def __eq__(self, other: object) -> bool:
+        # spelled out, as a dataclass's is: interning compares each model
+        # with an equal one built apart, and attrgetter calls cost more
+        if other.__class__ is self.__class__:
+            return (self.vocabulary, self.universe_size, self.relations) == (
+                other.vocabulary, other.universe_size, other.relations
+            )
+        return NotImplemented
+
     def __hash__(self) -> int:
         if self._hash is None:
             key = (self.vocabulary, self.universe_size, self.relations)
-            object.__setattr__(self, "_hash", hash(key))
+            _setfield(self, "_hash", hash(key))
         return self._hash
-
-    def __reduce__(self) -> tuple:
-        # the kept hash is not pickled: string hashes differ between
-        # interpreters, so a copy hashes itself again where it is loaded
-        return Model, (self.vocabulary, self.universe_size, self.relations)
 
     def sort_key(self) -> tuple:
         if self._sort_key is None:
             rels = tuple(tuple(sorted(rel)) for rel in self.relations)
             key = (self.universe_size, self.vocabulary.symbols, rels)
-            object.__setattr__(self, "_sort_key", key)
+            _setfield(self, "_sort_key", key)
         return self._sort_key
 
 
 _EMPTY_ITEMS: tuple[tuple[int, int], ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Assignment:
+class Assignment(Record):
     """Partial map from variable indices to elements, stored sorted."""
 
-    items: tuple[tuple[int, int], ...] = _EMPTY_ITEMS
+    __slots__ = ("items",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, items: tuple[tuple[int, int], ...] = _EMPTY_ITEMS) -> None:
         seen = set()
-        for j, a in self.items:
+        for j, a in items:
             if j < 0 or a < 0:
                 raise InputError(f"assignment entry x{j} -> {a} out of range")
             if j in seen:
                 raise InputError(f"variable x{j} assigned twice")
             seen.add(j)
-        object.__setattr__(self, "items", tuple(sorted(self.items)))
+        _setfield(self, "items", tuple(sorted(items)))
 
     @classmethod
     def make(cls, mapping: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()) -> "Assignment":
@@ -178,51 +188,50 @@ class Assignment:
 EMPTY_ASSIGNMENT = Assignment()
 
 
-@dataclass(frozen=True, slots=True)
-class Structure:
-    model: Model
-    assignment: Assignment = EMPTY_ASSIGNMENT
-    # the hash of (model, assignment), kept on first use: structures key
-    # the solvers' dicts, and hashing the nested model costs microseconds
-    _hash: Optional[int] = field(default=None, init=False, compare=False, repr=False)
+class Structure(Record):
+    # _hash is the hash of (model, assignment), kept on first use:
+    # structures key the solvers' dicts, and hashing the nested model costs
+    # microseconds
+    __slots__ = ("model", "assignment", "_hash")
 
-    def __post_init__(self) -> None:
-        for j, a in self.assignment.items:
-            if a >= self.model.universe_size:
+    def __init__(self, model: Model, assignment: Assignment = EMPTY_ASSIGNMENT) -> None:
+        for j, a in assignment.items:
+            if a >= model.universe_size:
                 raise InputError(
                     f"assignment x{j} -> {a} leaves a universe of size "
-                    f"{self.model.universe_size}"
+                    f"{model.universe_size}"
                 )
+        _setfield(self, "model", model)
+        _setfield(self, "assignment", assignment)
+        _setfield(self, "_hash", None)
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
             h = hash((self.model, self.assignment))
-            object.__setattr__(self, "_hash", h)
+            _setfield(self, "_hash", h)
         return h
 
-    def __reduce__(self) -> tuple:
-        # as for Model: the kept hash stays in the interpreter that made it
-        return Structure, (self.model, self.assignment)
 
-
-@dataclass(frozen=True)
-class StructureClass:
+class StructureClass(Record):
     """Finite set of structures over one vocabulary and one domain."""
 
-    vocabulary: Vocabulary
-    domain: frozenset[int]
-    members: tuple[Structure, ...]
+    __slots__ = ("vocabulary", "domain", "members")
 
-    def __post_init__(self) -> None:
-        for st in self.members:
-            if st.model.vocabulary != self.vocabulary:
+    def __init__(
+        self, vocabulary: Vocabulary, domain: frozenset[int], members: tuple[Structure, ...]
+    ) -> None:
+        for st in members:
+            if st.model.vocabulary != vocabulary:
                 raise InputError("member vocabulary differs from the class vocabulary")
-            if st.assignment.domain != self.domain:
+            if st.assignment.domain != domain:
                 raise InputError(
                     f"member domain {sorted(st.assignment.domain)} differs from the "
-                    f"class domain {sorted(self.domain)}"
+                    f"class domain {sorted(domain)}"
                 )
+        _setfield(self, "vocabulary", vocabulary)
+        _setfield(self, "domain", domain)
+        _setfield(self, "members", members)
 
     @classmethod
     def of(
@@ -252,14 +261,14 @@ class StructureClass:
 # formulas
 
 
-@dataclass(frozen=True, slots=True)
 class RelAtom(Atom):
-    symbol: str
-    args: tuple[int, ...]
+    __slots__ = ("symbol", "args")
 
-    def __post_init__(self) -> None:
-        if not self.args or any(j < 0 for j in self.args):
-            raise InputError(f"bad argument list {self.args} for {self.symbol!r}")
+    def __init__(self, symbol: str, args: tuple[int, ...]) -> None:
+        if not args or any(j < 0 for j in args):
+            raise InputError(f"bad argument list {args} for {symbol!r}")
+        _setfield(self, "symbol", symbol)
+        _setfield(self, "args", args)
 
     def __str__(self) -> str:
         if len(self.args) == 2 and not self.symbol[0].isalnum():
@@ -267,14 +276,14 @@ class RelAtom(Atom):
         return f"{self.symbol}({', '.join(f'x{j}' for j in self.args)})"
 
 
-@dataclass(frozen=True, slots=True)
 class EqAtom(Atom):
-    left: int
-    right: int
+    __slots__ = ("left", "right")
 
-    def __post_init__(self) -> None:
-        if self.left < 0 or self.right < 0:
+    def __init__(self, left: int, right: int) -> None:
+        if left < 0 or right < 0:
             raise InputError("equality arguments must be variable indices >= 0")
+        _setfield(self, "left", left)
+        _setfield(self, "right", right)
 
     def __str__(self) -> str:
         return f"(x{self.left} = x{self.right})"

@@ -33,7 +33,6 @@ segment, and 2 * delta + 1 when no variable is assigned.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 from typing import TYPE_CHECKING, Optional
 
@@ -54,6 +53,7 @@ from .fo import (
     Vocabulary,
     check_comparable,
 )
+from .formula import Record, _setfield
 if TYPE_CHECKING:  # imported where the combination family builds one
     from .props import BitString
 
@@ -131,13 +131,16 @@ def _boolcomb_shape(model: Model) -> tuple[str, Optional[int], dict]:
     raise InputError("model is not from the combination family")
 
 
-@dataclass(frozen=True, slots=True)
-class BoolCombClass:
+class BoolCombClass(Record):
     """Classification of one adversary member against a reference
-    assignment; ``target`` is the shared spare's trace for good_enough."""
+    assignment; ``target`` is the shared spare's trace for good_enough.
+    ``kind`` is "flawless", "good_enough" or "other"."""
 
-    kind: str  # "flawless" | "good_enough" | "other"
-    target: Optional[BitString] = None
+    __slots__ = ("kind", "target")
+
+    def __init__(self, kind: str, target: Optional[BitString] = None) -> None:
+        _setfield(self, "kind", kind)
+        _setfield(self, "target", target)
 
 
 def classify_boolcomb(
@@ -292,16 +295,21 @@ def _linear_order_size(model: Model) -> int:
     return k
 
 
-@dataclass(frozen=True, slots=True)
-class LinOrderClass:
+class LinOrderClass(Record):
     """Classification of one adversary member against a reference
-    structure.  For a nice member, ``defect`` is the index of the single
-    boundary segment whose step count disagrees and ``delta`` is the
-    member's own step count there."""
+    structure: ``kind`` is "nice", "acceptable" or "other".  For a nice
+    member, ``defect`` is the index of the single boundary segment whose
+    step count disagrees and ``delta`` is the member's own step count
+    there."""
 
-    kind: str  # "nice" | "acceptable" | "other"
-    defect: Optional[int] = None
-    delta: Optional[int] = None
+    __slots__ = ("kind", "defect", "delta")
+
+    def __init__(
+        self, kind: str, defect: Optional[int] = None, delta: Optional[int] = None
+    ) -> None:
+        _setfield(self, "kind", kind)
+        _setfield(self, "defect", defect)
+        _setfield(self, "delta", delta)
 
 
 def classify_linorder(member: Structure, ref: Structure) -> LinOrderClass:

@@ -11,15 +11,21 @@ negation is free, binary connectives add, and each quantifier adds 1.
 Both games are played by the same two players, so ``Player`` lives here
 too: player I tries to separate the two sides, player II to keep them
 together.
+
+The formula nodes and the other value types of the package are
+``Record`` subclasses: plain immutable classes with slotted fields.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator
 
 from .errors import InputError
+
+# a record's own __init__ sets each field with this, past Record.__setattr__
+_setfield = object.__setattr__
 
 
 class Player(enum.Enum):
@@ -27,7 +33,74 @@ class Player(enum.Enum):
     II = "II"
 
 
-class Formula:
+def _compare(names: tuple[str, ...]) -> dict:
+    """``__eq__`` and ``__hash__`` over the named fields: equal only to a
+    record of the same type with equal fields, and hashed as the tuple of
+    the fields.  One field is read with ``getattr``, which is quicker
+    than an ``attrgetter`` call there."""
+    if len(names) == 1:
+        (name,) = names
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return getattr(self, name) == getattr(other, name)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash((getattr(self, name),))
+
+        return {"__eq__": __eq__, "__hash__": __hash__}
+    get = attrgetter(*names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return get(self) == get(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(get(self))
+
+    return {"__eq__": __eq__, "__hash__": __hash__}
+
+
+class Record:
+    """An immutable value with slotted fields.
+
+    A subclass lists its fields in ``__slots__`` and sets them in its own
+    ``__init__`` with ``_setfield``.  A slot whose name starts with ``_``
+    is a cache: it stays out of ``==``, the hash, ``repr`` and pickles.
+    Two records are equal when they have one type and equal fields; a
+    record hashes as the tuple of its fields, reprs as
+    ``Name(field=value, ...)`` and pickles as its type called on its
+    fields.  A subclass may define its own ``__eq__`` and ``__hash__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        names = tuple(n for n in cls.__dict__.get("__slots__", ()) if n[0] != "_")
+        if names:
+            cls._fields = names
+            for name, method in _compare(names).items():
+                if name not in cls.__dict__:
+                    setattr(cls, name, method)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Formula(Record):
     """Base class for formula nodes."""
 
     __slots__ = ()
@@ -48,42 +121,45 @@ class Atom(Formula):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Formula):
-    child: Formula
+    __slots__ = ("child",)
+
+    def __init__(self, child: Formula) -> None:
+        _setfield(self, "child", child)
 
 
-@dataclass(frozen=True, slots=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _setfield(self, "left", left)
+        _setfield(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _setfield(self, "left", left)
+        _setfield(self, "right", right)
 
 
-def _check_quantified_var(q: "Exists | Forall") -> None:
-    if q.var < 0:
-        raise InputError("quantified variable index must be >= 0")
+class _Quantifier(Formula):
+    __slots__ = ()
+
+    def __init__(self, var: int, child: Formula) -> None:
+        if var < 0:
+            raise InputError("quantified variable index must be >= 0")
+        _setfield(self, "var", var)
+        _setfield(self, "child", child)
 
 
-@dataclass(frozen=True, slots=True)
-class Exists(Formula):
-    var: int
-    child: Formula
-
-    __post_init__ = _check_quantified_var
+class Exists(_Quantifier):
+    __slots__ = ("var", "child")
 
 
-@dataclass(frozen=True, slots=True)
-class Forall(Formula):
-    var: int
-    child: Formula
-
-    __post_init__ = _check_quantified_var
+class Forall(_Quantifier):
+    __slots__ = ("var", "child")
 
 
 def _subformulas(f: Formula) -> Iterator[Formula]:

@@ -9,26 +9,33 @@ ceil(left density * right density) can tell the sides apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
+from typing import TYPE_CHECKING
 
 from .errors import InputError
+from .formula import Record, _setfield
 from .props import And, Not, Or, PropFormula, StringProperty, Var, check_same_width
 
+if TYPE_CHECKING:  # imported where density builds one
+    from fractions import Fraction
 
-@dataclass(frozen=True, slots=True)
-class DensityPair:
+
+class DensityPair(Record):
     """Boundary-edge densities of a disjoint pair: edges per left string
     and edges per right string."""
 
-    left: Fraction
-    right: Fraction
-    edge_count: int
+    __slots__ = ("left", "right", "edge_count")
+
+    def __init__(self, left: Fraction, right: Fraction, edge_count: int) -> None:
+        _setfield(self, "left", left)
+        _setfield(self, "right", right)
+        _setfield(self, "edge_count", edge_count)
 
 
 def density(left: StringProperty, right: StringProperty) -> DensityPair:
     """Exact boundary densities; requires disjoint nonempty sides."""
+    from fractions import Fraction
+
     edges = _edge_count(left, right)
     return DensityPair(Fraction(edges, len(left)), Fraction(edges, len(right)), edges)
 

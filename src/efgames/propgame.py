@@ -118,7 +118,6 @@ import enum
 import sys
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, permutations
 from math import factorial
@@ -132,7 +131,7 @@ from .errors import (
     InputError,
     ResourceCapError,
 )
-from .formula import Player
+from .formula import Player, Record, _setfield
 from .props import (
     And,
     Literal,
@@ -156,47 +155,51 @@ class GameMode(enum.Enum):
     REDUCED = "reduced"
 
 
-@dataclass(frozen=True, slots=True)
-class PropPosition:
-    rank: int
-    left: StringProperty
-    right: StringProperty
+class PropPosition(Record):
+    __slots__ = ("rank", "left", "right")
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise InputError(f"rank must be >= 1, got {self.rank}")
-        check_same_width(self.left, self.right)
+    def __init__(self, rank: int, left: StringProperty, right: StringProperty) -> None:
+        if rank < 1:
+            raise InputError(f"rank must be >= 1, got {rank}")
+        check_same_width(left, right)
+        _setfield(self, "rank", rank)
+        _setfield(self, "left", left)
+        _setfield(self, "right", right)
 
     @property
     def width(self) -> int:
         return self.left.width
 
 
-@dataclass(frozen=True, slots=True)
-class WinClaim:
+class WinClaim(Record):
     """Player I points at a literal separating the current position."""
 
-    literal: Literal
+    __slots__ = ("literal",)
+
+    def __init__(self, literal: Literal) -> None:
+        _setfield(self, "literal", literal)
 
 
-@dataclass(frozen=True, slots=True)
-class LeftSplit:
+class _Split(Record):
+    __slots__ = ()
+
+    def __init__(self, u: int, v: int, c: StringProperty, d: StringProperty) -> None:
+        _setfield(self, "u", u)
+        _setfield(self, "v", v)
+        _setfield(self, "c", c)
+        _setfield(self, "d", d)
+
+
+class LeftSplit(_Split):
     """Cover S = c | d and split the rank as u + v."""
 
-    u: int
-    v: int
-    c: StringProperty
-    d: StringProperty
+    __slots__ = ("u", "v", "c", "d")
 
 
-@dataclass(frozen=True, slots=True)
-class RightSplit:
+class RightSplit(_Split):
     """Cover R = c | d and split the rank as u + v."""
 
-    u: int
-    v: int
-    c: StringProperty
-    d: StringProperty
+    __slots__ = ("u", "v", "c", "d")
 
 
 PropMove = Union[WinClaim, LeftSplit, RightSplit]

@@ -13,29 +13,29 @@ the atoms p_1 ... p_n; their size counts literal occurrences.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Union
 
 from .errors import InputError
-from .formula import And, Atom, Formula, Not, Or, format_formula, is_nnf, size, to_nnf
+from .formula import And, Atom, Formula, Not, Or, Record, _setfield
+from .formula import format_formula, is_nnf, size, to_nnf
 from .formula import Formula as PropFormula
 
 MAX_WIDTH = 16
 
 
-@dataclass(frozen=True, slots=True)
-class BitString:
+class BitString(Record):
     """One binary string; ``bits`` holds e(s), so bit i-1 is s_i."""
 
-    width: int
-    bits: int
+    __slots__ = ("width", "bits")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.width <= MAX_WIDTH:
-            raise InputError(f"string width must be 1..{MAX_WIDTH}, got {self.width}")
-        if self.bits < 0 or self.bits >> self.width:
-            raise InputError(f"encoding {self.bits} out of range for width {self.width}")
+    def __init__(self, width: int, bits: int) -> None:
+        if not 1 <= width <= MAX_WIDTH:
+            raise InputError(f"string width must be 1..{MAX_WIDTH}, got {width}")
+        if bits < 0 or bits >> width:
+            raise InputError(f"encoding {bits} out of range for width {width}")
+        _setfield(self, "width", width)
+        _setfield(self, "bits", bits)
 
     @classmethod
     def parse(cls, text: str) -> "BitString":
@@ -69,18 +69,18 @@ def _strings_mask(width: int) -> int:
     return (1 << (1 << width)) - 1
 
 
-@dataclass(frozen=True, slots=True)
-class StringProperty:
+class StringProperty(Record):
     """A set of width-``width`` strings as a membership mask."""
 
-    width: int
-    mask: int
+    __slots__ = ("width", "mask")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.width <= MAX_WIDTH:
-            raise InputError(f"property width must be 1..{MAX_WIDTH}, got {self.width}")
-        if self.mask < 0 or self.mask >> (1 << self.width):
-            raise InputError(f"membership mask out of range for width {self.width}")
+    def __init__(self, width: int, mask: int) -> None:
+        if not 1 <= width <= MAX_WIDTH:
+            raise InputError(f"property width must be 1..{MAX_WIDTH}, got {width}")
+        if mask < 0 or mask >> (1 << width):
+            raise InputError(f"membership mask out of range for width {width}")
+        _setfield(self, "width", width)
+        _setfield(self, "mask", mask)
 
     @classmethod
     def from_strings(cls, width: int, strings: Iterable[Union[str, BitString]]) -> "StringProperty":
@@ -126,24 +126,26 @@ class StringProperty:
 # formulas
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Atom):
-    index: int  # 1-based
+    __slots__ = ("index",)  # 1-based
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.index <= MAX_WIDTH:
-            raise InputError(f"variable index must be 1..{MAX_WIDTH}, got {self.index}")
+    def __init__(self, index: int) -> None:
+        if not 1 <= index <= MAX_WIDTH:
+            raise InputError(f"variable index must be 1..{MAX_WIDTH}, got {index}")
+        _setfield(self, "index", index)
 
     def __str__(self) -> str:
         return f"p{self.index}"
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(Record):
     """Variable p_var or its negation."""
 
-    var: int
-    positive: bool
+    __slots__ = ("var", "positive")
+
+    def __init__(self, var: int, positive: bool) -> None:
+        _setfield(self, "var", var)
+        _setfield(self, "positive", positive)
 
     def formula(self) -> Formula:
         return Var(self.var) if self.positive else Not(Var(self.var))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from efgames import (
+    Assignment,
     ContractError,
     EMPTY_ASSIGNMENT,
     EqAtom,
@@ -38,8 +39,11 @@ from efgames import (
     density,
     extend_choice,
     extend_star,
+    fo_free_vars,
+    fo_separates,
     fo_size,
     format_fo,
+    is_existential,
     linorder_instances,
     literal_win,
     measure_M,
@@ -997,3 +1001,86 @@ def build_tiny_fo_suite(w_max: int = 4) -> dict[FoMode, tuple[FoGame, list[TinyR
                 records.append(TinyRecord(a, b, best, wins))
         out[mode] = (game, records)
     return out
+
+
+# ---------------------------------------------------------------------------
+# binary vocabularies against the oracle: seeded random classes over a binary
+# relation E, alone or with a unary P
+
+
+BINARY_VOCABULARIES = (
+    Vocabulary.make(("E", 2)),
+    Vocabulary.make(("E", 2), ("P", 1)),
+)
+
+
+def _random_structure(
+    rng: random.Random, vocab: Vocabulary, domain: tuple[int, ...]
+) -> Structure:
+    """A structure of 1-2 elements: each tuple of each relation holds with
+    probability 1/2, and each domain variable goes to a random element."""
+    n = rng.randint(1, 2)
+    rels = {
+        name: [row for row in itertools.product(range(n), repeat=arity) if rng.random() < 0.5]
+        for name, arity in vocab.symbols
+    }
+    values = {j: rng.randrange(n) for j in domain}
+    return Structure(Model.make(vocab, n, rels), Assignment.make(values))
+
+
+def binary_oracle_batch(
+    seed: int, mode: FoMode, queries: int, w_max: int = 3
+) -> tuple[list[str], int, dict[Optional[int], int]]:
+    """Ask one ``FoGame`` the minimal size of each seeded query, a pair of
+    classes of 1-3 structures over one vocabulary of
+    ``BINARY_VOCABULARIES`` and one domain, () or (0,), and compare it with
+    the ``FoEnumerator`` separator's size (None past w_max).  Where the game
+    answers k, its synthesized formula must separate within size k, use
+    only domain variables and, in existential mode, be existential.
+
+    Returns (violations, queries a cap stopped, tally of the oracle's
+    sizes over the queries that no cap stopped)."""
+    rng = random.Random(seed)
+    batch = []
+    for _ in range(queries):
+        vocab = rng.choice(BINARY_VOCABULARIES)
+        domain = rng.choice(((), (0,)))
+        batch.append(tuple(
+            StructureClass.of(
+                [_random_structure(rng, vocab, domain) for _ in range(rng.randint(1, 3))],
+                vocabulary=vocab,
+                domain=domain,
+            )
+            for _ in range(2)
+        ))
+    # one enumerator per (vocabulary, domain), over every model asked there
+    models: dict[tuple, dict[Model, None]] = {}
+    for left, right in batch:
+        group = models.setdefault((left.vocabulary, left.domain), {})
+        group.update(dict.fromkeys(st.model for st in left.members + right.members))
+    enums = {
+        key: FoEnumerator(list(group), key[1], w_max, mode) for key, group in models.items()
+    }
+    game = FoGame()
+    violations, capped, tally = [], 0, {}
+    for i, (left, right) in enumerate(batch):
+        sep = enums[left.vocabulary, left.domain].separator(left, right)
+        best = None if sep is None else fo_size(sep)
+        try:
+            k = game.minsize(left, right, mode, w_max)
+            f = None if k is None else game.synthesize(left, right, k, mode)
+        except ResourceCapError:
+            capped += 1
+            continue
+        tally[best] = tally.get(best, 0) + 1
+        where = f"seed {seed} {mode.value} query {i}"
+        if k != best:
+            violations.append(f"{where}: the game answers {k}, the oracle {best}")
+        elif f is not None and not (
+            fo_size(f) <= k
+            and fo_free_vars(f) <= left.domain
+            and fo_separates(f, left, right)
+            and (mode is FoMode.FULL or is_existential(f))
+        ):
+            violations.append(f"{where}: synthesized {format_fo(f)} fails its check")
+    return violations, capped, tally

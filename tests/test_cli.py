@@ -414,6 +414,22 @@ def test_repro_linorder_text_without_exact():
     assert "exact minimal size: not computed" in out
 
 
+def test_repro_proves_an_interval_without_the_exact_search():
+    # boolcomb searches only at n = 1; at n = 2 certificate = construction
+    code, out, _ = run_cli("--json", "repro", "boolcomb", "--n", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["exact_minsize"] is None
+    assert payload["proven_interval"] == [12, 12]
+    code, out, _ = run_cli("repro", "boolcomb", "--n", "2")
+    assert "exact minimal size: not computed\nproven interval: [12, 12]\n" in out
+    # the exact size, once found, is the low end
+    payload = json.loads(run_cli("--json", "repro", "parity", "--n", "3")[1])
+    assert (payload["exact_minsize"], payload["proven_interval"]) == (10, [10, 10])
+    assert ReproReport("parity", 3, 9, 12, 10, 0).proven_interval == (10, 12)
+    assert ReproReport("parity", 3, 9, 12, None, 0).proven_interval == (9, 12)
+
+
 FO_CAP_FLAGS = ("--cap-positions", "--cap-choice-functions", "--cap-class-size")
 
 

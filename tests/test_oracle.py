@@ -367,3 +367,24 @@ def test_separator_never_builds_the_unpruned_layers(monkeypatch):
         f = enum.separator(a, b)
         assert f is None or fo_separates(f, a, b)
     assert outsides == [enum._outside] and enum._outside
+
+
+# Per mode: 500 seeded queries, seed 1 in both modes, so that both modes ask
+# the same classes.  Structures have 1-2 elements and w_max is 3: there the
+# whole batch takes about 0.3 s, and no default cap stops a query (with 3
+# elements and w_max 4, rank-2 choice scans pass the caps and one batch can
+# take minutes).  The tally of the oracle's sizes shows that every answer
+# from 1 to "none up to 3" is asked.
+BINARY_BATCHES = [
+    (FoMode.FULL, {1: 61, 2: 144, 3: 75, None: 220}),
+    (FoMode.EXISTENTIAL, {1: 61, 2: 86, 3: 44, None: 309}),
+]
+
+
+@pytest.mark.parametrize("mode, tally", BINARY_BATCHES, ids=["full", "existential"])
+def test_the_game_matches_the_oracle_on_binary_vocabularies(mode, tally):
+    violations, capped, got = suites.binary_oracle_batch(1, mode, 500)
+    assert violations == []
+    # queries a cap stops are counted, not skipped: none at these sizes
+    assert capped == 0
+    assert got == tally

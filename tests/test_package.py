@@ -38,17 +38,23 @@ LOADS = [
         {"cli", "errors", "formula", "fo", "fobounds", "fogame"},
     ),
 ]
+# standard modules that no statement of LOADS may load: dataclasses pulls in
+# inspect, ast, dis and more at a fresh interpreter's start, and only
+# efgames.density needs fractions
+UNLOADED = {"dataclasses", "inspect", "fractions"}
 # the width-2 parity pair
 PAIR = {"width": 2, "S": ["00", "11"], "R": ["01", "10"]}
 
 
 def _loaded_after(statement, cwd):
-    # a fresh interpreter: the test process has already imported everything
+    """The efgames modules, and those of UNLOADED, that a fresh interpreter
+    holds after the statement (the test process has imported everything)."""
     src = str(Path(efgames.__file__).resolve().parent.parent)
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     report = (
         "import json, sys; "
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'efgames')))"
+        "print(json.dumps(sorted(m for m in sys.modules "
+        f"if m.split('.')[0] == 'efgames' or m in {sorted(UNLOADED)})))"
     )
     done = subprocess.run(
         [sys.executable, "-c", f"{statement}; {report}"],
@@ -67,7 +73,16 @@ def _loaded_after(statement, cwd):
 def test_a_caller_loads_only_the_submodules_it_uses(statement, submodules, tmp_path):
     (tmp_path / "pair.json").write_text(json.dumps(PAIR))
     loaded = _loaded_after(statement, tmp_path)
+    assert loaded & UNLOADED == set()
     assert loaded == {"efgames"} | {f"efgames.{m}" for m in submodules}
+
+
+def test_fractions_loads_once_density_runs(tmp_path):
+    loaded = _loaded_after("import efgames; efgames.density(*efgames.parity_property(2))", tmp_path)
+    assert loaded & UNLOADED == {"fractions"}
+    assert loaded == {"efgames", "fractions"} | {
+        f"efgames.{m}" for m in ("errors", "formula", "props", "propbounds")
+    }
 
 
 def test_every_exported_name_is_its_submodules_object():
