@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from functools import lru_cache
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import ContractError, InputError
 from .formula import And, Atom, Exists, Forall, Formula, Not, Or, Record
@@ -439,42 +441,140 @@ def extend_choice(
 # atoms
 
 
-def atom_candidates(vocabulary: Vocabulary, variables: Sequence[int]) -> list[Formula]:
-    """All atoms over the given variables, in a fixed deterministic order:
-    relation atoms in vocabulary order with argument tuples in
-    ``itertools.product(variables, repeat=arity)`` order, then equalities in
-    ``itertools.combinations_with_replacement(variables, 2)`` order.
-    ``atom_mask`` reads the truth values under an assignment in this same order."""
-    atoms: list[Formula] = []
-    for name, arity in vocabulary.symbols:
-        for args in itertools.product(variables, repeat=arity):
-            atoms.append(RelAtom(name, args))
+def _atom_rows(
+    symbols: tuple[tuple[str, int], ...], items: Sequence
+) -> tuple[list[Iterator[tuple]], Iterator[tuple]]:
+    """The one definition of atom order, over any items standing for the
+    sorted variables (the variables, their values, their positions): per
+    relation of ``symbols``, in order, its argument rows in
+    ``itertools.product(items, repeat=arity)`` order, then the equality
+    pairs in ``itertools.combinations_with_replacement(items, 2)`` order."""
+    return (
+        [itertools.product(items, repeat=arity) for _, arity in symbols],
+        itertools.combinations_with_replacement(items, 2),
+    )
+
+
+@lru_cache(maxsize=None)
+def _atoms(
+    symbols: tuple[tuple[str, int], ...], variables: tuple[int, ...]
+) -> tuple[Formula, ...]:
+    """The atoms over the variables in atom order, built once per process."""
+    rels, pairs = _atom_rows(symbols, variables)
+    atoms: list[Formula] = [
+        RelAtom(name, args) for (name, _), rows in zip(symbols, rels) for args in rows
+    ]
     # x = x is kept: its negation is the only atom falsified by everything,
     # which decides positions whose left class is empty
-    for a, b in itertools.combinations_with_replacement(variables, 2):
-        atoms.append(EqAtom(a, b))
-    return atoms
+    atoms += [EqAtom(a, b) for a, b in pairs]
+    return tuple(atoms)
+
+
+def atom_candidates(vocabulary: Vocabulary, variables: Sequence[int]) -> list[Formula]:
+    """All atoms over the given variables in atom order (``_atom_rows``):
+    relation atoms in vocabulary order, then equalities.  Each call gets a
+    list of its own; the atoms in it are built once per (vocabulary
+    symbols, variables) and shared by every call."""
+    return list(_atoms(vocabulary.symbols, tuple(variables)))
 
 
 def atom_mask(model: Model, values: Sequence[int]) -> int:
     """The truth values of ``atom_candidates(vocabulary, variables)`` in
     the model, bit i for atom i, where the variables are the sorted
-    assignment domain and ``values`` their elements in that order.  One
-    pass over the values: for each relation, one bit per ``itertools.product``
-    tuple of its arity, set when the tuple is in the relation; then one bit
-    per ``itertools.combinations_with_replacement`` pair, set when the two
-    values are equal.  That is the order of ``atom_candidates``."""
+    assignment domain and ``values`` their elements in that order: one
+    pass over the atom rows of the values, a relation row true when it is
+    in the relation and an equality pair when its two values are equal."""
+    rels, pairs = _atom_rows(model.vocabulary.symbols, values)
     mask, bit = 0, 1
-    for (_, arity), rel in zip(model.vocabulary.symbols, model.relations):
-        for row in itertools.product(values, repeat=arity):
+    for rows, rel in zip(rels, model.relations):
+        for row in rows:
             if row in rel:
                 mask |= bit
             bit <<= 1
-    for a, b in itertools.combinations_with_replacement(values, 2):
+    for a, b in pairs:
         if a == b:
             mask |= bit
         bit <<= 1
     return mask
+
+
+def _getter(row: tuple[int, ...]) -> itemgetter:
+    """Reads the values at the positions ``row`` as a tuple."""
+    if len(row) == 1:
+        return itemgetter(slice(row[0], row[0] + 1))
+    return itemgetter(*row)
+
+
+@lru_cache(maxsize=None)
+def _family_table(symbols: tuple[tuple[str, int], ...], k: int, p: int) -> tuple:
+    """The atoms over k sorted variables split by whether they mention the
+    one at position p, following ``_atom_rows`` over the positions: (the
+    bit of x_p = x_p, which always holds; per relation the (bit, getter)
+    pairs of its rows without p; the (bit, q, r) equalities x_q = x_r
+    without p; per relation the (bit, getter) pairs of its rows with p;
+    the (bit, q) equalities x_q = x_p, q != p)."""
+    rels, pairs = _atom_rows(symbols, range(k))
+    fixed: list[tuple] = []
+    varying: list[tuple] = []
+    bit = 1
+    for rows in rels:
+        without, with_p = [], []
+        for row in rows:
+            (with_p if p in row else without).append((bit, _getter(row)))
+            bit <<= 1
+        fixed.append(tuple(without))
+        varying.append(tuple(with_p))
+    same, fixed_pairs, varying_pairs = 0, [], []
+    for q, r in pairs:
+        if q == r == p:
+            same = bit
+        elif q == p or r == p:
+            varying_pairs.append((bit, q + r - p))
+        else:
+            fixed_pairs.append((bit, q, r))
+        bit <<= 1
+    return same, tuple(fixed), tuple(fixed_pairs), tuple(varying), tuple(varying_pairs)
+
+
+def family_masks(
+    model: Model, head: tuple[int, ...], tail: tuple[int, ...]
+) -> Callable[[int], int]:
+    """The atom masks of a family: the structures over the model whose
+    sorted values are ``head + (a,) + tail`` for each element a, the values
+    of the variables below and above the one the family binds.  An atom
+    that does not mention that variable reads only head and tail, so it
+    has one truth value across the family and is evaluated here, once;
+    the returned function of a evaluates the atoms that do mention it.
+    Each mask equals ``atom_mask(model, head + (a,) + tail)``."""
+    same, fixed, fixed_pairs, varying, varying_pairs = _family_table(
+        model.vocabulary.symbols, len(head) + 1 + len(tail), len(head)
+    )
+    rels = model.relations
+    values = head + (0,) + tail  # the getters of fixed rows skip the 0
+    base = same
+    for rel, rows in zip(rels, fixed):
+        for bit, get in rows:
+            if get(values) in rel:
+                base |= bit
+    for bit, q, r in fixed_pairs:
+        if values[q] == values[r]:
+            base |= bit
+    # x_q = x_p holds on the member whose element a is the value of x_q
+    equal: dict[int, int] = {}
+    for bit, q in varying_pairs:
+        equal[values[q]] = equal.get(values[q], 0) | bit
+    varying = [(rel, rows) for rel, rows in zip(rels, varying) if rows]
+
+    def mask_of(a: int) -> int:
+        values = head + (a,) + tail
+        mask = base | equal.get(a, 0)
+        for rel, rows in varying:
+            for bit, get in rows:
+                if get(values) in rel:
+                    mask |= bit
+        return mask
+
+    return mask_of
 
 
 def atomic_separators(

@@ -260,8 +260,11 @@ def boolcomb_alternating_sentence(n: int) -> FoFormula:
 # linear-order family
 
 
+_LINORDER = Vocabulary.make(("<", 2))
+
+
 def linorder_vocabulary() -> Vocabulary:
-    return Vocabulary.make(("<", 2))
+    return _LINORDER
 
 
 def linear_order(k: int) -> Model:
@@ -269,7 +272,7 @@ def linear_order(k: int) -> Model:
     if k < 1:
         raise InputError(f"order size must be >= 1, got {k}")
     return Model.make(
-        linorder_vocabulary(),
+        _LINORDER,
         k,
         {"<": [(i, j) for i in range(k) for j in range(i + 1, k)]},
     )
@@ -285,7 +288,7 @@ def linorder_instances(n: int) -> tuple[StructureClass, StructureClass]:
 
 
 def _linear_order_size(model: Model) -> int:
-    if model.vocabulary != linorder_vocabulary():
+    if model.vocabulary != _LINORDER:
         raise InputError("linear-order models need exactly the vocabulary ('<', 2)")
     k = model.universe_size
     # Model keeps elements in range, so k(k-1)/2 pairs i < j are all of them
@@ -323,7 +326,12 @@ def classify_linorder(member: Structure, ref: Structure) -> LinOrderClass:
     element and above by the actual greatest element; the segment step
     counts d(x, y) = y - x are compared pointwise with the reference."""
     size_b = _linear_order_size(member.model)
-    size_a = _linear_order_size(ref.model)
+    return _classify(member, size_b, ref, _linear_order_size(ref.model))
+
+
+def _classify(member: Structure, size_b: int, ref: Structure, size_a: int) -> LinOrderClass:
+    """``classify_linorder`` on models already checked, of sizes size_b
+    (the member's) and size_a (the reference's)."""
     alpha = ref.assignment
     beta = member.assignment
     if alpha.domain != beta.domain:
@@ -362,7 +370,7 @@ def measure_N(left: StructureClass, right: StructureClass) -> int:
     if len(left.members) != 1:
         raise InputError("the reference class must have exactly one member")
     ref = left.members[0]
-    _linear_order_size(ref.model)
+    size_a = _linear_order_size(ref.model)
     # The chain weighs 2e - 1 + (assigned endpoints), where e counts the
     # reference elements strictly inside the defect segment: e = delta + 1
     # on the highest segment, whose top is the greatest element itself,
@@ -373,7 +381,7 @@ def measure_N(left: StructureClass, right: StructureClass) -> int:
     top = len({v for _, v in ref.assignment.items})
     total = 0
     for member in right.members:
-        cls = classify_linorder(member, ref)
+        cls = _classify(member, _linear_order_size(member.model), ref, size_a)
         if cls.kind == "nice":
             total += 2 * cls.delta + 1 + (cls.defect == top) - (cls.defect == 0)
     return total

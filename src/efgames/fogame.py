@@ -24,6 +24,8 @@ well changes no winner, which the test suite checks.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from .errors import (
@@ -47,12 +49,24 @@ from .fo import (
     atom_candidates,
     atom_mask,
     check_comparable,
+    family_masks,
 )
 from .formula import Player
 
 # the hot paths compare against this module constant: looking a member up
 # on the Enum class (``FoMode.FULL``) costs several times a global read
 _FULL = FoMode.FULL
+
+
+@lru_cache(maxsize=1 << 12)
+def _indices(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of an atom mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _members(m: int) -> Iterator[int]:
@@ -69,11 +83,17 @@ class FoGame:
     Structures are interned to small ints by their key (model, assignment
     items), all an id's record keeps, so a class is an int bitset over ids
     (bit ``id`` for each member), and that bitset is the one value that
-    stands for it.  Root members come as checked ``Structure``s; their
-    extensions x_j -> a are interned from keys alone, once per (id, x_j).
-    Interning makes one ``atom_mask`` pass over the model and the values,
-    giving the truth of every atom over the assignment domain, and keeps
-    it twice: as the id's int mask (bit i for the i-th entry of
+    stands for it.  Root members come as checked ``Structure``s, and
+    interning one makes one ``atom_mask`` pass over the model and the
+    values.  Their extensions x_j -> a are interned from keys alone, a
+    whole family (every element a) in one step, once per (id, x_j): the
+    siblings share one model, atom list and column list, looked up once,
+    and ``family_masks`` evaluates the atoms that skip x_j once for the
+    family and only those that mention x_j per sibling.  The atom objects
+    are built once per process and shared by every solver
+    (``atom_candidates``); the columns are the solver's own.  Either way
+    an id gets the truth of every atom over the assignment domain, kept
+    twice: as the id's int mask (bit i for the i-th entry of
     ``atom_candidates``), whose AND/OR folds over the members decide the
     atomic win, and as bit ``id`` of the atom's column, one id bitset per
     (atom list, atom index), so the members of a class on which a literal
@@ -164,25 +184,42 @@ class FoGame:
         key = (model, items)
         sid = self._ids.setdefault(key, len(self._by_id))
         if sid == len(self._by_id):  # a key not seen before
-            self._by_id.append(key)
-            self._keys.append((model.sort_key(), items))
             variables, values = zip(*items) if items else ((), ())
-            lists = (model.vocabulary.symbols, variables)  # hashed in C
-            got = self._atom_lists.get(lists)
-            if got is None:
-                atoms = atom_candidates(model.vocabulary, variables)
-                got = self._atom_lists[lists] = (atoms, [0] * len(atoms))
-            atoms, cols = got
-            mask = atom_mask(model, values)
-            rest = mask
-            while rest:
-                low = rest & -rest
-                cols[low.bit_length() - 1] |= 1 << sid
-                rest ^= low
-            self._atoms_of.append(atoms)
-            self._cols_of.append(cols)
-            self._masks.append(mask)
+            atoms, cols = self._atom_list(model, variables)
+            self._add(key, model.sort_key(), atoms, cols, atom_mask(model, values))
         return sid
+
+    def _add(
+        self,
+        key: tuple[Model, tuple],
+        sort_key: tuple,
+        atoms: list[FoFormula],
+        cols: list[int],
+        mask: int,
+    ) -> None:
+        """Record the new id ``len(_by_id)``: its key, its sort key, its
+        atom list and columns, and its atom mask, set in the columns."""
+        sid = len(self._by_id)
+        self._by_id.append(key)
+        self._keys.append((sort_key, key[1]))
+        bit = 1 << sid
+        for i in _indices(mask):
+            cols[i] |= bit
+        self._atoms_of.append(atoms)
+        self._cols_of.append(cols)
+        self._masks.append(mask)
+
+    def _atom_list(
+        self, model: Model, variables: tuple[int, ...]
+    ) -> tuple[list[FoFormula], list[int]]:
+        """The atom list over the model's vocabulary and the variables, and
+        its columns, one pair per solver."""
+        lists = (model.vocabulary.symbols, variables)  # hashed in C
+        got = self._atom_lists.get(lists)
+        if got is None:
+            atoms = atom_candidates(model.vocabulary, variables)
+            got = self._atom_lists[lists] = (atoms, [0] * len(atoms))
+        return got
 
     def _ordered(self, m: int) -> list[int]:
         """The ids of the class m in ``sort_key`` order, the order in which
@@ -247,17 +284,33 @@ class FoGame:
     def _extensions(self, sid: int, j: int) -> tuple[int, ...]:
         """Ids of the structure extended by x_j -> a, for every element a:
         its items without x_j, with (j, a) in variable order.  a is in the
-        universe and x_j goes first, so no ``Structure`` need check that."""
+        universe and x_j goes first, so no ``Structure`` need check that.
+        The family is interned in one step: the siblings share the model,
+        the variables, the atom list and its columns, and ``family_masks``
+        evaluates the atoms that skip x_j once for them all; ids are still
+        handed out in the order a = 0, 1, ..."""
         key = (sid, j)
         got = self._ext.get(key)
         if got is None:
             model, items = self._by_id[sid]
-            head = tuple(p for p in items if p[0] < j)
-            tail = tuple(p for p in items if p[0] > j)
-            got = self._ext[key] = tuple(
-                self._intern(model, head + ((j, a),) + tail)
-                for a in range(model.universe_size)
-            )
+            variables, values = zip(*items) if items else ((), ())
+            lo = bisect_left(variables, j)  # x_j's position
+            hi = lo + (variables[lo : lo + 1] == (j,))  # past a bound x_j
+            head, tail = items[:lo], items[hi:]
+            atoms, cols = self._atom_list(model, variables[:lo] + (j,) + variables[hi:])
+            sort_key, ids, new = model.sort_key(), self._ids, len(self._by_id)
+            mask_of = None
+            exts = []
+            for a in range(model.universe_size):
+                ext = (model, head + ((j, a),) + tail)
+                sid = ids.setdefault(ext, new)
+                if sid == new:  # a key not seen before
+                    if mask_of is None:
+                        mask_of = family_masks(model, values[:lo], values[hi:])
+                    self._add(ext, sort_key, atoms, cols, mask_of(a))
+                    new += 1
+                exts.append(sid)
+            got = self._ext[key] = tuple(exts)
         return got
 
     def _branching(self, w: int, m: int, j: int) -> int:

@@ -875,3 +875,42 @@ def test_python_dash_m_runs_the_cli_module():
     done = _run_module("efgames.cli")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["exact_minsize"] == 4
+
+
+# a fresh interpreter runs one repro experiment with its clock patched to
+# record whether the solver's module was already imported when it started
+CLOCK_CHECK = """
+import sys
+import efgames.cli as cli
+real, seen = cli.time.perf_counter, []
+
+def clock():
+    seen.append(sys.argv[1] in sys.modules)
+    return real()
+
+cli.time.perf_counter = clock
+cli.{call}
+print(seen[0], len(seen))
+"""
+
+
+@pytest.mark.parametrize(
+    "call, module",
+    [
+        ("repro_parity(2)", "efgames.propgame"),
+        ("repro_fo('linorder', 2)", "efgames.fogame"),
+        ("repro_fo('boolcomb', 1)", "efgames.fogame"),
+    ],
+)
+def test_the_repro_clock_starts_after_the_solver_imports(call, module):
+    src = str(Path(efgames.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    done = subprocess.run(
+        [sys.executable, "-c", CLOCK_CHECK.format(call=call), module],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "2"]

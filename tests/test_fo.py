@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -279,6 +280,25 @@ def test_atom_candidates_cover_relations_and_equalities():
     assert EqAtom(0, 0) in atoms
     assert EqAtom(0, 1) in atoms
     assert atom_candidates(vocab, ()) == []
+
+
+def test_atom_candidates_are_fresh_lists_of_shared_atoms():
+    vocab = Vocabulary.make(("U", 1), ("E", 2), ("T", 3))
+    for variables in ((), (0,), (2, 5), (0, 1, 4)):
+        # a build from scratch, in the documented order
+        want = [
+            RelAtom(name, args)
+            for name, arity in vocab.symbols
+            for args in itertools.product(variables, repeat=arity)
+        ]
+        want += [EqAtom(a, b) for a, b in itertools.combinations_with_replacement(variables, 2)]
+        got = atom_candidates(vocab, variables)
+        assert got == want
+        got.reverse()
+        got.append(EqAtom(9, 9))
+        again = atom_candidates(Vocabulary.make(("U", 1), ("E", 2), ("T", 3)), list(variables))
+        assert again == want and again is not got
+        assert all(x is y for x, y in zip(again, atom_candidates(vocab, variables)))
 
 
 def test_atomic_separator_found_on_assigned_orders():

@@ -37,7 +37,7 @@ from efgames import (
     class_to_json,
     parity_property,
 )
-from efgames.fo import atom_mask, structure_from_json, structure_to_json
+from efgames.fo import atom_mask, family_masks, structure_from_json, structure_to_json
 from efgames.fogame import _members
 
 
@@ -737,19 +737,38 @@ def test_atom_masks_pick_the_first_atomic_separator():
 
 
 def test_atoms_are_evaluated_only_while_interning(monkeypatch):
-    calls = 0
+    # a root member's truth values come from one atom_mask pass, an
+    # extension's from one call of its family's evaluator; each is made
+    # while its id is interned (the id it fills is the next new one), once
+    # per id, and none is made during search or synthesis
+    filled = []
+    families = 0
 
     def counting_mask(model, values):
-        nonlocal calls
-        calls += 1
+        filled.append(len(game._by_id))
         return atom_mask(model, values)
 
+    def counting_family(model, head, tail):
+        nonlocal families
+        families += 1
+        mask_of = family_masks(model, head, tail)
+
+        def counted(a):
+            filled.append(len(game._by_id))
+            return mask_of(a)
+
+        return counted
+
     monkeypatch.setattr("efgames.fogame.atom_mask", counting_mask)
+    monkeypatch.setattr("efgames.fogame.family_masks", counting_family)
     a, b = linorder_instances(3)
     game = FoGame()
     assert game.minsize(a, b, FoMode.FULL, w_max=4) is None
     assert game.synthesize(a, b, 5, FoMode.EXISTENTIAL) is not None
-    assert calls == len(game._by_id)
+    assert len(filled) == len(game._by_id)
+    assert filled == list(range(len(game._by_id)))
+    # the atoms that skip x_j are evaluated once per family
+    assert 0 < families <= len(game._ext)
 
 
 def _reference_mask(st):
@@ -808,6 +827,57 @@ def test_atom_mask_matches_fo_eval(tiny_fo_suite):
             want = _reference_mask(st)
             assert atom_mask(model, [a for _, a in items]) == want, st
             assert game._masks[sid] == want, st
+
+
+def test_extension_masks_match_fo_eval():
+    # the random structures of the test above, each extended by every
+    # variable it assigns (rebinding it) and by fresh ones below, between
+    # and above those: every sibling's mask is the reference mask
+    vocab = Vocabulary.make(("U", 1), ("E", 2), ("T", 3))
+    structures = list(_random_structures(random.Random(23), vocab, 300))
+    game = FoGame()
+    kinds = set()
+    for st in structures:
+        sid = game._intern(st.model, st.assignment.items)
+        dom = st.assignment.domain
+        for j in range(7):
+            if j in dom:
+                kinds.add("rebound")
+            elif not dom:
+                kinds.add("first")
+            else:
+                kinds.add(
+                    "below" if j < min(dom) else "above" if j > max(dom) else "between"
+                )
+            exts = game._extensions(sid, j)
+            assert len(exts) == st.model.universe_size
+            for a, ext in enumerate(exts):
+                model, items = game._by_id[ext]
+                assert items == st.assignment.extend(j, a).items
+                want = _reference_mask(Structure(model, Assignment(items)))
+                assert atom_mask(model, [x for _, x in items]) == want
+                assert game._masks[ext] == want, (st, j, a)
+    assert kinds == {"rebound", "first", "below", "between", "above"}
+    # a family that meets an id interned before (rebinding gives the
+    # member itself back) keeps that id, and the columns transpose the masks
+    assert len(game._by_id) < len(structures) * 7 * 3
+    for sid, (cols, mask) in enumerate(zip(game._cols_of, game._masks)):
+        assert len(cols) == len(game._atoms_of[sid])
+        for i, col in enumerate(cols):
+            assert col >> sid & 1 == mask >> i & 1
+
+
+def test_games_share_atom_objects_but_not_columns():
+    a, b = linorder_instances(3)
+    first, second = FoGame(), FoGame()
+    for game in (first, second):
+        assert game.minsize(a, b, FoMode.EXISTENTIAL, w_max=5) == 5
+    assert first._atom_lists.keys() == second._atom_lists.keys()
+    for lists, (atoms, cols) in first._atom_lists.items():
+        other_atoms, other_cols = second._atom_lists[lists]
+        assert atoms is not other_atoms and cols is not other_cols
+        assert len(atoms) == len(other_atoms)
+        assert all(x is y for x, y in zip(atoms, other_atoms))
 
 
 def _solved_games(tiny_fo_suite):
