@@ -121,18 +121,16 @@ class FoGame:
     one of two roles, and each role keeps its own record per (class bitset,
     variable), built only once that role's cap has passed.  ``_star`` keeps
     the bitset of the star player II branches over: every extension of
-    every member.  ``_halves`` keeps the two halves of the choice functions
-    player I chooses from, each half-combination carrying its bitset and
-    the AND and complemented OR of its atom masks.  A supplementing move
-    scans the choice functions in ``itertools.product`` order over the two
-    halves.  A rank-1 scan is decided at once: ``_rank1`` keeps, beside the
-    halves, the atoms true and the atoms false on some extension of every
-    member, and those two masks against the other side's folds tell whether
-    some choice function's child wins.  A refuted scan records all its
-    children as lost in one dict merge, each still counted once like any
-    position; a scan with a winner, or one whose children could pass the
-    position cap, decides its children one by one from the halves' folds
-    against the other side's folds, without a call.
+    every member.  ``_choosers`` keeps the side player I chooses on: the
+    choice functions' bitsets in two halves, scanned in
+    ``itertools.product`` order, and two masks of the atoms true, and
+    false, on some extension of every member.  Every child a scan walks is
+    decided by ``_wins``, which counts it, holds it to the position cap and
+    writes its row entry.  At rank 1 the two masks against the other
+    side's folds tell at once whether some child wins; a refuted scan
+    within the position cap records all its children as lost in one dict
+    merge, each still counted once like any position, and any other
+    rank-1 scan walks its children like a deeper one.
 
     Three more records are built once and read on every later visit.
     ``_folded`` keeps ``_fold`` of each class bitset: a bitset names a
@@ -143,7 +141,7 @@ class FoGame:
     intern to never change.  ``_supps`` keeps, per domain, the (variable,
     domain after binding it) pairs of ``_supp_vars``, which reads nothing
     but the domain.  A position reads ``_folded``, ``_supps``, ``_star``
-    and ``_halves`` straight from their dicts and calls a builder only on
+    and ``_choosers`` straight from their dicts and calls a builder only on
     a miss.  The checks of a query (comparable classes, the class-size
     cap, the reset of ``positions_visited``) still run on every call, and
     a star read from its dict is still held to the class-size cap, since
@@ -171,8 +169,7 @@ class FoGame:
         self._ext: dict[tuple[int, int], tuple[int, ...]] = {}
         self._memo: dict[tuple, dict[int, dict[int, bool]]] = {}
         self._star: dict[tuple[int, int], int] = {}
-        self._halves: dict[tuple[int, int], tuple[list, list]] = {}
-        self._rank1: dict[tuple[int, int], list] = {}
+        self._choosers: dict[tuple[int, int], list] = {}
         self._folded: dict[int, tuple[int, int]] = {}
         self._classes: dict[tuple, tuple[int, tuple[int, ...]]] = {}
         self._supps: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
@@ -340,18 +337,18 @@ class FoGame:
             )
         return star
 
-    def _chooser(self, w: int, m: int, j: int) -> tuple[list, list]:
-        """The halves of a side that player I chooses on: the choice
-        functions x_j -> a of the first and of the second half of the
-        members in ``_ordered`` order, each in ``itertools.product`` order
-        and combined into its class's bitset with the AND and the
-        complemented OR of its atom masks.  Beside them ``_rank1`` keeps
-        the ORs of those two folds over all choice functions, each the
-        head's OR joined with the tail's: the atoms true, and the atoms
-        false, on some extension of every member.  The cap on choice
-        functions is checked first, so a refused class interns no
-        extension and leaves no halves behind."""
-        got = self._halves.get((m, j))
+    def _chooser(self, w: int, m: int, j: int) -> list:
+        """The record of a side that player I chooses on: [head, tail,
+        some_every, some_none, lost].  head and tail are the bitsets of the
+        choice functions x_j -> a of the first and of the second half of
+        the members in ``_ordered`` order, each in ``itertools.product``
+        order.  some_every and some_none are the atoms true, and the atoms
+        false, on some extension of every member: the AND over members of
+        the OR, and of the complemented AND, of ``_fold`` of the member's
+        extensions.  lost is None until the first refuted rank-1 scan.  The
+        cap on choice functions is checked first, so a refused class
+        interns no extension and leaves no record behind."""
+        got = self._choosers.get((m, j))
         if got is None:
             ids = self._ordered(m)
             total = math.prod(self._by_id[sid][0].universe_size for sid in ids)
@@ -361,28 +358,18 @@ class FoGame:
                     f"{self.cap_choice_functions} (--cap-choice-functions)",
                     w,
                 )
-            masks = self._masks
+            some_every = some_none = -1
             halves = []
             for part in (ids[: len(ids) // 2], ids[len(ids) // 2 :]):
-                combos = [(0, -1, -1)]
+                combos = [0]
                 for sid in part:
-                    ext = self._extensions(sid, j)
-                    combos = [
-                        (cb | 1 << e, every & masks[e], none & ~masks[e])
-                        for cb, every, none in combos
-                        for e in ext
-                    ]
+                    ext = [1 << e for e in self._extensions(sid, j)]
+                    every, some = self._fold(sum(ext))
+                    some_every &= some
+                    some_none &= ~every
+                    combos = [cb | e for cb in combos for e in ext]
                 halves.append(combos)
-            reach = []
-            for combos in halves:
-                some_every = some_none = 0
-                for _, every, none in combos:
-                    some_every |= every
-                    some_none |= none
-                reach.append((some_every, some_none))
-            (h_every, h_none), (t_every, t_none) = reach
-            self._rank1[m, j] = [h_every & t_every, h_none & t_none, None]
-            got = self._halves[m, j] = tuple(halves)
+            got = self._choosers[m, j] = [*halves, some_every, some_none, None]
         return got
 
     def _table(self, key: tuple[bool, int, tuple[int, ...]]) -> dict:
@@ -410,111 +397,75 @@ class FoGame:
         ``_ordered`` order, each one a head half-combination joined with a
         tail one.
 
-        At rank w - 1 = 1 a child wins iff some atom is true on all of it
-        and on none of fm, or the reverse, and the chooser's children are
-        every choice function: so some child wins iff some atom is true on
-        some extension of every member and on no member of fm, or false on
-        some extension of every member and true on every member of fm, one
-        test of the ``_rank1`` masks against fm's folds.  A refuted scan
-        within the position cap records every child as lost at once, from
-        the record's dict of choice bitsets in scan order, built on its
-        first refuted scan: a left scan merges it into the star's row, and
-        the row's growth is the count of new positions; a right scan walks
-        it into the children's rows.  Any other scan walks its children
-        one by one and stops at the first winner or at the cap, so a cap
-        stops at the same position and leaves the same memo either way."""
-        head, tail = self._halves.get((m, j)) or self._chooser(w, m, j)
+        Each child is read from the memo or decided by ``_wins``.  At rank
+        w - 1 = 1 a child wins iff some atom is true on all of it and on
+        none of fm, or the reverse, and the chooser's children are every
+        choice function: so some child wins iff some atom is true on some
+        extension of every member and on no member of fm, or false on some
+        extension of every member and true on every member of fm, one test
+        of the record's masks against fm's folds.  A refuted scan within
+        the position cap records every child as lost at once, from the
+        record's dict of choice bitsets in scan order, built on its first
+        refuted scan: a left scan merges it into the star's row, and the
+        row's growth is the count of new positions; a right scan walks it
+        into the children's rows.  Any other scan walks its children and
+        stops at the first winner or at the cap, so a cap stops at the same
+        position and leaves the same memo either way."""
+        record = self._choosers.get((m, j)) or self._chooser(w, m, j)
+        head, tail, some_every, some_none, lost = record
         v = w - 1
         key = (mode is _FULL, v, dom2)
         table = self._memo.get(key) or self._table(key)
         get = table.get
         # a left scan's children share the B row of the fixed side (the
-        # star), keyed by the chooser's bitset; a right scan's child has the chooser's bitset
-        # as its B row, in which the fixed side is the key
+        # star), keyed by the chooser's bitset; a right scan's child has the
+        # chooser's bitset as its B row, in which the fixed side is the key
         row = None
         if left:
             row = get(fm)
             if row is None:
                 row = table[fm] = {}
-        if v >= 2:
-            for hb, _, _ in head:
-                for tb, _, _ in tail:
-                    cb = hb | tb
-                    if left:
-                        got = row.get(cb)
-                        if got is None:
-                            got = self._wins(mode, v, cb, fm, dom2)
-                    else:
-                        row = get(cb)
-                        got = None if row is None else row.get(fm)
-                        if got is None:
-                            got = self._wins(mode, v, fm, cb, dom2)
-                    if got:
-                        return cb
-            return None
-        # a rank-1 child never recurses: it wins iff some atom is true on all
-        # of it and on none of the fixed side, or the reverse.  x_j = x_j is
-        # an atom true on every member, so every fold holds its bit: a side
-        # with no members (AND fold -1) wins, as in _winning_move, and the
-        # folds need no mask to the atom list; the tests below hold bit by
-        # bit, the sign bits of -1 folds included.
-        every_f, some_f = self._fold(fm)
-        none_f = ~some_f
-        visited, cap = self.positions_visited, self.cap_positions
-        rank1 = self._rank1[m, j]
-        some_every, some_none, lost = rank1
-        if (
-            not (some_every & none_f | some_none & every_f)
-            and visited + len(head) * len(tail) <= cap
-        ):
-            if lost is None:
-                lost = rank1[2] = dict.fromkeys(
-                    [hb | tb for hb, _, _ in head for tb, _, _ in tail], False
-                )
-            if left:
-                before = len(row)
-                row.update(lost)
-                self.positions_visited = visited + len(row) - before
-                return None
-            for cb in lost:
-                row = get(cb)
-                if row is None:
-                    row = table[cb] = {}
-                if fm not in row:
-                    row[fm] = False
-                    visited += 1
-            self.positions_visited = visited
-            return None
-        # per head half-combination the fixed side's folds are joined in
-        # once, and the visit count stays in a local that is written back
-        # before a cap error and at the end
-        for hb, h_every, h_none in head:
-            h_every &= none_f
-            h_none &= every_f
-            for tb, t_every, t_none in tail:
-                cb = hb | tb
+        if v == 1:
+            # x_j = x_j is an atom true on every member, so every fold holds
+            # its bit and the test needs no mask to the atom list
+            every_f, some_f = self._fold(fm)
+            visited = self.positions_visited
+            if (
+                not (some_every & ~some_f | some_none & every_f)
+                and visited + len(head) * len(tail) <= self.cap_positions
+            ):
+                if lost is None:
+                    lost = record[4] = dict.fromkeys(
+                        [hb | tb for hb in head for tb in tail], False
+                    )
                 if left:
-                    got = row.get(cb)
-                else:
+                    before = len(row)
+                    row.update(lost)
+                    self.positions_visited = visited + len(row) - before
+                    return None
+                for cb in lost:
                     row = get(cb)
                     if row is None:
                         row = table[cb] = {}
-                    got = row.get(fm)
-                if got is None:
-                    visited += 1
-                    if visited > cap:
-                        self.positions_visited = visited
-                        raise self._capped(
-                            f"visited positions exceed the cap {cap} "
-                            f"(--cap-positions)",
-                            v,
-                        )
-                    got = (h_every & t_every | h_none & t_none) != 0
-                    row[cb if left else fm] = got
+                    if fm not in row:
+                        row[fm] = False
+                        visited += 1
+                self.positions_visited = visited
+                return None
+        for hb in head:
+            for tb in tail:
+                cb = hb | tb
+                if left:
+                    got = row.get(cb)
+                    if got is None:
+                        got = self._wins(mode, v, cb, fm, dom2)
+                else:
+                    row = get(cb)
+                    got = None if row is None else row.get(fm)
+                    if got is None:
+                        got = self._wins(mode, v, fm, cb, dom2)
                 if got:
-                    self.positions_visited = visited
                     return cb
-        self.positions_visited = visited
         return None
 
     # -- the game -----------------------------------------------------------

@@ -265,7 +265,7 @@ def test_the_choice_cap_refuses_before_any_extension_is_interned():
         err.value
     )
     assert len(game._by_id) == 3
-    assert not game._halves
+    assert not game._choosers
 
 
 def test_winner_agrees_with_enumeration_everywhere(tiny_fo_suite):
@@ -419,7 +419,7 @@ def test_kept_folds_classes_and_supplements_match_fresh_ones(tiny_fo_suite):
         games.append((game, [c for rec in records for c in (rec.left, rec.right)]))
     for game, entered in games:
         assert game._folded and game._classes and game._supps
-        assert game._star and game._halves
+        assert game._star and game._choosers
         # the records as built, and as read for every class and domain of a
         # decided position
         sides = set(game._folded)
@@ -448,29 +448,34 @@ def test_kept_folds_classes_and_supplements_match_fresh_ones(tiny_fo_suite):
                 (j, tuple(sorted({*dom, j}))) for j in game._supp_vars(dom)
             ]
         # a branching star is every extension of every member; the chooser
-        # halves, joined in product order, are every choice function over
-        # the members in _ordered order with its bitset and atom folds
+        # halves, joined in product order, are every choice function's
+        # bitset over the members in _ordered order, and its masks are the
+        # atoms true, and false, on some extension of every member
         masks = game._masks
         for (m, j), star in game._star.items():
             assert star == sum(
                 {1 << ext for sid in _members(m) for ext in game._extensions(sid, j)}
             )
-        for (m, j), (head, tail) in game._halves.items():
+        for (m, j), record in game._choosers.items():
+            head, tail, some_every, some_none, lost = record
+            families = [game._extensions(sid, j) for sid in game._ordered(m)]
             want = []
-            for choice in itertools.product(
-                *(game._extensions(sid, j) for sid in game._ordered(m))
-            ):
-                cb, every, none = 0, -1, -1
+            for choice in itertools.product(*families):
+                cb = 0
                 for ext in choice:
                     cb |= 1 << ext
-                    every &= masks[ext]
-                    none &= ~masks[ext]
-                want.append((cb, every, none))
-            assert [
-                (hb | tb, h_every & t_every, h_none & t_none)
-                for hb, h_every, h_none in head
-                for tb, t_every, t_none in tail
-            ] == want
+                want.append(cb)
+            assert [hb | tb for hb in head for tb in tail] == want
+            assert lost is None or lost == dict.fromkeys(want, False)
+            want_every = want_none = -1
+            for exts in families:
+                some = none = 0
+                for ext in exts:
+                    some |= masks[ext]
+                    none |= ~masks[ext]
+                want_every &= some
+                want_none &= none
+            assert (some_every, some_none) == (want_every, want_none)
     assert any(len(supps) > 1 for supps in reuse._supps.values())
 
 
@@ -597,14 +602,14 @@ def _order_three_answers(solver):
 )
 def test_a_cap_leaves_the_solver_as_the_reference(caps):
     # a cap error inside a choice scan must leave the counted positions and
-    # the memo as the tuple-keyed search does, and no halves of a class
-    # over the choice-function cap; raised caps then finish the same way
+    # the memo as the tuple-keyed search does, and no chooser record of a
+    # class over the choice-function cap; raised caps then finish the same way
     game, ref = FoGame(**caps), suites.ReferenceFoGame(**caps)
     capped = _order_three_answers(game)
     assert capped == _order_three_answers(ref)
     [flag] = [name.replace("_", "-") for name in caps]
     assert any(answer[0] == flag for answer in capped)
-    for head, tail in game._halves.values():
+    for head, tail, *_ in game._choosers.values():
         assert len(head) * len(tail) <= game.cap_choice_functions
     for solver in (game, ref):
         solver.cap_positions = 10**6
