@@ -162,17 +162,26 @@ def classify_boolcomb(
             f"s = {s} does not match the member's missing trace "
             f"{BitString(n, missing)}"
         )
-    preferred = {r: pair[0] for r, pair in pairs.items()}
-    role = {}
-    for r, (b, c) in pairs.items():
-        role[b] = (r, False)
-        role[c] = (r, True)
-
     for j, aval in alpha.items:
         if not 0 <= aval < (1 << n):
             raise InputError(
                 f"reference value {aval} for x{j} is not a full-combination element"
             )
+    return _classify_boolcomb(beta, n, missing, pairs, alpha)
+
+
+def _classify_boolcomb(
+    beta: Assignment, n: int, missing: int, pairs: dict, alpha: Assignment
+) -> BoolCombClass:
+    """``classify_boolcomb`` on a member already checked, given its
+    assignment beta, its missing trace and its {trace: (preferred, spare)}
+    pairs."""
+    from .props import BitString
+    preferred = {r: pair[0] for r, pair in pairs.items()}
+    role = {}
+    for r, (b, c) in pairs.items():
+        role[b] = (r, False)
+        role[c] = (r, True)
     # every variable off the missing trace must take its trace's preferred
     # element; those on it must share one spare, whose trace is a Hamming
     # neighbour of the missing one
@@ -196,8 +205,10 @@ def classify_boolcomb(
 
 def measure_M(left: StructureClass, right: StructureClass) -> int:
     """(n + 1) * flawless members + good-enough members of the adversary
-    class, classified against the single reference member."""
-    from .props import BitString
+    class, classified against the single reference member.  Each member's
+    shape is derived once, here; the classes share one domain and the
+    reference values are elements of the full model, so the checks of
+    ``classify_boolcomb`` hold."""
     check_comparable(left, right)
     if len(left.members) != 1:
         raise InputError("the reference class must have exactly one member")
@@ -208,10 +219,10 @@ def measure_M(left: StructureClass, right: StructureClass) -> int:
     n = len(ref.model.vocabulary.symbols)
     flawless = good = 0
     for member in right.members:
-        shape, missing, _ = _boolcomb_shape(member.model)
+        shape, missing, pairs = _boolcomb_shape(member.model)
         if shape != "paired":
             raise InputError("adversary members must pair their traces")
-        cls = classify_boolcomb(member, BitString(n, missing), ref.assignment)
+        cls = _classify_boolcomb(member.assignment, n, missing, pairs, ref.assignment)
         if cls.kind == "flawless":
             flawless += 1
         elif cls.kind == "good_enough":

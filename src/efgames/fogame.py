@@ -69,6 +69,14 @@ def _indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+class _Lost(dict):
+    """A chooser's record of its refuted rank-1 scan, every choice bitset
+    mapped to False; memo rows may be this very object, so nothing writes
+    into it, and a row of this class is copied before its first write."""
+
+    __slots__ = ()
+
+
 def _members(m: int) -> Iterator[int]:
     """The ids in the bitset m, highest first."""
     while m:
@@ -128,9 +136,17 @@ class FoGame:
     decided by ``_wins``, which counts it, holds it to the position cap and
     writes its row entry.  At rank 1 the two masks against the other
     side's folds tell at once whether some child wins; a refuted scan
-    within the position cap records all its children as lost in one dict
-    merge, each still counted once like any position, and any other
-    rank-1 scan walks its children like a deeper one.
+    within the position cap records all its children as lost in one step,
+    each still counted once like any position, and any other rank-1 scan
+    walks its children like a deeper one.  The record of a refuted scan is
+    the chooser's ``lost`` dict, of class ``_Lost``, and a left scan whose
+    star row has no entry yet stores that very object as the row, so one
+    record may be the row of several stars.  Nothing writes into a
+    ``_Lost``: a shared row is copied, and the plain copy stored in the
+    table, when it is next written, by ``_wins``'s entry write, by a right
+    scan's write into a child row, or by a left scan, which copies a shared
+    star row as it fetches it, before it merges a record into it or walks
+    it.
 
     Three more records are built once and read on every later visit.
     ``_folded`` keeps ``_fold`` of each class bitset: a bitset names a
@@ -345,8 +361,10 @@ class FoGame:
         order.  some_every and some_none are the atoms true, and the atoms
         false, on some extension of every member: the AND over members of
         the OR, and of the complemented AND, of ``_fold`` of the member's
-        extensions.  lost is None until the first refuted rank-1 scan.  The
-        cap on choice functions is checked first, so a refused class
+        extensions.  lost is None until the first refuted rank-1 scan, and
+        then a ``_Lost`` mapping every choice bitset, in scan order, to
+        False; it is never written, as memo rows may be this very object.
+        The cap on choice functions is checked first, so a refused class
         interns no extension and leaves no record behind."""
         got = self._choosers.get((m, j))
         if got is None:
@@ -405,12 +423,24 @@ class FoGame:
         extension of every member and true on every member of fm, one test
         of the record's masks against fm's folds.  A refuted scan within
         the position cap records every child as lost at once, from the
-        record's dict of choice bitsets in scan order, built on its first
-        refuted scan: a left scan merges it into the star's row, and the
-        row's growth is the count of new positions; a right scan walks it
-        into the children's rows.  Any other scan walks its children and
+        record's ``lost`` of choice bitsets in scan order, built on its
+        first refuted scan.  A left scan stores ``lost`` itself as the
+        star's row when that row has no entry, counting every child, and
+        otherwise merges it into the row, counting the row's growth; a
+        right scan walks it into the children's rows, copying a shared row
+        before its first write.  Any other scan walks its children and
         stops at the first winner or at the cap, so a cap stops at the same
-        position and leaves the same memo either way."""
+        position and leaves the same memo either way.
+
+        A left scan copies a shared star row as it fetches it.  A merge
+        then writes into the copy, and a walk, which holds the row while
+        ``_wins`` writes its children into the table, reads the row that
+        ``_wins`` writes.  The copy is one the scan would make anyway: at an
+        unbound x_j two choosers' records share no choice bitset, so a
+        merge adds entries, and a shared row holds only losses, so a walk
+        that the closed-form test allows decides its winning child.  Only a
+        walk that the position cap forces may copy a row it leaves as it
+        was."""
         record = self._choosers.get((m, j)) or self._chooser(w, m, j)
         head, tail, some_every, some_none, lost = record
         v = w - 1
@@ -423,8 +453,8 @@ class FoGame:
         row = None
         if left:
             row = get(fm)
-            if row is None:
-                row = table[fm] = {}
+            if row.__class__ is not dict:  # none yet, or a shared record
+                row = table[fm] = {} if row is None else dict(row)
         if v == 1:
             # x_j = x_j is an atom true on every member, so every fold holds
             # its bit and the test needs no mask to the atom list
@@ -435,10 +465,14 @@ class FoGame:
                 and visited + len(head) * len(tail) <= self.cap_positions
             ):
                 if lost is None:
-                    lost = record[4] = dict.fromkeys(
+                    lost = record[4] = _Lost.fromkeys(
                         [hb | tb for hb in head for tb in tail], False
                     )
                 if left:
+                    if not row:  # the record itself becomes the row, shared
+                        table[fm] = lost
+                        self.positions_visited = visited + len(lost)
+                        return None
                     before = len(row)
                     row.update(lost)
                     self.positions_visited = visited + len(row) - before
@@ -448,6 +482,8 @@ class FoGame:
                     if row is None:
                         row = table[cb] = {}
                     if fm not in row:
+                        if row.__class__ is not dict:
+                            row = table[cb] = dict(row)
                         row[fm] = False
                         visited += 1
                 self.positions_visited = visited
@@ -491,8 +527,10 @@ class FoGame:
                 w,
             )
         result = self._winning_move(mode, w, am, bm, dom) is not None
-        if row is None:  # every move lowers the rank: the search wrote no row here
-            row = table[bm] = {}
+        # every move lowers the rank, so the search wrote no row here: a
+        # missing row is made, and a shared record copied, only now
+        if row.__class__ is not dict:
+            row = table[bm] = {} if row is None else dict(row)
         row[am] = result
         return result
 

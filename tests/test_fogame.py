@@ -38,7 +38,7 @@ from efgames import (
     parity_property,
 )
 from efgames.fo import atom_mask, family_masks, structure_from_json, structure_to_json
-from efgames.fogame import _members
+from efgames.fogame import _Lost, _members
 
 
 def order_class(k, assignment=()):
@@ -714,6 +714,101 @@ def test_a_rank_one_scan_agrees_with_deciding_every_choice_function(monkeypatch)
                 assert clone._choice_scan(mode, 2, left, m, fixed, dom2, j) == want
                 decided[want is None] += 1
     assert all(decided.values())
+
+
+def test_refuted_rank_one_scans_share_their_record_as_memo_rows():
+    # the full-mode order-3 root refutes four 19,683-child rank-1 scans of
+    # one chooser, each against another star: three of the four star rows
+    # are the chooser's record itself, and the fourth, which later gained
+    # three entries, was copied before it was written
+    a, b = linorder_instances(3)
+    game = FoGame()
+    assert game.minsize(a, b, FoMode.FULL, w_max=5) == 5
+    assert game.positions_visited == 82_799
+    [lost] = [
+        record[4]
+        for record in game._choosers.values()
+        if record[4] is not None and len(record[4]) == 19_683
+    ]
+    rows = [row for table in game._memo.values() for row in table.values()]
+    big = [row for row in rows if len(row) >= 19_683]
+    assert len(big) == 4
+    assert sum(row is lost for row in big) == 3
+    [copied] = [row for row in big if row is not lost]
+    assert type(copied) is dict and len(copied) == 19_686
+    assert copied.items() >= lost.items()
+    assert (len(rows), len({id(row) for row in rows})) == (675, 657)
+
+
+def _assert_records_intact(game):
+    """Every built ``lost`` record is a ``_Lost`` that maps exactly its
+    chooser's choice bitsets, in scan order, to False, and every memo row
+    is a plain dict or one of those records; returns the number of rows
+    that are a record."""
+    records = {}
+    for head, tail, _, _, lost in game._choosers.values():
+        if lost is not None:
+            assert type(lost) is _Lost
+            assert list(lost.items()) == [(hb | tb, False) for hb in head for tb in tail]
+            records[id(lost)] = lost
+    shared = 0
+    for table in game._memo.values():
+        for row in table.values():
+            if type(row) is not dict:
+                assert row is records.get(id(row))
+                shared += 1
+    return shared
+
+
+def test_shared_records_are_never_written(tiny_fo_suite):
+    # rows that are a record are copied before their first write, whether
+    # _wins decides a position in them, a left scan merges another record
+    # into them, or a left scan walks them
+    shared = 0
+    for mode in FoMode:
+        for n in (2, 3):
+            game = FoGame()
+            assert game.minsize(*linorder_instances(n), mode, w_max=5) == 2 * n - 1
+            shared += _assert_records_intact(game)
+        game = FoGame()
+        for x, y in itertools.product(_one_element_classes(), repeat=2):
+            for w in (1, 2, 3, 4):
+                game.winner(w, x, y, mode)
+        shared += _assert_records_intact(game)
+    for game, _ in tiny_fo_suite.values():
+        _assert_records_intact(game)
+    assert shared
+
+
+def test_a_right_bulk_walk_copies_a_shared_row_before_writing():
+    # on one-element universes a class's star is its one choice function,
+    # so the child rows of a refuted right scan with chooser y are the row
+    # of y's star, which a refuted left scan with chooser x may have shared
+    # as x's record; a right scan against the star of another class z
+    # writes a new entry there, into a copy
+    mode, dom2, j = FoMode.FULL, (0,), 0
+    copied = 0
+    for x, y, z in itertools.product(_one_element_classes(), repeat=3):
+        game = FoGame()
+        xm, ym, _ = game._enter(x, y, 2)
+        zm = game._class(z)[0]
+        star_y, star_z = game._branching(2, ym, j), game._branching(2, zm, j)
+        if game._choice_scan(mode, 2, True, xm, star_y, dom2, j) is not None:
+            continue
+        table = game._memo[True, 1, dom2]
+        lost = game._choosers[xm, j][4]
+        if table[star_y] is not lost or star_z in lost:
+            continue
+        before = game.positions_visited
+        if game._choice_scan(mode, 2, False, ym, star_z, dom2, j) is not None:
+            continue
+        assert game.positions_visited == before + 1
+        row = table[star_y]
+        assert row is not lost and type(row) is dict
+        assert row == {**lost, star_z: False}
+        assert _assert_records_intact(game) == 0
+        copied += 1
+    assert copied
 
 
 def test_atom_masks_pick_the_first_atomic_separator():
